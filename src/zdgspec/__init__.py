@@ -34,7 +34,6 @@ from .eigen import (
     char_poly_integer,
     coalesce,
     integer_roots_complete,
-    join_char_poly,
     symmetric_eigenvalues,
 )
 from .errors import EmptyGraphError, OracleCapError
@@ -45,7 +44,6 @@ from .join_spectrum import (
     class_spectrum,
     exact_total_spectrum,
     prime_power_spectrum,
-    quotient_char_poly,
     reduced_spectrum,
 )
 from .numtheory import euler_phi, factorize, is_prime, proper_divisors
@@ -94,13 +92,11 @@ __all__ = [
     "integer_roots_complete",
     "is_laplacian_integral",
     "is_prime",
-    "join_char_poly",
     "join_reconstruction",
     "lambda_equals_order",
     "mu_equals_kappa",
     "prime_power_spectrum",
     "proper_divisors",
-    "quotient_char_poly",
     "quotient_extremes_check",
     "reduced_spectrum",
     "spectral_radius",

@@ -22,12 +22,12 @@ from .eigen import SpectrumMultiset, max_deviation
 from .errors import EmptyGraphError, OracleCapError
 from .join_spectrum import (
     brute_spectrum,
-    oracle_cap,
+    check_oracle_cap,
     prime_power_spectrum,
     reduced_spectrum,
 )
 from .numtheory import factorize, is_prime
-from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
+from .zdg_explicit import build_zero_divisor_graph
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -222,12 +222,7 @@ def cmd_divisor_graph(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     require_composite(args.n)
-    z = expected_vertex_count(args.n)
-    cap = oracle_cap()
-    if z > cap:
-        raise OracleCapError(
-            f"explicit graph for n={args.n} has {z} vertices, above the cap {cap}"
-        )
+    check_oracle_cap(args.n)
     g = build_zero_divisor_graph(args.n)
     if args.edges:
         for a, b in g.edges():

@@ -2,30 +2,22 @@
 
 Two routes to a spectrum live here and check each other:
 
-* a floating-point route: cyclic Jacobi rotations for small matrices (the
-  k x k quotient matrices of the fast path), LAPACK via numpy above
-  ``JACOBI_MAX_ORDER`` for the desk-scale oracle matrices, plus multiset
-  coalescing with integer snapping;
+* a floating-point route: LAPACK via numpy for every symmetric matrix (the
+  k x k quotient of the fast path and the explicit oracle Laplacian alike),
+  plus multiset coalescing with integer snapping;
 * an exact route: the characteristic polynomial of an integer matrix by
   fraction-free (Bareiss) elimination over Z[x], and complete extraction of
   its integer roots. Coefficients are Python ints, so nothing overflows.
-
-The join recursion for Laplacian characteristic polynomials
-(``join_char_poly``) is exact as well: the rational prefactor of the join
-formula always divides out, and a nonzero remainder is reported as an
-invariant violation instead of being truncated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-JACOBI_MAX_ORDER = 64
-JACOBI_SWEEP_CAP = 60
-JACOBI_OFF_TOL = 1e-12  # relative to the Frobenius norm of the input
 DEFAULT_COALESCE_TOL = 1e-8
 INTEGER_SNAP_TOL = 1e-6
 SYMMETRY_RTOL = 1e-12
@@ -107,34 +99,41 @@ class SpectrumMultiset:
         return all(e.exact for e in self.entries)
 
 
-def coalesce(values: list[float], tol: float = DEFAULT_COALESCE_TOL) -> SpectrumMultiset:
+def coalesce(
+    values: Sequence[float | tuple[float, int]], tol: float = DEFAULT_COALESCE_TOL
+) -> SpectrumMultiset:
     """Group near-equal values into a multiset.
 
-    Successive values chain into one group while each gap stays within
-    max(tol, tol*|value|). A group is represented by its mean, snapped to
-    the nearest integer (and flagged exact) when within 1e-6 of one.
+    Each item is a value or a (value, multiplicity) pair; a pair counts as
+    that many copies of its value, so exact multiplicities never have to be
+    expanded. Successive values chain into one group while each gap stays
+    within max(tol, tol*|value|). A group is represented by its mean, snapped
+    to the nearest integer (and flagged exact) when within 1e-6 of one.
     """
-    if not values:
-        return SpectrumMultiset((), tol)
-    ordered = sorted(float(v) for v in values)
+    pairs = sorted(
+        (float(item[0]), item[1]) if isinstance(item, tuple) else (float(item), 1)
+        for item in values
+    )
     entries: list[SpectrumEntry] = []
-    group = [ordered[0]]
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur - prev <= max(tol, tol * max(abs(prev), abs(cur))):
-            group.append(cur)
-        else:
-            entries.append(_close_group(group))
-            group = [cur]
-    entries.append(_close_group(group))
+    total, count, prev = 0.0, 0, 0.0
+    for value, mult in pairs:
+        if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):
+            entries.append(_close_group(total, count))
+            total, count = 0.0, 0
+        total += value * mult
+        count += mult
+        prev = value
+    if count:
+        entries.append(_close_group(total, count))
     return SpectrumMultiset(tuple(entries), tol)
 
 
-def _close_group(group: list[float]) -> SpectrumEntry:
-    mean = sum(group) / len(group)
+def _close_group(total: float, count: int) -> SpectrumEntry:
+    mean = total / count
     nearest = round(mean)
     if abs(mean - nearest) <= INTEGER_SNAP_TOL:
-        return SpectrumEntry(float(nearest), len(group), True)
-    return SpectrumEntry(mean, len(group), False)
+        return SpectrumEntry(float(nearest), count, True)
+    return SpectrumEntry(mean, count, False)
 
 
 def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:
@@ -157,15 +156,8 @@ def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:
 # floating-point eigensolver
 
 
-def symmetric_eigenvalues(
-    m: np.ndarray, tol: float = 1e-9, method: str = "auto"
-) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    Small matrices go through cyclic Jacobi rotations (converged far below
-    any reasonable ``tol``); larger ones through LAPACK. ``method`` forces
-    one backend ("jacobi" / "lapack") for cross-validation.
-    """
+def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
+    """All eigenvalues of a symmetric matrix, ascending, from LAPACK."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
@@ -174,68 +166,7 @@ def symmetric_eigenvalues(
     scale = np.abs(a).max()
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if method == "auto":
-        method = "jacobi" if a.shape[0] <= JACOBI_MAX_ORDER else "lapack"
-    if method == "jacobi":
-        return _jacobi_eigenvalues(a)
-    if method == "lapack":
-        return [float(v) for v in np.linalg.eigvalsh(a)]
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _jacobi_eigenvalues(a: np.ndarray) -> list[float]:
-    """Cyclic Jacobi sweeps until the off-diagonal Frobenius norm falls
-    below 1e-12 of the input norm; hard cap of 60 sweeps."""
-    a = 0.5 * (a + a.T)  # exact symmetry, averaging any representation noise
-    k = a.shape[0]
-    if k == 1:
-        return [float(a[0, 0])]
-    threshold = JACOBI_OFF_TOL * np.linalg.norm(a)
-    # rotations on entries below skip cannot push the off-norm over the
-    # threshold (k*k of them stay under it) but their column rewrites would
-    # keep injecting roundoff, so the iteration would never settle
-    skip = threshold / k
-    for _ in range(JACOBI_SWEEP_CAP):
-        if _off_norm(a) <= threshold:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                newp = c * colp - s * colq
-                newq = s * colp + c * colq
-                a[:, p] = newp
-                a[p, :] = newp
-                a[:, q] = newq
-                a[q, :] = newq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-    else:
-        if _off_norm(a) > threshold:
-            raise ArithmeticError("Jacobi iteration did not converge in 60 sweeps")
-    return sorted(float(v) for v in np.diag(a))
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # summing the off-diagonal squares directly; the subtraction
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+    return [float(v) for v in np.linalg.eigvalsh(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +223,6 @@ def _eval(c: list[int], x: int) -> int:
     return out
 
 
-def _shift_arg(c: list[int], shift: int) -> list[int]:
-    """p(x + shift) by Horner over Z[x]."""
-    out = [c[-1]]
-    for coeff in reversed(c[:-1]):
-        out = _mul(out, [shift, 1])
-        out[0] += coeff
-    return _trim(out)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Monic polynomial with exact integer coefficients, highest degree first."""
@@ -322,29 +244,8 @@ class IntPolynomial:
     def _from_ascending(cls, c: list[int]) -> "IntPolynomial":
         return cls(tuple(reversed(_trim(list(c)))))
 
-    @classmethod
-    def from_roots(cls, roots: list[int]) -> "IntPolynomial":
-        c = [1]
-        for r in roots:
-            c = _mul(c, [-r, 1])
-        return cls._from_ascending(c)
-
     def evaluate(self, x: int) -> int:
         return _eval(self._ascending(), x)
-
-    def shifted_argument(self, shift: int) -> "IntPolynomial":
-        """p(x + shift); pass a negative shift for p(x - c)."""
-        return IntPolynomial._from_ascending(_shift_arg(self._ascending(), shift))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial._from_ascending(_mul(self._ascending(), other._ascending()))
-
-    def divide_exact_linear(self, root: int) -> "IntPolynomial":
-        """Exact division by (x - root); raises if the remainder is nonzero."""
-        quot, rem = _divmod_monic(self._ascending(), [-root, 1])
-        if rem != [0]:
-            raise ValueError(f"(x - {root}) does not divide the polynomial exactly")
-        return IntPolynomial._from_ascending(quot)
 
 
 def char_poly_integer(m) -> IntPolynomial:
@@ -413,27 +314,3 @@ def integer_roots_complete(p: IntPolynomial) -> tuple[Counter, bool]:
         else:
             cand += 1
     return roots, len(c) == 1
-
-
-def join_char_poly(
-    theta1: IntPolynomial, n1: int, theta2: IntPolynomial, n2: int
-) -> IntPolynomial:
-    """Laplacian characteristic polynomial of the join of two graphs.
-
-    Computes x*(x - n1 - n2) * theta1(x - n2) * theta2(x - n1) divided
-    exactly by (x - n1)*(x - n2). Valid Laplacian inputs always divide out;
-    a nonzero remainder means the inputs were not Laplacian characteristic
-    polynomials of graphs on n1 and n2 vertices.
-    """
-    if theta1.degree != n1 or theta2.degree != n2:
-        raise ValueError("polynomial degree must equal the vertex count")
-    shifted1 = theta1.shifted_argument(-n2)
-    shifted2 = theta2.shifted_argument(-n1)
-    num = IntPolynomial((1, 0)) * IntPolynomial((1, -(n1 + n2))) * shifted1 * shifted2
-    try:
-        return num.divide_exact_linear(n1).divide_exact_linear(n2)
-    except ValueError as exc:
-        raise ValueError(
-            "join invariant violated: inputs are not Laplacian characteristic "
-            "polynomials"
-        ) from exc

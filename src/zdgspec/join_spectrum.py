@@ -36,7 +36,6 @@ from .divisor_graph import (
 )
 from .eigen import (
     DEFAULT_COALESCE_TOL,
-    IntPolynomial,
     SpectrumMultiset,
     char_poly_integer,
     coalesce,
@@ -49,6 +48,9 @@ from .zdg_explicit import ClassKind, build_zero_divisor_graph, expected_vertex_c
 
 DEFAULT_ORACLE_CAP = 1200
 ORACLE_CAP_ENV = "ZDG_ORACLE_CAP"
+# relative error a quotient eigenvalue may carry; the CLI prints 12
+# significant digits
+QUOTIENT_RTOL = 1e-14
 
 
 def oracle_cap() -> int:
@@ -125,24 +127,48 @@ def class_contributions(g: WeightedDivisorGraph) -> tuple[ClassContribution, ...
     return tuple(out)
 
 
+def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
+    """Eigenvalues of the weighted quotient Laplacian, ascending.
+
+    LAPACK's values are off by up to about eps * ||C|| for the symmetric
+    form C. When that is more than QUOTIENT_RTOL of the smallest nonzero
+    value (a strongly graded quotient, with classes of 1 to millions of
+    vertices), each value is replaced by the Rayleigh quotient of its
+    eigenvector v in the integer form: the sum over edges of
+    m_i*m_j*(x_i - x_j)^2 over the sum of m_i*x_i^2, with x = W^(-1/2) v.
+    Every term is nonnegative with exact integer weights, so nothing
+    cancels, and the error is second order in that of v.
+    """
+    c = symmetric_form(g)
+    values = symmetric_eigenvalues(c)
+    eps = np.finfo(np.float64).eps
+    if len(values) < 2 or eps * np.linalg.norm(c) <= QUOTIENT_RTOL * values[1]:
+        return values
+    _, vectors = np.linalg.eigh(c)
+    w = np.asarray(g.weights, dtype=np.float64)
+    x = vectors / np.sqrt(w)[:, None]
+    i, j = np.nonzero(np.triu(g.adjacency))
+    num = ((w[i] * w[j])[:, None] * (x[i] - x[j]) ** 2).sum(axis=0)
+    den = (w[:, None] * x**2).sum(axis=0)
+    return sorted(float(v) for v in num / den)
+
+
 def reduced_spectrum(
-    n: int,
-    coalesce_tol: float = DEFAULT_COALESCE_TOL,
-    quotient_method: str = "auto",
+    n: int, coalesce_tol: float = DEFAULT_COALESCE_TOL
 ) -> SpectrumAssembly:
     """Full Laplacian spectrum of the zero-divisor graph via the quotient.
 
     Runtime is governed by the number of proper divisors k, never by n:
-    one k x k symmetric eigenproblem plus integer bookkeeping.
+    one k x k symmetric eigenproblem plus at most k class (value,
+    multiplicity) pairs, merged without expanding their multiplicities.
     """
     require_composite(n)
     g = build_divisor_graph(n)
     contribs = class_contributions(g)
-    quotient_values = symmetric_eigenvalues(symmetric_form(g), method=quotient_method)
-    values = list(quotient_values)
+    quotient_values = _quotient_eigenvalues(g)
+    values: list[tuple[float, int]] = [(v, 1) for v in quotient_values]
     for c in contribs:
-        for value, mult in c.pairs():
-            values.extend([float(value)] * mult)
+        values.extend(c.pairs())
     return SpectrumAssembly(
         n=n,
         contributions=contribs,
@@ -150,12 +176,6 @@ def reduced_spectrum(
         total=coalesce(values, coalesce_tol),
         method="reduced",
     )
-
-
-def quotient_char_poly(n: int) -> IntPolynomial:
-    """Exact characteristic polynomial of the weighted quotient Laplacian."""
-    require_composite(n)
-    return char_poly_integer(weighted_laplacian(build_divisor_graph(n)))
 
 
 def exact_total_spectrum(n: int) -> SpectrumMultiset | None:
@@ -207,31 +227,33 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
     return SpectrumMultiset.from_pairs(pairs, exact=True)
 
 
-def brute_spectrum(
-    n: int,
-    cap: int | None = None,
-    coalesce_tol: float = DEFAULT_COALESCE_TOL,
-) -> SpectrumMultiset:
-    """Oracle spectrum from the explicit vertex-level graph.
+def check_oracle_cap(n: int, cap: int | None = None) -> None:
+    """Refuse an explicit graph of n above the vertex cap.
 
-    Refuses to run past the vertex cap (argument, else ZDG_ORACLE_CAP, else
-    1200) because the dense eigenproblem is cubic in n - phi(n) - 1.
+    The cap is the argument, else ZDG_ORACLE_CAP, else 1200, because the
+    dense eigenproblem is cubic in n - phi(n) - 1.
     """
-    require_composite(n)
     limit = oracle_cap() if cap is None else cap
     z = expected_vertex_count(n)
     if z > limit:
         raise OracleCapError(
             f"explicit graph for n={n} has {z} vertices, above the cap {limit}"
         )
+
+
+def brute_spectrum(
+    n: int,
+    cap: int | None = None,
+    coalesce_tol: float = DEFAULT_COALESCE_TOL,
+) -> SpectrumMultiset:
+    """Oracle spectrum from the explicit vertex-level graph, refused past
+    the vertex cap (see ``check_oracle_cap``)."""
+    require_composite(n)
+    check_oracle_cap(n, cap)
     g = build_zero_divisor_graph(n)
     adj = g.adjacency.astype(np.float64)
     lap = np.diag(adj.sum(axis=1)) - adj
     return coalesce(symmetric_eigenvalues(lap), coalesce_tol)
-
-
-def spectra_close(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> bool:
-    return spectra_deviation(a, b) <= tol
 
 
 def spectra_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float:

@@ -10,7 +10,6 @@ from zdgspec.eigen import (
     char_poly_integer,
     coalesce,
     integer_roots_complete,
-    join_char_poly,
     symmetric_eigenvalues,
 )
 
@@ -46,26 +45,10 @@ def test_rejects_nonsymmetric_and_bad_shape():
 
 @given(small_dim.flatmap(symmetric_int_matrix))
 @settings(max_examples=120, deadline=None)
-def test_jacobi_agrees_with_lapack(m):
-    a = m.astype(float)
-    jac = symmetric_eigenvalues(a, method="jacobi")
-    lap = symmetric_eigenvalues(a, method="lapack")
-    scale = max(1.0, max(abs(v) for v in lap))
-    assert np.allclose(jac, lap, atol=1e-9 * scale)
-
-
-@given(small_dim.flatmap(symmetric_int_matrix))
-@settings(max_examples=120, deadline=None)
 def test_eigenvalue_sum_matches_trace(m):
     vals = symmetric_eigenvalues(m.astype(float))
     trace = float(np.trace(m))
     assert abs(sum(vals) - trace) <= 1e-8 * (1.0 + abs(trace))
-
-
-def test_jacobi_handles_equal_diagonal():
-    # tau = 0 must still rotate (t = 1), otherwise the pivot never clears
-    vals = symmetric_eigenvalues(np.array([[2.0, 5.0], [5.0, 2.0]]), method="jacobi")
-    assert vals == pytest.approx([-3.0, 7.0])
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +86,26 @@ def test_coalesce_non_integer_representative_not_exact():
     assert ms.pairs() == [(0.5, 2)]
     assert not ms.entries[0].exact
     assert not ms.is_integral
+
+
+# dyadic values keep every sum exact, so both inputs must give identical
+# entries; offsets of 2**-30 chain into a group, steps of 1/64 do not
+dyadic_value = st.builds(
+    lambda step, offset: step / 64 + offset * 2.0**-30,
+    st.integers(min_value=0, max_value=64 * 50),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(dyadic_value, st.integers(min_value=1, max_value=6)), max_size=12
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_coalesce_pairs_match_expanded_values(pairs):
+    expanded = [v for v, m in pairs for _ in range(m)]
+    assert coalesce(pairs).entries == coalesce(expanded).entries
 
 
 def test_second_smallest_counts_multiplicity():
@@ -164,24 +167,6 @@ def test_int_polynomial_basics():
         IntPolynomial((2, 0))
 
 
-@given(
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=0, max_size=5),
-    st.integers(min_value=-10, max_value=10),
-    st.integers(min_value=-10, max_value=10),
-)
-def test_shifted_argument_evaluates_consistently(roots, shift, x):
-    p = IntPolynomial.from_roots(roots)
-    q = p.shifted_argument(shift)
-    assert q.evaluate(x) == p.evaluate(x + shift)
-
-
-def test_divide_exact_linear():
-    p = IntPolynomial.from_roots([2, 5])
-    assert p.divide_exact_linear(2).coefficients == (1, -5)
-    with pytest.raises(ValueError):
-        p.divide_exact_linear(3)
-
-
 # ---------------------------------------------------------------------------
 # integer roots
 
@@ -219,7 +204,7 @@ def test_integer_roots_constant():
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=7))
 @settings(max_examples=120)
 def test_integer_roots_roundtrip(roots):
-    poly = IntPolynomial.from_roots(roots)
+    poly = char_poly_integer(np.diag(roots)) if roots else IntPolynomial((1,))
     found, full = integer_roots_complete(poly)
     assert full
     assert found == Counter(roots)
@@ -238,58 +223,3 @@ def test_exact_roots_agree_with_numeric_when_factored(m):
     assert len(numeric) == len(exact)
     scale = max(1.0, max(abs(v) for v in numeric))
     assert np.allclose(numeric, exact, atol=1e-8 * scale)
-
-
-# ---------------------------------------------------------------------------
-# join recursion
-
-
-def test_join_k1_k1_gives_k2():
-    theta = join_char_poly(IntPolynomial((1, 0)), 1, IntPolynomial((1, 0)), 1)
-    assert theta.coefficients == (1, -2, 0)
-
-
-def test_join_empty2_empty2_gives21_k22():
-    # 4-cycle: eigenvalues 0, 2, 2, 4
-    theta = join_char_poly(IntPolynomial((1, 0, 0)), 2, IntPolynomial((1, 0, 0)), 2)
-    roots, full = integer_roots_complete(theta)
-    assert full
-    assert roots == Counter({0: 1, 2: 2, 4: 1})
-
-
-def test_join_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        join_char_poly(IntPolynomial((1, 0)), 2, IntPolynomial((1, 0)), 1)
-
-
-def test_join_rejects_non_laplacian_input():
-    # x - 1 is monic of degree 1 but is not a graph Laplacian char poly
-    with pytest.raises(ValueError):
-        join_char_poly(IntPolynomial((1, -1)), 1, IntPolynomial((1, -1)), 1)
-
-
-def _random_graph_laplacian(rng: np.random.Generator, size: int) -> np.ndarray:
-    adj = rng.integers(0, 2, size=(size, size))
-    adj = np.triu(adj, 1)
-    adj = adj + adj.T
-    return np.diag(adj.sum(axis=1)) - adj
-
-
-def test_join_matches_explicit_laplacian():
-    # oracle: build the join graph's Laplacian directly and compare exactly
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n1 = int(rng.integers(1, 5))
-        n2 = int(rng.integers(1, 5))
-        l1 = _random_graph_laplacian(rng, n1)
-        l2 = _random_graph_laplacian(rng, n2)
-        joined = np.block(
-            [
-                [l1 + n2 * np.eye(n1, dtype=int), -np.ones((n1, n2), dtype=int)],
-                [-np.ones((n2, n1), dtype=int), l2 + n1 * np.eye(n2, dtype=int)],
-            ]
-        )
-        via_formula = join_char_poly(
-            char_poly_integer(l1), n1, char_poly_integer(l2), n2
-        )
-        assert via_formula.coefficients == char_poly_integer(joined).coefficients

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdgspec.join_spectrum
 from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
     brute_spectrum,
@@ -78,6 +79,54 @@ def test_trace_identity_against_oracle_degrees(n):
     assembly = reduced_spectrum(n)
     degree_sum = sum(degrees(build_zero_divisor_graph(n)))
     assert assembly.total.value_sum() == pytest.approx(degree_sum, rel=1e-9, abs=1e-6)
+
+
+def test_reduced_coalesces_pairs_not_vertices(monkeypatch):
+    # 9699690 has 254 proper divisors but 8.04 million vertices
+    lengths = []
+    real = zdgspec.join_spectrum.coalesce
+
+    def recording(values, *args, **kwargs):
+        lengths.append(len(values))
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "coalesce", recording)
+    assembly = reduced_spectrum(9699690)
+    k = len(assembly.contributions)
+    assert k == 254
+    assert assembly.total.total_multiplicity == 9699690 - euler_phi(9699690) - 1
+    assert max(lengths) <= 2 * k
+
+
+# Nonzero eigenvalues of the weighted quotient Laplacian of n = 9999930, from
+# the exact integer matrix at 50 digits (mpmath.eig), rounded to 20.
+QUOTIENT_9999930 = [
+    "0.64820171148899880529",
+    "1.2554360244485227643",
+    "2.7417315987608652748",
+    "4.7967622336348955615",
+    "7.9135718590775324908",
+    "17.643876815949366372",
+    "333338.00022575815914",
+    "666669.00013954088899",
+    "999996.00003481080951",
+    "1666655.9999878003878",
+    "1999989.0000258667142",
+    "3333311.0000048705153",
+    "4999965.0000011091648",
+]
+
+
+def test_graded_quotient_keeps_relative_accuracy():
+    # class sizes run from 1 to 2666640, so ||C|| is 6.7e6 and plain LAPACK
+    # values would be off from the 11th significant digit on
+    quotient = reduced_spectrum(9999930).quotient
+    assert quotient.entries[0].value == 0.0
+    assert quotient.entries[0].multiplicity == 1
+    nonzero = quotient.expand()[1:]
+    assert len(nonzero) == len(QUOTIENT_9999930)
+    for got, ref in zip(nonzero, QUOTIENT_9999930):
+        assert got == pytest.approx(float(ref), rel=1e-13)
 
 
 @given(composite)
