@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Canonical-output corpus: everything a change to the exact or the float
+route must leave byte-identical.
+
+Prints, for a fixed list of CLI commands run in process, the command, its
+stdout and its exit code; then `exact_total_spectrum(n).pairs()` (or None)
+for every composite n in [4, 3000]. The command list is `survey 4 1500`
+(CSV), `survey 4 300` (JSON), `verify 4 303`, `spectrum` and `analyze` of
+four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
+`spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
+2, 6, 30, 210, and `spectrum` of 19996, 1024, 2310 and 15.
+
+The n are drawn with the standard library only, so two trees of the
+package see the same inputs. To compare them, run this one file against
+each tree and diff:
+
+    PYTHONPATH=old/src python3 scripts/output_corpus.py > old.txt
+    PYTHONPATH=src python3 scripts/output_corpus.py > new.txt
+    cmp old.txt new.txt
+"""
+
+import argparse
+import contextlib
+import io
+import random
+
+from zdgspec.cli import main as cli_main
+from zdgspec.join_spectrum import exact_total_spectrum
+
+DENSE_MAX = 10**4
+DENSE_K = (28, 30, 34, 38, 46)
+BULK_BASES = (2, 6, 30, 210)
+BULK_BAND = (1_000_000, 1_020_000)
+FIXED_N = (19996, 1024, 2310, 15)
+EXACT_RANGE = (4, 3000)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def divisor_counts(limit: int) -> list[int]:
+    counts = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for m in range(d, limit + 1, d):
+            counts[m] += 1
+    return counts
+
+
+def commands(seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    cmds = [
+        ["survey", "4", "1500", "--format", "csv"],
+        ["survey", "4", "300", "--format", "json"],
+        ["verify", "4", "303"],
+    ]
+    counts = divisor_counts(DENSE_MAX)
+    for k in DENSE_K:
+        pool = [n for n in range(4, DENSE_MAX + 1) if counts[n] - 2 == k]
+        for n in sorted(rng.sample(pool, min(4, len(pool)))):
+            cmds += [["spectrum", str(n)], ["analyze", str(n)]]
+    lo, hi = BULK_BAND
+    for b in BULK_BASES:
+        primes = [p for p in range(-(-lo // b), hi // b + 1) if is_prime(p)]
+        cmds += [["spectrum", str(b * p)] for p in sorted(rng.sample(primes, 2))]
+    cmds += [["spectrum", str(n)] for n in FIXED_N]
+    return cmds
+
+
+def run(argv: list[str]) -> tuple[str, int]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return out.getvalue(), code
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0, help="seed of the drawn n")
+    args = parser.parse_args()
+    for argv in commands(args.seed):
+        text, code = run(argv)
+        print("$ zdgspec " + " ".join(argv))
+        print(text, end="")
+        print(f"exit {code}")
+    lo, hi = EXACT_RANGE
+    for n in range(lo, hi + 1):
+        if not is_prime(n):
+            exact = exact_total_spectrum(n)
+            print(n, None if exact is None else exact.pairs())
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

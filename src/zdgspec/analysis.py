@@ -116,7 +116,9 @@ def is_laplacian_integral(n: int) -> bool:
     """Exact test through the integer characteristic polynomial.
 
     Class contributions are integers by construction, so the spectrum is
-    integral iff the quotient polynomial factors completely over Z.
+    integral iff the quotient polynomial factors completely over Z. Every
+    root is verified exactly; the candidates come from LAPACK eigenvalues
+    (see ``exact_total_spectrum``).
     """
     return exact_total_spectrum(n) is not None
 

@@ -5,16 +5,19 @@ Two routes to a spectrum live here and check each other:
 * a floating-point route: LAPACK via numpy for every symmetric matrix (the
   k x k quotient of the fast path and the explicit oracle Laplacian alike),
   plus multiset coalescing with integer snapping;
-* an exact route: the characteristic polynomial of an integer matrix by
-  fraction-free (Bareiss) elimination over Z[x], and complete extraction of
-  its integer roots. Coefficients are Python ints, so nothing overflows.
+* an exact route: the characteristic polynomial of an integer matrix,
+  computed by Hessenberg reduction modulo a Mersenne prime above the
+  coefficient bound and lifted to the integers, and the deflation of its
+  integer roots from a candidate set. Coefficients are Python ints, so
+  nothing overflows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -170,57 +173,22 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# exact integer polynomials (ascending coefficient lists internally)
+# exact integer polynomials
+
+# exponents e of the Mersenne primes 2^e - 1 that char_poly_integer works modulo
+MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+    11213, 19937, 21701, 23209, 44497,
+)
 
 
-def _trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
-
-
-def _divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic divisor; stays in Z."""
-    assert den[-1] == 1
-    if den == [1]:
-        return list(num), [0]
-    rem = list(num)
-    dd = len(den) - 1
-    if len(rem) - 1 < dd:
-        return [0], _trim(rem)
-    quot = [0] * (len(rem) - dd)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        coeff = rem[i]
-        if coeff:
-            quot[i - dd] = coeff
-            for j, dj in enumerate(den):
-                rem[i - dd + j] -= coeff * dj
-    return _trim(quot), _trim(rem)
-
-
-def _eval(c: list[int], x: int) -> int:
-    out = 0
-    for coeff in reversed(c):
-        out = out * x + coeff
-    return out
+def _divide_linear(c: Sequence[int], r: int) -> tuple[list[int], int]:
+    """Synthetic division of descending coefficients by x - r: the quotient
+    and the remainder, which is the value at r."""
+    acc = [c[0]]
+    for coeff in c[1:]:
+        acc.append(coeff + r * acc[-1])
+    return acc[:-1], acc[-1]
 
 
 @dataclass(frozen=True)
@@ -237,80 +205,113 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def _ascending(self) -> list[int]:
-        return list(reversed(self.coefficients))
-
-    @classmethod
-    def _from_ascending(cls, c: list[int]) -> "IntPolynomial":
-        return cls(tuple(reversed(_trim(list(c)))))
-
     def evaluate(self, x: int) -> int:
-        return _eval(self._ascending(), x)
+        return _divide_linear(self.coefficients, x)[1]
+
+
+def _mersenne_modulus(rows: list[list[int]]) -> int:
+    """Smallest tabled Mersenne prime above 2 * (1 + R)^k, R the largest
+    absolute row sum."""
+    r = max((sum(map(abs, row)) for row in rows), default=0)
+    need = len(rows) * (1 + r).bit_length() + 2
+    for e in MERSENNE_EXPONENTS:
+        if e > need:
+            return (1 << e) - 1
+    raise ValueError(f"coefficients need a prime above 2^{need}, beyond the table")
+
+
+def _hessenberg_mod(h: list[list[int]], p: int) -> None:
+    """Reduce h in place to upper Hessenberg form mod the Mersenne prime p
+    by similarity; entries come back reduced to [0, p)."""
+    k, e = len(h), p.bit_length()
+    for m in range(1, k - 1):
+        for row in h[m:]:
+            row[m - 1] %= p
+        i = next((i for i in range(m, k) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        h[m] = pivot = [x % p for x in h[m]]
+        inv = pow(pivot[m - 1], -1, p)
+        # row i -= u_i * row m for every i > m, then column m += sum u_i *
+        # column i. Row entries fold as (x & p) + (x >> e): still x mod p,
+        # and below 2p + 2 without a division.
+        us = [(i, h[i][m - 1] * inv % p) for i in range(m + 1, k) if h[i][m - 1]]
+        for i, u in us:
+            row = h[i]
+            row[m - 1] = 0
+            row[m:] = [
+                (x & p) + (x >> e)
+                for x in [a + (p - u) * b for a, b in zip(row[m:], pivot[m:])]
+            ]
+        if us:
+            cols, uvals = zip(*us)
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, uvals, [row[i] for i in cols]))) % p
+    for row in h:
+        row[:] = [x % p for x in row]
 
 
 def char_poly_integer(m) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Fraction-free Gaussian elimination over Z[x]: every pivot of xI - M is a
-    leading principal characteristic polynomial, hence monic and nonzero, so
-    no pivoting is needed and all interior divisions are exact.
+    Computed modulo a Mersenne prime P above twice the coefficient bound
+    (1 + R)^k, R the largest absolute row sum, and lifted to the symmetric
+    residues: M is reduced to upper Hessenberg form H by similarity over
+    Z/P, and the leading principal characteristic polynomials of H follow
+    p_m = (x - h_mm) p_(m-1) - sum_i h_im h_(i+1,i)...h_(m,m-1) p_(i-1)
+    (Cohen, GTM 138, algorithm 2.2.9); O(k^3) operations on numbers below
+    P. The top two coefficients are checked against the traces of M and
+    M^2. Raises ValueError when the bound exceeds the largest tabled prime.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("expected integer entries")
-    k = arr.shape[0]
-    a: list[list[list[int]]] = [
-        [
-            [-int(arr[i, j]), 1] if i == j else [-int(arr[i, j])]
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    prev: list[int] = [1]
-    for r in range(k - 1):
-        pivot = a[r][r]
-        for i in range(r + 1, k):
-            left = a[i][r]
-            for j in range(r + 1, k):
-                if left == [0] or a[r][j] == [0]:
-                    num = _mul(a[i][j], pivot)
-                else:
-                    num = _sub(_mul(a[i][j], pivot), _mul(left, a[r][j]))
-                quot, rem = _divmod_monic(num, prev)
-                assert rem == [0], "fraction-free elimination lost exactness"
-                a[i][j] = quot
-        prev = pivot
-    return IntPolynomial._from_ascending(a[k - 1][k - 1])
+    rows = arr.tolist()
+    k = len(rows)
+    p = _mersenne_modulus(rows)
+    h = [[x % p for x in row] for row in rows]
+    _hessenberg_mod(h, p)
+    polys = [[1]]  # ascending coefficients of p_0, ..., p_k mod p
+    for m in range(k):
+        acc = [0, *polys[m]]
+        t = 1  # h_(i+1,i) ... h_(m,m-1), the empty product at i = m
+        for i in range(m, -1, -1):
+            f = h[i][m] * t % p
+            acc[: i + 1] = [a - f * c for a, c in zip(acc, polys[i])]
+            t = t * h[i][i - 1] % p if i else 0
+            if not t:
+                break
+        polys.append([x % p for x in acc])
+    coeffs = tuple(x - p if x > p // 2 else x for x in reversed(polys[k]))
+    trace = sum(rows[i][i] for i in range(k))
+    trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
+    if coeffs[:3] != (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]:
+        raise ArithmeticError("characteristic polynomial disagrees with the traces")
+    return IntPolynomial(coeffs)
 
 
-def integer_roots_complete(p: IntPolynomial) -> tuple[Counter, bool]:
-    """Extract every nonnegative integer root with multiplicity.
+def integer_roots_complete(
+    p: IntPolynomial, candidates: Iterable[int]
+) -> tuple[Counter, bool]:
+    """Integer roots of p among the candidates, with multiplicity.
 
-    Assumes a nonnegative spectrum (Laplacian-type input), so candidates are
-    0 and the positive divisors of the trailing nonzero coefficient, capped
-    by the root sum (the negated second coefficient). Each hit is deflated
-    out by synthetic division; fully_factored reports whether deflation
-    reached degree zero.
+    Each distinct candidate r is deflated out by synthetic division while
+    p(r) == 0. The roots and fully_factored (deflation reached degree zero)
+    are exact; a root missing from the candidates makes fully_factored False.
     """
-    c = p._ascending()
+    c = list(p.coefficients)
     roots: Counter = Counter()
-    while len(c) > 1 and c[0] == 0:
-        roots[0] += 1
-        c = c[1:]
-    cand = 1
-    while len(c) > 1:
-        bound = -c[-2]  # sum of remaining roots when all are nonnegative
-        if cand > bound:
-            break
-        if c[0] % cand == 0 and _eval(c, cand) == 0:
-            while _eval(c, cand) == 0:
-                roots[cand] += 1
-                c, rem = _divmod_monic(c, [-cand, 1])
-                assert rem == [0]
-                if len(c) == 1:
-                    break
-        else:
-            cand += 1
+    for r in sorted(set(candidates)):
+        while len(c) > 1:
+            quot, rem = _divide_linear(c, r)
+            if rem:
+                break
+            roots[r] += 1
+            c = quot
     return roots, len(c) == 1

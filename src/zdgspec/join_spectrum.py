@@ -21,6 +21,7 @@ spectrum in closed form, exact integers, no linear algebra at all.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -183,11 +184,22 @@ def exact_total_spectrum(n: int) -> SpectrumMultiset | None:
 
     Class contributions are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
-    completely over the integers.
+    completely over the integers. Its roots are deflated exactly from the
+    nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a LAPACK
+    eigenvalue of the symmetric form C: Weyl's bound plus LAPACK's backward
+    error, below 0.01 for n <= 10^7. Only a larger float error hides a root.
     """
     require_composite(n)
     g = build_divisor_graph(n)
-    roots, complete = integer_roots_complete(char_poly_integer(weighted_laplacian(g)))
+    form = symmetric_form(g)
+    rho = 1e3 * g.order * np.finfo(np.float64).eps * np.linalg.norm(form)
+    candidates = {
+        r
+        for v in symmetric_eigenvalues(form)
+        for r in range(max(0, math.ceil(v - rho)), math.floor(v + rho) + 1)
+    }
+    poly = char_poly_integer(weighted_laplacian(g))
+    roots, complete = integer_roots_complete(poly, candidates)
     if not complete:
         return None
     pairs: list[tuple[int, int]] = list(roots.items())

@@ -1,9 +1,11 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zdgspec import eigen
 from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
 from zdgspec.eigen import (
     IntPolynomial,
@@ -16,12 +18,15 @@ from zdgspec.eigen import (
 small_dim = st.integers(min_value=1, max_value=6)
 
 
-def symmetric_int_matrix(dim: int):
+def int_matrix(dim: int, bound: int):
+    entry = st.integers(min_value=-bound, max_value=bound)
     return st.lists(
-        st.lists(st.integers(min_value=-9, max_value=9), min_size=dim, max_size=dim),
-        min_size=dim,
-        max_size=dim,
-    ).map(lambda rows: np.array(rows) + np.array(rows).T)
+        st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim
+    ).map(lambda rows: np.array(rows, dtype=np.int64))
+
+
+def symmetric_int_matrix(dim: int):
+    return int_matrix(dim, 9).map(lambda a: a + a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,53 @@ def test_char_poly_matches_numeric_oracle(m):
     assert np.allclose(exact, approx, atol=1e-6 * scale)
 
 
+def fraction_det_shifted(m, s: int) -> int:
+    """det(sI - M) by Gaussian elimination over the rationals."""
+    k = len(m)
+    a = [[Fraction(s * (i == j) - int(m[i][j])) for j in range(k)] for i in range(k)]
+    det = Fraction(1)
+    for c in range(k):
+        piv = next((r for r in range(c, k) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            for j in range(c, k):
+                a[r][j] -= f * a[c][j]
+    return int(det)
+
+
+@given(
+    st.integers(min_value=1, max_value=10).flatmap(lambda d: int_matrix(d, 10**9)),
+    st.integers(min_value=-3, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_char_poly_evaluates_to_determinant(m, s):
+    assert char_poly_integer(m).evaluate(s) == fraction_det_shifted(m, s)
+
+
+def test_char_poly_needs_prime_above_m1279():
+    m = np.random.default_rng(5).integers(-(10**18), 10**18, size=(20, 20))
+    assert eigen._mersenne_modulus(m.tolist()) > 2**1279 - 1
+    poly = char_poly_integer(m)
+    assert poly.degree == 20
+    for s in (0, 1, -2):
+        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+
+
+def test_char_poly_refuses_bound_beyond_table(monkeypatch):
+    def no_elimination(h, p):
+        raise AssertionError("eliminated before checking the bound")
+
+    monkeypatch.setattr(eigen, "_hessenberg_mod", no_elimination)
+    with pytest.raises(ValueError):
+        char_poly_integer(np.full((800, 800), 2**60, dtype=np.int64))
+
+
 def test_char_poly_rejects_bad_input():
     with pytest.raises(ValueError):
         char_poly_integer(np.array([[0.5]]))
@@ -172,11 +224,11 @@ def test_int_polynomial_basics():
 
 
 def test_integer_roots_fixtures():
-    roots, full = integer_roots_complete(IntPolynomial((1, -10, 27, -14, 0)))
+    roots, full = integer_roots_complete(IntPolynomial((1, -10, 27, -14, 0)), range(11))
     assert roots == Counter({0: 1})
     assert not full
 
-    roots, full = integer_roots_complete(IntPolynomial((1, -2, 0)))
+    roots, full = integer_roots_complete(IntPolynomial((1, -2, 0)), range(3))
     assert roots == Counter({0: 1, 2: 1})
     assert full
 
@@ -184,28 +236,41 @@ def test_integer_roots_fixtures():
 def test_integer_roots_prime_power_quotient():
     # the class part adds the missing eigenvalue 1 of the full n=8 spectrum
     poly = char_poly_integer(weighted_laplacian(build_divisor_graph(8)))
-    roots, full = integer_roots_complete(poly)
+    roots, full = integer_roots_complete(poly, range(4))
     assert full
     assert roots == Counter({0: 1, 3: 1})
 
 
 def test_integer_roots_irrational_positive_pair():
     # x^2 - 3x + 1 has two positive irrational roots
-    roots, full = integer_roots_complete(IntPolynomial((1, -3, 1)))
+    roots, full = integer_roots_complete(IntPolynomial((1, -3, 1)), range(4))
     assert roots == Counter()
     assert not full
 
 
 def test_integer_roots_constant():
-    roots, full = integer_roots_complete(IntPolynomial((1,)))
+    roots, full = integer_roots_complete(IntPolynomial((1,)), range(1))
     assert roots == Counter() and full
+
+
+def test_integer_roots_far_candidate():
+    roots, full = integer_roots_complete(IntPolynomial((1, -(10**15), 0)), {0, 10**15})
+    assert roots == Counter({0: 1, 10**15: 1})
+    assert full
+
+
+def test_integer_roots_missing_candidate_is_incomplete():
+    # (x - 2)(x - 5) with 5 left out of the candidates
+    roots, full = integer_roots_complete(IntPolynomial((1, -7, 10)), range(4))
+    assert roots == Counter({2: 1})
+    assert not full
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=7))
 @settings(max_examples=120)
 def test_integer_roots_roundtrip(roots):
     poly = char_poly_integer(np.diag(roots)) if roots else IntPolynomial((1,))
-    found, full = integer_roots_complete(poly)
+    found, full = integer_roots_complete(poly, range(13))
     assert full
     assert found == Counter(roots)
 
@@ -215,7 +280,9 @@ def test_integer_roots_roundtrip(roots):
 def test_exact_roots_agree_with_numeric_when_factored(m):
     # shift to a positive-definite-ish matrix so the nonneg assumption holds
     m = m + np.eye(m.shape[0], dtype=int) * (int(np.abs(m).sum()) + 1)
-    roots, full = integer_roots_complete(char_poly_integer(m))
+    roots, full = integer_roots_complete(
+        char_poly_integer(m), range(int(np.trace(m)) + 1)
+    )
     if not full:
         return
     numeric = sorted(symmetric_eigenvalues(m.astype(float)))

@@ -236,6 +236,12 @@ def test_exact_total_spectrum_integral_cases():
     assert exact_total_spectrum(16).pairs() == [(0.0, 1), (1.0, 4), (3.0, 1), (7.0, 1)]
     assert exact_total_spectrum(15).pairs() == [(0.0, 1), (2.0, 3), (4.0, 1), (6.0, 1)]
     assert exact_total_spectrum(12) is None
+    # n = 2p is the star K_{1,p-1}
+    assert exact_total_spectrum(2 * 1000003).pairs() == [
+        (0.0, 1),
+        (1.0, 1000001),
+        (1000003.0, 1),
+    ]
 
 
 @given(composite)
