@@ -4,14 +4,20 @@
 The reduced path diagonalizes a k x k quotient plus bookkeeping, where k is
 the number of proper divisors of n; the oracle diagonalizes the full
 (n - phi(n) - 1) x (n - phi(n) - 1) Laplacian.  This script reports both
-timings over a range and on a few large highly composite n where only the
-reduced path is feasible.
+timings over a range.  On a few large highly composite n, where only the
+reduced path is feasible, it times the reduced path and the exact
+integrality decision (`exact_total_spectrum` on the reduced path's
+assembly, as `analyze` runs it) side by side.
 """
 
 import argparse
 import time
 
-from zdgspec.join_spectrum import brute_spectrum, reduced_spectrum
+from zdgspec.join_spectrum import (
+    brute_spectrum,
+    exact_total_spectrum,
+    reduced_spectrum,
+)
 from zdgspec.numtheory import euler_phi, is_prime
 
 
@@ -42,7 +48,8 @@ def main() -> int:
         type=int,
         nargs="*",
         default=[30030, 510510],
-        help="additional n to run through the reduced path alone",
+        help="additional n to run through the reduced path and the exact "
+        "integrality decision alone",
     )
     args = parser.parse_args()
 
@@ -67,15 +74,18 @@ def main() -> int:
                 f" {'(capped)':>12} {'':>8}"
             )
 
-    for n in args.large:
-        if is_prime(n):
-            continue
+    large = [n for n in args.large if n >= 4 and not is_prime(n)]
+    if large:
+        print()
+        print(f"{'n':>8} {'|V|':>8} {'k':>4} {'reduced':>12} {'exact':>12} integral")
+    for n in large:
         z = n - euler_phi(n) - 1
         t_red, assembly = time_once(reduced_spectrum, n)
+        t_exact, exact = time_once(exact_total_spectrum, n, assembly)
         k = len(assembly.contributions)
         print(
             f"{n:>8} {z:>8} {k:>4} {t_red * 1e3:>10.2f}ms"
-            f" {'(reduced only)':>14}"
+            f" {t_exact * 1e3:>10.2f}ms {exact is not None}"
         )
     return 0
 

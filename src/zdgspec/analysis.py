@@ -112,15 +112,16 @@ def spectral_radius(n: int) -> float:
     return reduced_spectrum(n).total.max_value
 
 
-def is_laplacian_integral(n: int) -> bool:
+def is_laplacian_integral(n: int, assembly: SpectrumAssembly | None = None) -> bool:
     """Exact test through the integer characteristic polynomial.
 
     Class contributions are integers by construction, so the spectrum is
     integral iff the quotient polynomial factors completely over Z. Every
-    root is verified exactly; the candidates come from LAPACK eigenvalues
-    (see ``exact_total_spectrum``).
+    root is verified exactly; the candidates come from the quotient
+    eigenvalues of ``assembly``, the reduced path's result for n, computed
+    when not given (see ``exact_total_spectrum``).
     """
-    return exact_total_spectrum(n) is not None
+    return exact_total_spectrum(n, assembly) is not None
 
 
 def quotient_extremes_check(n: int) -> tuple[bool, bool]:
@@ -163,7 +164,7 @@ def analyze_assembly(
         kappa=vertex_connectivity(n),
         delta_min=delta_min,
         Delta_max=Delta_max,
-        laplacian_integral=is_laplacian_integral(n),
+        laplacian_integral=is_laplacian_integral(n, assembly),
         complement_disconnected=complement_disconnected(n),
         lambda_equals_order=lambda_equals_order(n),
         mu_equals_kappa=mu_equals_kappa(n),

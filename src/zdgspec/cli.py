@@ -12,6 +12,7 @@ diff cleanly and re-serializing a parsed record is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TextIO
@@ -297,7 +298,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="zdgspec",
         description="Laplacian spectra of zero-divisor graphs of Z_n "

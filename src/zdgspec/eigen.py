@@ -6,14 +6,17 @@ Two routes to a spectrum live here and check each other:
   k x k quotient of the fast path and the explicit oracle Laplacian alike),
   plus multiset coalescing with integer snapping;
 * an exact route: the characteristic polynomial of an integer matrix,
-  computed by Hessenberg reduction modulo a Mersenne prime above the
-  coefficient bound and lifted to the integers, and the deflation of its
-  integer roots from a candidate set. Coefficients are Python ints, so
-  nothing overflows.
+  computed by Hessenberg reduction modulo word-size primes, all of them at
+  once in int64 numpy arrays, as many as Hadamard's coefficient bound asks
+  for, and lifted to the integers by the Chinese remainder theorem; and the
+  deflation of its integer roots from a candidate set. Residues stay below
+  2^26, so no int64 sum overflows; the lifted coefficients are Python ints.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -175,11 +178,16 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
 # ---------------------------------------------------------------------------
 # exact integer polynomials
 
-# exponents e of the Mersenne primes 2^e - 1 that char_poly_integer works modulo
-MERSENNE_EXPONENTS = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
-    11213, 19937, 21701, 23209, 44497,
-)
+# The exact route works modulo primes below 2^PRIME_BITS: a sum of k < 2^11 =
+# MAX_ORDER products of two residues stays below k * p^2 < 2^63, so int64
+# never overflows. Their product must exceed twice the coefficient bound, which
+# is refused past MAX_BOUND_BITS bits, before any (primes, k, k) array exists.
+PRIME_BITS = 26
+MAX_ORDER = 2048
+MAX_BOUND_BITS = 44497
+# entries of one (primes, k, k) array, 32 MB of int64; more primes than fit
+# are reduced in successive batches, so memory stays flat in the bound
+BATCH_ENTRIES = 1 << 22
 
 
 def _divide_linear(c: Sequence[int], r: int) -> tuple[list[int], int]:
@@ -209,86 +217,130 @@ class IntPolynomial:
         return _divide_linear(self.coefficients, x)[1]
 
 
-def _mersenne_modulus(rows: list[list[int]]) -> int:
-    """Smallest tabled Mersenne prime above 2 * (1 + R)^k, R the largest
-    absolute row sum."""
-    r = max((sum(map(abs, row)) for row in rows), default=0)
-    need = len(rows) * (1 + r).bit_length() + 2
-    for e in MERSENNE_EXPONENTS:
-        if e > need:
-            return (1 << e) - 1
-    raise ValueError(f"coefficients need a prime above 2^{need}, beyond the table")
+@functools.cache
+def _word_primes() -> tuple[int, ...]:
+    """The primes in [2^26 - 2^15, 2^26), descending, sieved on first use:
+    1837 of them, whose product exceeds 2^47000 > 2^MAX_BOUND_BITS."""
+    hi = 1 << PRIME_BITS
+    lo = hi - (1 << 15)
+    small = np.ones(1 << (PRIME_BITS // 2), dtype=bool)
+    small[:2] = False
+    for d in range(2, math.isqrt(small.size) + 1):
+        if small[d]:
+            small[d * d :: d] = False
+    window = np.ones(hi - lo, dtype=bool)
+    for d in np.flatnonzero(small).tolist():
+        window[-lo % d :: d] = False
+    return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
 
 
-def _hessenberg_mod(h: list[list[int]], p: int) -> None:
-    """Reduce h in place to upper Hessenberg form mod the Mersenne prime p
-    by similarity; entries come back reduced to [0, p)."""
-    k, e = len(h), p.bit_length()
+def _hessenberg_batch(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg forms of a, one modulo each prime, by similarity.
+
+    Returns a (primes, k, k) int64 array with entries in [0, p). Each prime
+    takes its own pivot, the first nonzero entry of the column below the
+    subdiagonal, so a pivot that vanishes modulo one prime only moves rows
+    and columns for that prime.
+    """
+    k = a.shape[0]
+    wide = np.uint64 if a.dtype == np.uint64 else np.int64
+    mods = primes[:, None, None]
+    h = a.astype(wide)[None] % primes.astype(wide)[:, None, None]
+    h = h.astype(np.int64, copy=False)
+    plist = primes.tolist()
     for m in range(1, k - 1):
-        for row in h[m:]:
-            row[m - 1] %= p
-        i = next((i for i in range(m, k) if h[i][m - 1]), None)
-        if i is None:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        h[m] = pivot = [x % p for x in h[m]]
-        inv = pow(pivot[m - 1], -1, p)
-        # row i -= u_i * row m for every i > m, then column m += sum u_i *
-        # column i. Row entries fold as (x & p) + (x >> e): still x mod p,
-        # and below 2p + 2 without a division.
-        us = [(i, h[i][m - 1] * inv % p) for i in range(m + 1, k) if h[i][m - 1]]
-        for i, u in us:
-            row = h[i]
-            row[m - 1] = 0
-            row[m:] = [
-                (x & p) + (x >> e)
-                for x in [a + (p - u) * b for a, b in zip(row[m:], pivot[m:])]
-            ]
-        if us:
-            cols, uvals = zip(*us)
-            for row in h:
-                row[m] = (row[m] + sum(map(mul, uvals, [row[i] for i in cols]))) % p
-    for row in h:
-        row[:] = [x % p for x in row]
+        below = h[:, m:, m - 1] != 0
+        if not below[:, 0].all():
+            pick = m + below.argmax(axis=1)
+            perm = np.tile(np.arange(k), (len(plist), 1))
+            rows = np.arange(len(plist))
+            perm[rows, m], perm[rows, pick] = pick, m
+            h = np.take_along_axis(h, perm[:, :, None], axis=1)
+            h = np.take_along_axis(h, perm[:, None, :], axis=2)
+        pivots = h[:, m, m - 1].tolist()
+        # a prime without a pivot gets inverse 0, so its u is 0
+        inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, plist)])
+        u = h[:, m + 1 :, m - 1] * inv[:, None] % primes[:, None]
+        # row i -= u_i * row m for i > m, then column m += sum_i u_i * column i
+        h[:, m + 1 :, m - 1] = 0
+        h[:, m + 1 :, m:] -= u[:, :, None] * h[:, m, None, m:]
+        h[:, m + 1 :, m:] %= mods
+        h[:, :, m] += np.einsum("pki,pi->pk", h[:, :, m + 1 :], u)
+        h[:, :, m] %= primes[:, None]
+    return h
+
+
+def _hessenberg_char_poly(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of det(xI - H) modulo each prime, (primes, k + 1).
+
+    The leading principal characteristic polynomials of a Hessenberg H follow
+    p_(m+1) = x p_m - sum_(i <= m) h_im h_(i+1,i)...h_(m,m-1) p_i
+    (Cohen, GTM 138, algorithm 2.2.9), one batched product per column.
+    """
+    n_primes, k = h.shape[0], h.shape[1]
+    mods = primes[:, None]
+    polys = np.zeros((n_primes, k + 1, k + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    t = np.ones((n_primes, 0), dtype=np.int64)  # h_(i+1,i)...h_(m,m-1), i < m
+    for m in range(k):
+        if m:
+            t = t * h[:, m, m - 1, None] % mods
+        t = np.concatenate([t, np.ones((n_primes, 1), dtype=np.int64)], axis=1)
+        f = h[:, : m + 1, m] * t % mods
+        acc = -np.einsum("pi,pic->pc", f, polys[:, : m + 1, : m + 2])
+        acc[:, 1:] += polys[:, m, : m + 1]
+        polys[:, m + 1, : m + 2] = acc % mods
+    return polys[:, k].copy()  # a view would keep all of polys alive
 
 
 def char_poly_integer(m) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Computed modulo a Mersenne prime P above twice the coefficient bound
-    (1 + R)^k, R the largest absolute row sum, and lifted to the symmetric
-    residues: M is reduced to upper Hessenberg form H by similarity over
-    Z/P, and the leading principal characteristic polynomials of H follow
-    p_m = (x - h_mm) p_(m-1) - sum_i h_im h_(i+1,i)...h_(m,m-1) p_(i-1)
-    (Cohen, GTM 138, algorithm 2.2.9); O(k^3) operations on numbers below
-    P. The top two coefficients are checked against the traces of M and
-    M^2. Raises ValueError when the bound exceeds the largest tabled prime.
+    Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): M is reduced to upper
+    Hessenberg form by similarity modulo as many primes below 2^26 as it
+    takes for their product to exceed twice Hadamard's coefficient bound
+    B = prod_i (2 + isqrt(sum_j m_ij^2)), all primes at once in int64
+    arrays; the Hessenberg recurrence gives the coefficients modulo each
+    prime, and the Chinese remainder theorem lifts them to the symmetric
+    residues. O(k^3) word operations per prime. The top two coefficients are
+    checked against the traces of M and M^2. Raises ValueError for an order
+    of 2048 or more, or a bound above 2^44497, before any elimination.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("expected integer entries")
+    k = arr.shape[0]
+    if k >= MAX_ORDER:
+        raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
     rows = arr.tolist()
-    k = len(rows)
-    p = _mersenne_modulus(rows)
-    h = [[x % p for x in row] for row in rows]
-    _hessenberg_mod(h, p)
-    polys = [[1]]  # ascending coefficients of p_0, ..., p_k mod p
-    for m in range(k):
-        acc = [0, *polys[m]]
-        t = 1  # h_(i+1,i) ... h_(m,m-1), the empty product at i = m
-        for i in range(m, -1, -1):
-            f = h[i][m] * t % p
-            acc[: i + 1] = [a - f * c for a, c in zip(acc, polys[i])]
-            t = t * h[i][i - 1] % p if i else 0
-            if not t:
-                break
-        polys.append([x % p for x in acc])
-    coeffs = tuple(x - p if x > p // 2 else x for x in reversed(polys[k]))
+    norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
+    twice_bound = 2 * math.prod(2 + r for r in norms)
+    if twice_bound.bit_length() > MAX_BOUND_BITS:
+        raise ValueError(
+            f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
+            f"beyond 2^{MAX_BOUND_BITS}"
+        )
+    chosen, modulus = [], 1
+    for p in _word_primes():
+        if modulus > twice_bound:
+            break
+        chosen.append(p)
+        modulus *= p
+    step = max(1, BATCH_ENTRIES // max(1, k * k))
+    batches = [
+        np.array(chosen[i : i + step], dtype=np.int64)
+        for i in range(0, len(chosen), step)
+    ]
+    residues = np.concatenate(
+        [_hessenberg_char_poly(_hessenberg_batch(arr, b), b) for b in batches]
+    )
+    weights = [modulus // p * pow(modulus // p % p, -1, p) for p in chosen]
+    lifted = (
+        sum(map(mul, weights, column)) % modulus for column in residues.T.tolist()
+    )
+    coeffs = tuple(x - modulus if x > modulus // 2 else x for x in lifted)[::-1]
     trace = sum(rows[i][i] for i in range(k))
     trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
     if coeffs[:3] != (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]:

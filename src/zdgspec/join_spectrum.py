@@ -109,7 +109,9 @@ class SpectrumAssembly:
     """Reduced-path spectrum together with the pieces it was built from."""
 
     n: int
+    graph: WeightedDivisorGraph
     contributions: tuple[ClassContribution, ...]
+    quotient_values: tuple[float, ...]  # ascending, before coalescing
     quotient: SpectrumMultiset
     total: SpectrumMultiset
     method: str
@@ -172,38 +174,49 @@ def reduced_spectrum(
         values.extend(c.pairs())
     return SpectrumAssembly(
         n=n,
+        graph=g,
         contributions=contribs,
+        quotient_values=tuple(quotient_values),
         quotient=coalesce(quotient_values, coalesce_tol),
         total=coalesce(values, coalesce_tol),
         method="reduced",
     )
 
 
-def exact_total_spectrum(n: int) -> SpectrumMultiset | None:
+def exact_total_spectrum(
+    n: int, assembly: SpectrumAssembly | None = None
+) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
     Class contributions are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
     completely over the integers. Its roots are deflated exactly from the
-    nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a LAPACK
-    eigenvalue of the symmetric form C: Weyl's bound plus LAPACK's backward
-    error, below 0.01 for n <= 10^7. Only a larger float error hides a root.
+    nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a quotient
+    eigenvalue, ||C||_F the Frobenius norm of the symmetric form, read off
+    the eigenvalues as the root of their sum of squares: Weyl's bound plus
+    LAPACK's backward error, below 0.01 for n <= 10^7. Only a larger float
+    error hides a root. The divisor graph and the quotient eigenvalues come
+    from ``assembly``, the ``reduced_spectrum(n)`` of the caller, and are
+    computed here when it is not given.
     """
-    require_composite(n)
-    g = build_divisor_graph(n)
-    form = symmetric_form(g)
-    rho = 1e3 * g.order * np.finfo(np.float64).eps * np.linalg.norm(form)
+    if assembly is None:
+        assembly = reduced_spectrum(n)
+    elif assembly.n != n:
+        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
+    values = assembly.quotient_values
+    norm = math.sqrt(sum(v * v for v in values))
+    rho = 1e3 * len(values) * np.finfo(np.float64).eps * norm
     candidates = {
         r
-        for v in symmetric_eigenvalues(form)
+        for v in values
         for r in range(max(0, math.ceil(v - rho)), math.floor(v + rho) + 1)
     }
-    poly = char_poly_integer(weighted_laplacian(g))
+    poly = char_poly_integer(weighted_laplacian(assembly.graph))
     roots, complete = integer_roots_complete(poly, candidates)
     if not complete:
         return None
     pairs: list[tuple[int, int]] = list(roots.items())
-    for c in class_contributions(g):
+    for c in assembly.contributions:
         pairs.extend(c.pairs())
     return SpectrumMultiset.from_pairs(pairs, exact=True)
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdgspec.join_spectrum
 from zdgspec.analysis import (
     algebraic_connectivity,
     analyze,
@@ -52,6 +53,19 @@ def test_laplacian_integral_examples():
     assert is_laplacian_integral(15)
     assert is_laplacian_integral(16)
     assert not is_laplacian_integral(12)
+
+
+def test_analyze_builds_divisor_graph_once(monkeypatch):
+    built = []
+    real = zdgspec.join_spectrum.build_divisor_graph
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", counting)
+    assert analyze(30).laplacian_integral is False
+    assert built == [30]
 
 
 def test_predicate_examples():

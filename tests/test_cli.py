@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zdgspec.cli import main
+from zdgspec.cli import build_parser, main
 
 EXPECTED_15 = (
     '{"n":15,"vertex_count":6,'
@@ -233,3 +233,8 @@ def test_survey_jobs_deterministic(capsys):
     _, seq, _ = run(capsys, "survey", "4", "80")
     _, par, _ = run(capsys, "survey", "4", "80", "--jobs", "4")
     assert seq == par
+
+
+def test_parser_built_once_per_process(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "analyze", "15") == run(capsys, "analyze", "15")

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -186,22 +187,105 @@ def test_char_poly_evaluates_to_determinant(m, s):
     assert char_poly_integer(m).evaluate(s) == fraction_det_shifted(m, s)
 
 
-def test_char_poly_needs_prime_above_m1279():
+def _spy_primes(monkeypatch) -> list[int]:
+    """Record the primes each call of the elimination is handed."""
+    seen: list[int] = []
+    real = eigen._hessenberg_batch
+
+    def spy(a, primes):
+        seen.extend(primes.tolist())
+        return real(a, primes)
+
+    monkeypatch.setattr(eigen, "_hessenberg_batch", spy)
+    return seen
+
+
+def test_char_poly_large_entries_prime_count(monkeypatch):
+    seen = _spy_primes(monkeypatch)
     m = np.random.default_rng(5).integers(-(10**18), 10**18, size=(20, 20))
-    assert eigen._mersenne_modulus(m.tolist()) > 2**1279 - 1
     poly = char_poly_integer(m)
+    # 20 rows of norm 2^60.8 to 2^61.5: twice Hadamard's bound has 1225
+    # bits, which 48 distinct primes below 2^26 cover and 47 do not
+    assert len(seen) == len(set(seen)) == 48
+    assert all(2**25 < p < 2**26 for p in seen)
     assert poly.degree == 20
     for s in (0, 1, -2):
         assert poly.evaluate(s) == fraction_det_shifted(m, s)
 
 
-def test_char_poly_refuses_bound_beyond_table(monkeypatch):
-    def no_elimination(h, p):
-        raise AssertionError("eliminated before checking the bound")
+def test_char_poly_needs_more_than_100_primes(monkeypatch):
+    seen = _spy_primes(monkeypatch)
+    m = np.random.default_rng(7).integers(-(2**62), 2**62, size=(44, 44))
+    poly = char_poly_integer(m)
+    assert len(seen) > 100
+    for s in (0, 3):
+        assert poly.evaluate(s) == fraction_det_shifted(m, s)
 
-    monkeypatch.setattr(eigen, "_hessenberg_mod", no_elimination)
-    with pytest.raises(ValueError):
-        char_poly_integer(np.full((800, 800), 2**60, dtype=np.int64))
+
+def test_char_poly_pivot_vanishing_modulo_one_prime():
+    # m[1][0] is the largest table prime, always chosen; only modulo it does
+    # the subdiagonal pivot vanish, so that prime alone swaps in row 2
+    p = eigen._word_primes()[0]
+    m = np.array(
+        [[3, -1, 4, 1], [p, 5, -9, 2], [6, -5, 3, p], [5, 8, -9, 7]], dtype=np.int64
+    )
+    poly = char_poly_integer(m)
+    for s in range(-2, 3):
+        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+
+
+def test_char_poly_attains_hadamard_bound():
+    # an order-8 Sylvester Hadamard matrix has orthogonal rows, so
+    # det = prod of the row norms = (sqrt(8) * scale)^8 exactly; at this scale
+    # the first product of table primes above the bound B stays below 2 det,
+    # so only a modulus above 2B lifts the constant term with its sign
+    h = np.array([[1]], dtype=np.int64)
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    scale = 2_350_000
+    m = h * scale
+    poly = char_poly_integer(m)
+    assert poly.coefficients[-1] == 8**4 * scale**8
+    for s in (0, 1, -1):
+        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+
+
+class _Eliminated(Exception):
+    pass
+
+
+def _forbid_elimination(monkeypatch) -> None:
+    def no_elimination(a, primes):
+        raise _Eliminated
+
+    monkeypatch.setattr(eigen, "_hessenberg_batch", no_elimination)
+
+
+def test_char_poly_refuses_bound_beyond_table(monkeypatch):
+    _forbid_elimination(monkeypatch)
+    # diagonal entries 2^62 - 2 give factors 2 + |d| = 2^62, so twice the
+    # bound is 2^(1 + 62 * 717 + r) with the last entry 2^r - 2
+    def matrix(r):
+        return np.diag([2**62 - 2] * 717 + [2**r - 2]).astype(np.int64)
+
+    with pytest.raises(_Eliminated):  # 2B has 44497 bits: accepted
+        char_poly_integer(matrix(41))
+    with pytest.raises(ValueError):  # 44498 bits: refused
+        char_poly_integer(matrix(42))
+
+
+def test_char_poly_refuses_order_2048(monkeypatch):
+    _forbid_elimination(monkeypatch)
+    # a zero-stride view: refusing it must allocate nothing of order k^2
+    m = np.broadcast_to(np.int64(0), (2048, 2048))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            char_poly_integer(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_char_poly_rejects_bad_input():

@@ -244,6 +244,24 @@ def test_exact_total_spectrum_integral_cases():
     ]
 
 
+def test_exact_total_spectrum_reuses_assembly(monkeypatch):
+    assemblies = {n: reduced_spectrum(n) for n in (12, 15)}
+
+    def no_build(n):
+        raise AssertionError("divisor graph built again")
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", no_build)
+    assert exact_total_spectrum(12, assemblies[12]) is None
+    assert exact_total_spectrum(15, assemblies[15]).pairs() == [
+        (0.0, 1),
+        (2.0, 3),
+        (4.0, 1),
+        (6.0, 1),
+    ]
+    with pytest.raises(ValueError):
+        exact_total_spectrum(15, assemblies[12])
+
+
 @given(composite)
 @settings(max_examples=30, deadline=None)
 def test_exact_route_agrees_with_float_route(n):
