@@ -11,8 +11,9 @@ four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 2, 6, 30, 210, and `spectrum` of 19996, 1024, 2310 and 15.
 
 The n are drawn with the standard library only, so two trees of the
-package see the same inputs. To compare them, run this one file against
-each tree and diff:
+package see the same inputs. The BLAS thread count is pinned to 1 before
+numpy is imported, because the last digits of `verify`'s `max_dev` depend
+on it. To compare two trees, run this one file against each and diff:
 
     PYTHONPATH=old/src python3 scripts/output_corpus.py > old.txt
     PYTHONPATH=src python3 scripts/output_corpus.py > new.txt
@@ -22,7 +23,11 @@ each tree and diff:
 import argparse
 import contextlib
 import io
+import os
 import random
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from zdgspec.cli import main as cli_main
 from zdgspec.join_spectrum import exact_total_spectrum

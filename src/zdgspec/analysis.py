@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .divisor_graph import require_composite
-from .eigen import DEFAULT_COALESCE_TOL
 from .join_spectrum import (
     ClassContribution,
     SpectrumAssembly,
@@ -103,15 +102,6 @@ def mu_equals_kappa(n: int) -> bool:
     return fact.is_prime_power and fact.factors[0][1] >= 3
 
 
-def algebraic_connectivity(n: int) -> float | None:
-    """Second smallest Laplacian eigenvalue; None on the single vertex n=4."""
-    return reduced_spectrum(n).total.second_smallest()
-
-
-def spectral_radius(n: int) -> float:
-    return reduced_spectrum(n).total.max_value
-
-
 def is_laplacian_integral(n: int, assembly: SpectrumAssembly | None = None) -> bool:
     """Exact test through the integer characteristic polynomial.
 
@@ -124,18 +114,13 @@ def is_laplacian_integral(n: int, assembly: SpectrumAssembly | None = None) -> b
     return exact_total_spectrum(n, assembly) is not None
 
 
-def quotient_extremes_check(n: int) -> tuple[bool, bool]:
+def _quotient_extremes(assembly: SpectrumAssembly) -> tuple[bool, bool]:
     """Whether mu and lambda of the whole graph equal the second smallest
     and largest eigenvalue of the quotient matrix C, within 1e-8 relative.
 
     Always computed; the equalities are guaranteed only when n has at least
     two distinct prime factors (and n != pq for the mu half).
     """
-    assembly = reduced_spectrum(n)
-    return _quotient_extremes(assembly)
-
-
-def _quotient_extremes(assembly: SpectrumAssembly) -> tuple[bool, bool]:
     lam = assembly.total.max_value
     lam_ok = _close(lam, assembly.quotient.max_value)
     mu = assembly.total.second_smallest()
@@ -148,12 +133,10 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
 
 
-def analyze_assembly(
-    n: int, coalesce_tol: float = DEFAULT_COALESCE_TOL
-) -> tuple[AnalysisReport, SpectrumAssembly]:
+def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
     """Full report for one n plus the assembly it was read from."""
     require_composite(n)
-    assembly = reduced_spectrum(n, coalesce_tol)
+    assembly = reduced_spectrum(n)
     delta_min, Delta_max = degree_extremes(assembly)
     mu_ok, lam_ok = _quotient_extremes(assembly)
     report = AnalysisReport(
@@ -174,5 +157,5 @@ def analyze_assembly(
     return report, assembly
 
 
-def analyze(n: int, coalesce_tol: float = DEFAULT_COALESCE_TOL) -> AnalysisReport:
-    return analyze_assembly(n, coalesce_tol)[0]
+def analyze(n: int) -> AnalysisReport:
+    return analyze_assembly(n)[0]

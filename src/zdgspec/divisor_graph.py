@@ -11,18 +11,24 @@ the Laplacian spectrum:
   nonsymmetric), and
 * its symmetric similar form with -sqrt(m_i * m_j) off the diagonal.
 
+Everything is read off the exponent vectors a_i of the divisors over the
+factorization n = prod p^e: n | d_i * d_j iff a_i + a_j >= e in every
+coordinate, and phi(n / d_i) is the product of phi(p^(e - a_i)). So the
+graph is one k x k broadcast and never multiplies two divisors.
+
 All arrays use ascending divisor order so fixtures are reproducible.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGraphError
-from .numtheory import euler_phi, is_prime, proper_divisors
+from .numtheory import euler_phi, factorize, is_prime
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -31,10 +37,7 @@ class WeightedDivisorGraph:
     vertices: tuple[int, ...]
     weights: tuple[int, ...]
     adjacency: np.ndarray  # (k, k) bool, symmetric, false diagonal
-
-    @property
-    def order(self) -> int:
-        return len(self.vertices)
+    neighbor_weights: np.ndarray  # (k,) int64, M_i = sum of neighbor weights
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[i])
@@ -53,34 +56,34 @@ def require_composite(n: int) -> None:
 
 
 def build_divisor_graph(n: int) -> WeightedDivisorGraph:
-    """Build the weighted divisor graph of a composite n >= 4."""
+    """Build the weighted divisor graph of a composite n >= 4.
+
+    Every weight and neighbor sum is at most the vertex count
+    n - phi(n) - 1, which must fit in int64, the integer type of the
+    quotient matrices.
+    """
     require_composite(n)
-    divs = proper_divisors(n)
-    k = len(divs)
-    weights = tuple(euler_phi(n // d) for d in divs)
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if (divs[i] * divs[j]) % n == 0:
-                adj[i, j] = adj[j, i] = True
-    return WeightedDivisorGraph(n, tuple(divs), weights, adj)
-
-
-def class_degrees_M(g: WeightedDivisorGraph) -> list[int]:
-    """Sum of neighbor weights for each vertex (0 for an isolated vertex)."""
-    w = np.asarray(g.weights, dtype=np.int64)
-    return [int(w[g.adjacency[j]].sum()) for j in range(g.order)]
+    if n - euler_phi(n) - 1 > INT64_MAX:
+        raise OverflowError(f"Z_{n} has more zero divisors than int64 can count")
+    fact = factorize(n)
+    divs, exps = zip(*fact.divisors_with_exponents()[1:-1])
+    # one row per prime: reducing over a short leading axis of contiguous
+    # k-long rows is ~18x faster at k = 446 than over a trailing prime axis
+    a = np.array(exps, dtype=np.int16).T.copy()  # (r, k)
+    e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None]
+    p = np.array(fact.primes, dtype=np.int64)[:, None]
+    b = e - a  # exponents of n / d, whose phi is prod (p - 1) p^(b - 1) over b > 0
+    w = np.where(b > 0, (p - 1) * p ** np.maximum(b - 1, 0), 1).prod(axis=0)
+    adj = (a[:, :, None] + a[:, None] >= e[:, None]).all(axis=0)
+    np.fill_diagonal(adj, False)
+    return WeightedDivisorGraph(n, divs, tuple(w.tolist()), adj, adj @ w)
 
 
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
     """Vertex-weighted Laplacian: -m_j off the diagonal on edges, neighbor
     weight sums on the diagonal. Integer entries, zero row sums."""
-    k = g.order
-    lap = np.zeros((k, k), dtype=np.int64)
-    w = np.asarray(g.weights, dtype=np.int64)
-    for i in range(k):
-        lap[i, g.adjacency[i]] = -w[g.adjacency[i]]
-    np.fill_diagonal(lap, np.asarray(class_degrees_M(g), dtype=np.int64))
+    lap = -(g.adjacency * np.asarray(g.weights, dtype=np.int64))
+    np.fill_diagonal(lap, g.neighbor_weights)
     return lap
 
 
@@ -89,12 +92,10 @@ def symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:
 
     Equal to W^{1/2} L W^{-1/2} for W = diag(weights): same diagonal,
     -sqrt(m_i * m_j) on edges. This is the matrix the eigensolver sees.
+    The product m_i * m_j is rounded once to float64 before the root, as
+    for the exact integer product while the weights stay below 2^53.
     """
-    k = g.order
-    c = np.zeros((k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.adjacency[i, j]:
-                c[i, j] = c[j, i] = -math.sqrt(g.weights[i] * g.weights[j])
-    np.fill_diagonal(c, np.asarray(class_degrees_M(g), dtype=np.float64))
+    w = np.asarray(g.weights, dtype=np.float64)
+    c = np.where(g.adjacency, -np.sqrt(np.multiply.outer(w, w)), 0.0)
+    np.fill_diagonal(c, g.neighbor_weights)
     return c

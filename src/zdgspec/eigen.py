@@ -45,14 +45,12 @@ class SpectrumMultiset:
     """Eigenvalues with multiplicities, ascending, with exactness flags."""
 
     entries: tuple[SpectrumEntry, ...]
-    coalesce_tol: float
 
     @classmethod
     def from_pairs(
         cls,
         pairs: list[tuple[float, int]] | list[tuple[int, int]],
         exact: bool = True,
-        coalesce_tol: float = 0.0,
     ) -> "SpectrumMultiset":
         """Build directly from sorted-or-not (value, multiplicity) pairs."""
         merged: dict[float, int] = {}
@@ -62,7 +60,7 @@ class SpectrumMultiset:
         entries = tuple(
             SpectrumEntry(float(v), m, exact) for v, m in sorted(merged.items())
         )
-        return cls(entries, coalesce_tol)
+        return cls(entries)
 
     @property
     def total_multiplicity(self) -> int:
@@ -131,7 +129,7 @@ def coalesce(
         prev = value
     if count:
         entries.append(_close_group(total, count))
-    return SpectrumMultiset(tuple(entries), tol)
+    return SpectrumMultiset(tuple(entries))
 
 
 def _close_group(total: float, count: int) -> SpectrumEntry:

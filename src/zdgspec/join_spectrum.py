@@ -30,13 +30,11 @@ import numpy as np
 from .divisor_graph import (
     WeightedDivisorGraph,
     build_divisor_graph,
-    class_degrees_M,
     require_composite,
     symmetric_form,
     weighted_laplacian,
 )
 from .eigen import (
-    DEFAULT_COALESCE_TOL,
     SpectrumMultiset,
     char_poly_integer,
     coalesce,
@@ -114,7 +112,6 @@ class SpectrumAssembly:
     quotient_values: tuple[float, ...]  # ascending, before coalescing
     quotient: SpectrumMultiset
     total: SpectrumMultiset
-    method: str
 
     @property
     def vertex_count(self) -> int:
@@ -122,11 +119,10 @@ class SpectrumAssembly:
 
 
 def class_contributions(g: WeightedDivisorGraph) -> tuple[ClassContribution, ...]:
-    ms = class_degrees_M(g)
     out = []
-    for i, d in enumerate(g.vertices):
+    for d, w, m in zip(g.vertices, g.weights, g.neighbor_weights.tolist()):
         kind = ClassKind.COMPLETE if (d * d) % g.n == 0 else ClassKind.NULL
-        out.append(ClassContribution(d, kind, g.weights[i], ms[i]))
+        out.append(ClassContribution(d, kind, w, m))
     return tuple(out)
 
 
@@ -156,9 +152,7 @@ def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
     return sorted(float(v) for v in num / den)
 
 
-def reduced_spectrum(
-    n: int, coalesce_tol: float = DEFAULT_COALESCE_TOL
-) -> SpectrumAssembly:
+def reduced_spectrum(n: int) -> SpectrumAssembly:
     """Full Laplacian spectrum of the zero-divisor graph via the quotient.
 
     Runtime is governed by the number of proper divisors k, never by n:
@@ -177,9 +171,8 @@ def reduced_spectrum(
         graph=g,
         contributions=contribs,
         quotient_values=tuple(quotient_values),
-        quotient=coalesce(quotient_values, coalesce_tol),
-        total=coalesce(values, coalesce_tol),
-        method="reduced",
+        quotient=coalesce(quotient_values),
+        total=coalesce(values),
     )
 
 
@@ -266,11 +259,7 @@ def check_oracle_cap(n: int, cap: int | None = None) -> None:
         )
 
 
-def brute_spectrum(
-    n: int,
-    cap: int | None = None,
-    coalesce_tol: float = DEFAULT_COALESCE_TOL,
-) -> SpectrumMultiset:
+def brute_spectrum(n: int, cap: int | None = None) -> SpectrumMultiset:
     """Oracle spectrum from the explicit vertex-level graph, refused past
     the vertex cap (see ``check_oracle_cap``)."""
     require_composite(n)
@@ -278,18 +267,5 @@ def brute_spectrum(
     g = build_zero_divisor_graph(n)
     adj = g.adjacency.astype(np.float64)
     lap = np.diag(adj.sum(axis=1)) - adj
-    return coalesce(symmetric_eigenvalues(lap), coalesce_tol)
+    return coalesce(symmetric_eigenvalues(lap))
 
-
-def spectra_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float:
-    """Largest positional gap between the two sorted eigenvalue lists.
-
-    Positional comparison is deliberate: it does not depend on both sides
-    coalescing near-equal values into the same multiplicity shape.
-    """
-    xs, ys = a.expand(), b.expand()
-    if len(xs) != len(ys):
-        return float("inf")
-    if not xs:
-        return 0.0
-    return max(abs(x - y) for x, y in zip(xs, ys))

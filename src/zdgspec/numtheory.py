@@ -52,6 +52,14 @@ class Factorization:
             out *= e + 1
         return out
 
+    def divisors_with_exponents(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Every divisor of n, ascending, with its exponent vector over
+        ``primes`` (1 and n included)."""
+        out: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+        for p, e in self.factors:
+            out = [(d * p**i, a + (i,)) for d, a in out for i in range(e + 1)]
+        return sorted(out)
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
@@ -88,10 +96,7 @@ def euler_phi(n: int) -> int:
 
 def all_divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending (1 and n included)."""
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    return [d for d, _ in factorize(n).divisors_with_exponents()]
 
 
 def proper_divisors(n: int) -> list[int]:

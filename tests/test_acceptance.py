@@ -24,7 +24,6 @@ from zdgspec.join_spectrum import (
     exact_total_spectrum,
     prime_power_spectrum,
     reduced_spectrum,
-    spectra_deviation,
 )
 from zdgspec.numtheory import euler_phi, factorize, is_prime
 from zdgspec.zdg_explicit import (

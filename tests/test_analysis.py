@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import zdgspec.join_spectrum
 from zdgspec.analysis import (
-    algebraic_connectivity,
     analyze,
     analyze_assembly,
     class_vertex_degree,
@@ -15,8 +14,6 @@ from zdgspec.analysis import (
     is_laplacian_integral,
     lambda_equals_order,
     mu_equals_kappa,
-    quotient_extremes_check,
-    spectral_radius,
     vertex_connectivity,
 )
 from zdgspec.errors import EmptyGraphError
@@ -28,17 +25,17 @@ composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prim
 
 
 def test_algebraic_connectivity_examples():
-    assert algebraic_connectivity(15) == 2.0
-    assert algebraic_connectivity(9) == 2.0  # K_2: mu equals the order
-    mu12 = algebraic_connectivity(12)
+    assert analyze(15).mu == 2.0
+    assert analyze(9).mu == 2.0  # K_2: mu equals the order
+    mu12 = analyze(12).mu
     assert 0.6 < mu12 < 0.7
-    assert algebraic_connectivity(4) is None
+    assert analyze(4).mu is None
 
 
 def test_spectral_radius_examples():
-    assert spectral_radius(15) == 6.0
-    assert spectral_radius(16) == 7.0
-    assert spectral_radius(4) == 0.0
+    assert analyze(15).lambda_ == 6.0
+    assert analyze(16).lambda_ == 7.0
+    assert analyze(4).lambda_ == 0.0
 
 
 def test_vertex_connectivity_examples():
@@ -84,10 +81,15 @@ def test_predicate_examples():
     assert not mu_equals_kappa(4)  # mu undefined on one vertex
 
 
+def _quotient_extremes(n):
+    report = analyze(n)
+    return report.mu_from_quotient, report.lambda_from_quotient
+
+
 def test_quotient_extremes_examples():
-    assert quotient_extremes_check(12) == (True, True)
-    assert quotient_extremes_check(18) == (True, True)
-    mu_ok, lam_ok = quotient_extremes_check(15)
+    assert _quotient_extremes(12) == (True, True)
+    assert _quotient_extremes(18) == (True, True)
+    mu_ok, lam_ok = _quotient_extremes(15)
     assert lam_ok  # lambda = p+q-2 always sits in the 2x2 quotient
 
 
@@ -153,7 +155,7 @@ def test_quotient_extremes_where_hypotheses_hold(n):
     from zdgspec.numtheory import factorize
 
     fact = factorize(n)
-    mu_ok, lam_ok = quotient_extremes_check(n)
+    mu_ok, lam_ok = _quotient_extremes(n)
     if not fact.is_prime_power:
         assert lam_ok
         if not fact.is_product_of_two_distinct_primes:

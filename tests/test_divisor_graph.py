@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdgspec.divisor_graph import (
     build_divisor_graph,
-    class_degrees_M,
     require_composite,
     symmetric_form,
     weighted_laplacian,
@@ -22,6 +23,17 @@ def test_rejects_primes_and_small_n():
     for n in (0, 1, -4):
         with pytest.raises(EmptyGraphError):
             require_composite(n)
+
+
+def test_vertex_count_bounded_by_int64():
+    # 2^64 has 2^63 - 1 zero divisors, the most int64 can count
+    g = build_divisor_graph(2**64)
+    assert sum(g.weights) == 2**63 - 1
+    assert max(g.neighbor_weights.tolist()) <= 2**63 - 1
+    with pytest.raises(OverflowError):
+        build_divisor_graph(2**65)
+    with pytest.raises(OverflowError):
+        build_divisor_graph(2**40 * 3**20)
 
 
 def test_n18_is_the_path_2_9_6_3():
@@ -43,7 +55,7 @@ def test_n9_single_vertex():
     assert g.vertices == (3,)
     assert g.weights == (2,)
     assert g.edges() == []
-    assert class_degrees_M(g) == [0]
+    assert g.neighbor_weights.tolist() == [0]
 
 
 @given(composite)
@@ -85,9 +97,9 @@ def test_divisor_graph_connected(n):
 
 
 def test_class_degrees_examples():
-    assert class_degrees_M(build_divisor_graph(18)) == [1, 2, 3, 8]
+    assert build_divisor_graph(18).neighbor_weights.tolist() == [1, 2, 3, 8]
     # n = pq: M values are phi(p), phi(q) at vertices p, q
-    assert class_degrees_M(build_divisor_graph(15)) == [2, 4]
+    assert build_divisor_graph(15).neighbor_weights.tolist() == [2, 4]
 
 
 def test_weighted_laplacian_n18_matrix():
@@ -136,3 +148,41 @@ def test_similarity_transform_recovers_c(n):
     lap = weighted_laplacian(g).astype(float)
     transformed = np.diag(np.sqrt(w)) @ lap @ np.diag(1.0 / np.sqrt(w))
     assert np.allclose(transformed, symmetric_form(g), atol=1e-9)
+
+
+def _scan_divisors(n):
+    """Proper divisors of n by trial division up to sqrt(n)."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low) | {n // d for d in low})[1:-1]
+
+
+def test_build_matches_pairwise_definition():
+    # the exponent-vector broadcast against the definition, pair by pair:
+    # n | d_i * d_j, weight phi(n / d), M_i the sum of neighbor weights,
+    # and C with -sqrt(m_i * m_j) from the exact integer product, bit for bit
+    cases = [(n, _scan_divisors(n)) for n in range(4, 3001) if not is_prime(n)]
+    cases.append((8648640, _scan_divisors(8648640)))
+    cases.append((2**62, [2**i for i in range(1, 62)]))  # k = 61
+    for n, divs in cases:
+        g = build_divisor_graph(n)
+        k = len(divs)
+        w = [euler_phi(n // d) for d in divs]
+        adj = np.zeros((k, k), dtype=bool)
+        lap = np.zeros((k, k), dtype=np.int64)
+        c = np.zeros((k, k), dtype=np.float64)
+        m = [0] * k
+        for i in range(k):
+            for j in range(k):
+                if i != j and (divs[i] * divs[j]) % n == 0:
+                    adj[i, j] = True
+                    m[i] += w[j]
+                    lap[i, j] = -w[j]
+                    c[i, j] = -math.sqrt(w[i] * w[j])
+            lap[i, i] = m[i]
+            c[i, i] = float(m[i])
+        assert g.vertices == tuple(divs)
+        assert g.weights == tuple(w)
+        assert np.array_equal(g.adjacency, adj)
+        assert g.neighbor_weights.tolist() == m
+        assert np.array_equal(weighted_laplacian(g), lap)
+        assert np.array_equal(symmetric_form(g).view(np.int64), c.view(np.int64))
