@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, analyze, divisor-graph, graph, verify, survey.
 Exit codes: 0 ok, 1 verification failure, 2 invalid n, 3 oracle cap
-exceeded, 4 I/O error. ZDG_ORACLE_CAP overrides the brute-force vertex cap.
+exceeded, 4 I/O error, 5 n too large (Z_n has more zero divisors than int64
+can count). ZDG_ORACLE_CAP overrides the brute-force vertex cap.
 
 Output is deliberately canonical: fixed JSON key order, floats at 12
 significant digits, exact integers without a decimal point, so records
@@ -34,6 +35,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID_N = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+EXIT_TOO_LARGE = 5
 
 # --jobs is parsed so that existing invocations still run, and ignored: a
 # thread pool lost to the serial loop (survey 4 2000 on 2 vCPUs: 2.44 s
@@ -368,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(exc, file=sys.stderr)
         return EXIT_IO
+    except OverflowError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

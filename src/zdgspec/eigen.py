@@ -11,6 +11,10 @@ Two routes to a spectrum live here and check each other:
   for, and lifted to the integers by the Chinese remainder theorem; and the
   deflation of its integer roots from a candidate set. Residues stay below
   2^26, so no int64 sum overflows; the lifted coefficients are Python ints.
+  Given one prime as the modulus, the same two functions work in F_p[x]
+  instead: the polynomial modulo that prime alone, and its deflation modulo
+  it. A polynomial that does not split over the candidates modulo p cannot
+  split over them over the integers, so one prime settles most verdicts.
 """
 
 from __future__ import annotations
@@ -186,22 +190,35 @@ MAX_BOUND_BITS = 44497
 # entries of one (primes, k, k) array, 32 MB of int64; more primes than fit
 # are reduced in successive batches, so memory stays flat in the bound
 BATCH_ENTRIES = 1 << 22
+# the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
+# constant, so that a verdict settled modulo it never sieves the table
+EXCLUSION_PRIME = (1 << PRIME_BITS) - 5
 
 
-def _divide_linear(c: Sequence[int], r: int) -> tuple[list[int], int]:
+def _divide_linear(
+    c: Sequence[int], r: int, modulus: int | None = None
+) -> tuple[list[int], int]:
     """Synthetic division of descending coefficients by x - r: the quotient
-    and the remainder, which is the value at r."""
+    and the remainder, which is the value at r; both reduced modulo the
+    modulus when one is given."""
     acc = [c[0]]
-    for coeff in c[1:]:
-        acc.append(coeff + r * acc[-1])
+    if modulus is None:
+        for coeff in c[1:]:
+            acc.append(coeff + r * acc[-1])
+    else:
+        r %= modulus
+        for coeff in c[1:]:
+            acc.append((coeff + r * acc[-1]) % modulus)
     return acc[:-1], acc[-1]
 
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Monic polynomial with exact integer coefficients, highest degree first."""
+    """Monic polynomial, highest degree first: exact integer coefficients,
+    or residues in [0, modulus) when a modulus is given."""
 
     coefficients: tuple[int, ...]
+    modulus: int | None = None
 
     def __post_init__(self) -> None:
         if not self.coefficients or self.coefficients[0] != 1:
@@ -212,7 +229,7 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: int) -> int:
-        return _divide_linear(self.coefficients, x)[1]
+        return _divide_linear(self.coefficients, x, self.modulus)[1]
 
 
 @functools.cache
@@ -291,7 +308,7 @@ def _hessenberg_char_poly(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return polys[:, k].copy()  # a view would keep all of polys alive
 
 
-def char_poly_integer(m) -> IntPolynomial:
+def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): M is reduced to upper
@@ -300,9 +317,13 @@ def char_poly_integer(m) -> IntPolynomial:
     B = prod_i (2 + isqrt(sum_j m_ij^2)), all primes at once in int64
     arrays; the Hessenberg recurrence gives the coefficients modulo each
     prime, and the Chinese remainder theorem lifts them to the symmetric
-    residues. O(k^3) word operations per prime. The top two coefficients are
-    checked against the traces of M and M^2. Raises ValueError for an order
-    of 2048 or more, or a bound above 2^44497, before any elimination.
+    residues. O(k^3) word operations per prime. Given a modulus, a prime
+    below 2^26, the polynomial is computed modulo it alone: one reduction,
+    no bound and no lift, coefficients in [0, modulus). The top two
+    coefficients are checked against the traces of M and M^2, reduced
+    modulo the modulus when there is one. Raises ValueError for an order of
+    2048 or more, a modulus out of range, or, without a modulus, a bound
+    above 2^44497, before any elimination.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -312,20 +333,25 @@ def char_poly_integer(m) -> IntPolynomial:
     k = arr.shape[0]
     if k >= MAX_ORDER:
         raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
+    if modulus is not None and not 1 < modulus < 1 << PRIME_BITS:
+        raise ValueError(f"modulus {modulus} is not a prime below 2^{PRIME_BITS}")
     rows = arr.tolist()
-    norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
-    twice_bound = 2 * math.prod(2 + r for r in norms)
-    if twice_bound.bit_length() > MAX_BOUND_BITS:
-        raise ValueError(
-            f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
-            f"beyond 2^{MAX_BOUND_BITS}"
-        )
-    chosen, modulus = [], 1
-    for p in _word_primes():
-        if modulus > twice_bound:
-            break
-        chosen.append(p)
-        modulus *= p
+    if modulus is None:
+        norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
+        twice_bound = 2 * math.prod(2 + r for r in norms)
+        if twice_bound.bit_length() > MAX_BOUND_BITS:
+            raise ValueError(
+                f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
+                f"beyond 2^{MAX_BOUND_BITS}"
+            )
+        chosen, product = [], 1
+        for p in _word_primes():
+            if product > twice_bound:
+                break
+            chosen.append(p)
+            product *= p
+    else:
+        chosen = [modulus]
     step = max(1, BATCH_ENTRIES // max(1, k * k))
     batches = [
         np.array(chosen[i : i + step], dtype=np.int64)
@@ -334,16 +360,22 @@ def char_poly_integer(m) -> IntPolynomial:
     residues = np.concatenate(
         [_hessenberg_char_poly(_hessenberg_batch(arr, b), b) for b in batches]
     )
-    weights = [modulus // p * pow(modulus // p % p, -1, p) for p in chosen]
-    lifted = (
-        sum(map(mul, weights, column)) % modulus for column in residues.T.tolist()
-    )
-    coeffs = tuple(x - modulus if x > modulus // 2 else x for x in lifted)[::-1]
+    if modulus is None:
+        weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
+        lifted = (
+            sum(map(mul, weights, column)) % product for column in residues.T.tolist()
+        )
+        coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
+    else:
+        coeffs = tuple(residues[0].tolist())[::-1]
     trace = sum(rows[i][i] for i in range(k))
     trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
-    if coeffs[:3] != (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]:
+    top = (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]
+    if modulus is not None:
+        top = tuple(x % modulus for x in top)
+    if coeffs[:3] != top:
         raise ArithmeticError("characteristic polynomial disagrees with the traces")
-    return IntPolynomial(coeffs)
+    return IntPolynomial(coeffs, modulus)
 
 
 def integer_roots_complete(
@@ -354,12 +386,16 @@ def integer_roots_complete(
     Each distinct candidate r is deflated out by synthetic division while
     p(r) == 0. The roots and fully_factored (deflation reached degree zero)
     are exact; a root missing from the candidates makes fully_factored False.
+    When p has a modulus, division and remainders are taken modulo it, and
+    fully_factored says whether p splits over the candidates' residues. A
+    polynomial that splits over the candidates over the integers splits so
+    modulo every prime, so a False there proves it does not.
     """
     c = list(p.coefficients)
     roots: Counter = Counter()
     for r in sorted(set(candidates)):
         while len(c) > 1:
-            quot, rem = _divide_linear(c, r)
+            quot, rem = _divide_linear(c, r, p.modulus)
             if rem:
                 break
             roots[r] += 1

@@ -35,6 +35,7 @@ from .divisor_graph import (
     weighted_laplacian,
 )
 from .eigen import (
+    EXCLUSION_PRIME,
     SpectrumMultiset,
     char_poly_integer,
     coalesce,
@@ -188,9 +189,14 @@ def exact_total_spectrum(
     eigenvalue, ||C||_F the Frobenius norm of the symmetric form, read off
     the eigenvalues as the root of their sum of squares: Weyl's bound plus
     LAPACK's backward error, below 0.01 for n <= 10^7. Only a larger float
-    error hides a root. The divisor graph and the quotient eigenvalues come
-    from ``assembly``, the ``reduced_spectrum(n)`` of the caller, and are
-    computed here when it is not given.
+    error hides a root. The polynomial is first computed and deflated modulo
+    the one prime EXCLUSION_PRIME: a split over the candidates over Z would
+    reduce to a split over their residues, so when deflation stops short
+    there the answer is None, certified, without Hadamard's bound or the
+    lift. Only a polynomial that splits modulo that prime pays for the
+    integer polynomial and the exact deflation. The divisor graph and the
+    quotient eigenvalues come from ``assembly``, the ``reduced_spectrum(n)``
+    of the caller, and are computed here when it is not given.
     """
     if assembly is None:
         assembly = reduced_spectrum(n)
@@ -204,7 +210,11 @@ def exact_total_spectrum(
         for v in values
         for r in range(max(0, math.ceil(v - rho)), math.floor(v + rho) + 1)
     }
-    poly = char_poly_integer(weighted_laplacian(assembly.graph))
+    laplacian = weighted_laplacian(assembly.graph)
+    residues = char_poly_integer(laplacian, EXCLUSION_PRIME)
+    if not integer_roots_complete(residues, candidates)[1]:
+        return None
+    poly = char_poly_integer(laplacian)
     roots, complete = integer_roots_complete(poly, candidates)
     if not complete:
         return None

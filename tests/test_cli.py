@@ -238,3 +238,11 @@ def test_survey_jobs_deterministic(capsys):
 def test_parser_built_once_per_process(capsys):
     assert build_parser() is build_parser()
     assert run(capsys, "analyze", "15") == run(capsys, "analyze", "15")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "analyze"])
+def test_vertex_count_beyond_int64_exits_5(capsys, command):
+    code, out, err = run(capsys, command, str(2**65))
+    assert code == 5
+    assert out == ""
+    assert "int64" in err and "Traceback" not in err

@@ -288,6 +288,60 @@ def test_char_poly_refuses_order_2048(monkeypatch):
     assert peak < 2**20
 
 
+def test_char_poly_modulo_prime_skips_bound(monkeypatch):
+    # the bound guards only the lift: modulo one prime the order-718 matrix
+    # that the lift refuses reaches elimination, while order 2048 does not
+    _forbid_elimination(monkeypatch)
+    m = np.diag([2**62 - 2] * 717 + [2**42 - 2]).astype(np.int64)
+    with pytest.raises(_Eliminated):
+        char_poly_integer(m, eigen.EXCLUSION_PRIME)
+    with pytest.raises(ValueError):
+        char_poly_integer(
+            np.broadcast_to(np.int64(0), (2048, 2048)), eigen.EXCLUSION_PRIME
+        )
+
+
+def test_exclusion_prime_is_first_table_prime():
+    assert eigen.EXCLUSION_PRIME == eigen._word_primes()[0] == 2**26 - 5
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10).flatmap(lambda d: int_matrix(d, 10**9)),
+        small_dim.flatmap(symmetric_int_matrix),
+    ),
+    st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
+)
+@settings(max_examples=100, deadline=None)
+def test_char_poly_modulo_prime_is_exact_reduced(m, q):
+    # small primes make pivots vanish modulo q alone, so rows get swapped
+    residues = char_poly_integer(m, q)
+    assert residues.modulus == q
+    assert residues.coefficients == tuple(
+        c % q for c in char_poly_integer(m).coefficients
+    )
+
+
+@pytest.mark.parametrize("modulus", [None, eigen.EXCLUSION_PRIME])
+def test_char_poly_trace_check(monkeypatch, modulus):
+    real = eigen._hessenberg_char_poly
+
+    def wrong_trace(h, primes):
+        out = real(h, primes)
+        out[:, -2] = (out[:, -2] + 1) % primes
+        return out
+
+    monkeypatch.setattr(eigen, "_hessenberg_char_poly", wrong_trace)
+    with pytest.raises(ArithmeticError):
+        char_poly_integer(np.array([[3, 5], [-2, 7]]), modulus)
+
+
+def test_char_poly_rejects_modulus_out_of_range():
+    for q in (1, 2**26):
+        with pytest.raises(ValueError):
+            char_poly_integer(np.array([[1]]), q)
+
+
 def test_char_poly_rejects_bad_input():
     with pytest.raises(ValueError):
         char_poly_integer(np.array([[0.5]]))
@@ -348,6 +402,19 @@ def test_integer_roots_missing_candidate_is_incomplete():
     roots, full = integer_roots_complete(IntPolynomial((1, -7, 10)), range(4))
     assert roots == Counter({2: 1})
     assert not full
+
+
+def test_split_modulo_prime_but_not_over_integers():
+    # x^2 - q is x^2 modulo q: complete on the candidate 0 there, not over Z
+    q = eigen.EXCLUSION_PRIME
+    m = np.array([[0, q], [1, 0]])
+    exact = char_poly_integer(m)
+    residues = char_poly_integer(m, q)
+    assert exact.coefficients == (1, 0, -q)
+    assert residues.coefficients == (1, 0, 0)
+    assert residues.evaluate(q + 3) == 9
+    assert integer_roots_complete(residues, {0}) == (Counter({0: 2}), True)
+    assert integer_roots_complete(exact, {0}) == (Counter(), False)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=7))

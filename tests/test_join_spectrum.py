@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdgspec.join_spectrum
-from zdgspec.eigen import max_deviation
+from zdgspec import eigen
+from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
+from zdgspec.eigen import char_poly_integer, max_deviation
 from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
     brute_spectrum,
@@ -15,6 +17,8 @@ from zdgspec.join_spectrum import (
 )
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import ClassKind, build_zero_divisor_graph, degrees
+
+from test_eigen import _spy_primes
 
 composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prime(n))
 
@@ -274,3 +278,26 @@ def test_exact_route_agrees_with_float_route(n):
     else:
         dev = max_deviation(exact, total)
         assert dev is not None and dev <= 1e-8 * max(1.0, total.max_value)
+
+
+@pytest.mark.parametrize("n", [30030, 8648640])
+def test_non_integral_settled_by_one_prime(monkeypatch, n):
+    seen = _spy_primes(monkeypatch)
+    assert exact_total_spectrum(n) is None
+    assert seen == [eigen.EXCLUSION_PRIME]
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2**20, prime_power_spectrum(2, 20).pairs()),
+        (2 * 1000003, [(0.0, 1), (1.0, 1000001), (1000003.0, 1)]),
+    ],
+)
+def test_integral_still_lifted_in_full(monkeypatch, n, expected):
+    seen = _spy_primes(monkeypatch)
+    char_poly_integer(weighted_laplacian(build_divisor_graph(n)))
+    lift = list(seen)  # as many primes as Hadamard's bound asks for
+    seen.clear()
+    assert exact_total_spectrum(n).pairs() == expected
+    assert seen == [eigen.EXCLUSION_PRIME] + lift
