@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Census of Laplacian-integral zero-divisor graphs.
 
-Sweeps composite n in a range, decides integrality through the exact
-integer characteristic polynomial of the quotient (no floating-point
-snapping), and tallies the outcomes by the multiplicative shape of n.
-Prime powers and products of two primes are always integral; the
-interesting column is everything else.
+Sweeps composite n in a range, decides integrality with
+`exact_total_spectrum` (no floating-point snapping), and tallies the
+outcomes by the multiplicative shape of n. Prime powers and products of two
+primes are integral by theorem, and `exact_total_spectrum` returns their
+closed forms without a characteristic polynomial, so their rows count
+shapes, not tests. Every other n is decided through the exact integer
+characteristic polynomial of the quotient; that is the interesting column.
 """
 
 import argparse

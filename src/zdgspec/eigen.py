@@ -6,15 +6,16 @@ Two routes to a spectrum live here and check each other:
   k x k quotient of the fast path and the explicit oracle Laplacian alike),
   plus multiset coalescing with integer snapping;
 * an exact route: the characteristic polynomial of an integer matrix,
-  computed by Hessenberg reduction modulo word-size primes, all of them at
-  once in int64 numpy arrays, as many as Hadamard's coefficient bound asks
-  for, and lifted to the integers by the Chinese remainder theorem; and the
-  deflation of its integer roots from a candidate set. Residues stay below
-  2^26, so no int64 sum overflows; the lifted coefficients are Python ints.
-  Given one prime as the modulus, the same two functions work in F_p[x]
-  instead: the polynomial modulo that prime alone, and its deflation modulo
-  it. A polynomial that does not split over the candidates modulo p cannot
-  split over them over the integers, so one prime settles most verdicts.
+  computed by Hessenberg reduction modulo word-size primes, one prime at a
+  time in a k x k int64 numpy array, as many as Hadamard's coefficient
+  bound asks for, and lifted to the integers by the Chinese remainder
+  theorem; and the deflation of its integer roots from a candidate set.
+  Residues stay below 2^26, so no int64 sum overflows; the lifted
+  coefficients are Python ints. Given one prime as the modulus, the same
+  two functions work in F_p[x] instead: the polynomial modulo that prime
+  alone, and its deflation modulo it. A polynomial that does not split over
+  the candidates modulo p cannot split over them over the integers, so one
+  prime settles most verdicts.
 """
 
 from __future__ import annotations
@@ -183,13 +184,10 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
 # The exact route works modulo primes below 2^PRIME_BITS: a sum of k < 2^11 =
 # MAX_ORDER products of two residues stays below k * p^2 < 2^63, so int64
 # never overflows. Their product must exceed twice the coefficient bound, which
-# is refused past MAX_BOUND_BITS bits, before any (primes, k, k) array exists.
+# is refused past MAX_BOUND_BITS bits, before any k x k array exists.
 PRIME_BITS = 26
 MAX_ORDER = 2048
 MAX_BOUND_BITS = 44497
-# entries of one (primes, k, k) array, 32 MB of int64; more primes than fit
-# are reduced in successive batches, so memory stays flat in the bound
-BATCH_ENTRIES = 1 << 22
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
 EXCLUSION_PRIME = (1 << PRIME_BITS) - 5
@@ -249,63 +247,54 @@ def _word_primes() -> tuple[int, ...]:
     return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
 
 
-def _hessenberg_batch(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg forms of a, one modulo each prime, by similarity.
+def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
+    """Upper Hessenberg form of the int64 residues a modulo the prime p.
 
-    Returns a (primes, k, k) int64 array with entries in [0, p). Each prime
-    takes its own pivot, the first nonzero entry of the column below the
-    subdiagonal, so a pivot that vanishes modulo one prime only moves rows
-    and columns for that prime.
+    Returns a new k x k int64 array with entries in [0, p), similar to a
+    modulo p. The pivot of column m - 1 is its first nonzero entry from row
+    m down, swapped into row and column m.
     """
-    k = a.shape[0]
-    wide = np.uint64 if a.dtype == np.uint64 else np.int64
-    mods = primes[:, None, None]
-    h = a.astype(wide)[None] % primes.astype(wide)[:, None, None]
-    h = h.astype(np.int64, copy=False)
-    plist = primes.tolist()
+    h = a.copy()
+    k = h.shape[0]
     for m in range(1, k - 1):
-        below = h[:, m:, m - 1] != 0
-        if not below[:, 0].all():
-            pick = m + below.argmax(axis=1)
-            perm = np.tile(np.arange(k), (len(plist), 1))
-            rows = np.arange(len(plist))
-            perm[rows, m], perm[rows, pick] = pick, m
-            h = np.take_along_axis(h, perm[:, :, None], axis=1)
-            h = np.take_along_axis(h, perm[:, None, :], axis=2)
-        pivots = h[:, m, m - 1].tolist()
-        # a prime without a pivot gets inverse 0, so its u is 0
-        inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, plist)])
-        u = h[:, m + 1 :, m - 1] * inv[:, None] % primes[:, None]
+        if not h[m, m - 1]:
+            below = np.flatnonzero(h[m + 1 :, m - 1])
+            if not below.size:
+                continue
+            i = m + 1 + int(below[0])
+            h[[m, i]] = h[[i, m]]
+            h[:, [m, i]] = h[:, [i, m]]
+        u = h[m + 1 :, m - 1] * pow(int(h[m, m - 1]), -1, p) % p
         # row i -= u_i * row m for i > m, then column m += sum_i u_i * column i
-        h[:, m + 1 :, m - 1] = 0
-        h[:, m + 1 :, m:] -= u[:, :, None] * h[:, m, None, m:]
-        h[:, m + 1 :, m:] %= mods
-        h[:, :, m] += np.einsum("pki,pi->pk", h[:, :, m + 1 :], u)
-        h[:, :, m] %= primes[:, None]
+        h[m + 1 :, m - 1] = 0
+        rows = h[m + 1 :, m:]
+        rows -= u[:, None] * h[m, m:]
+        rows %= p
+        col = h[:, m]
+        col += h[:, m + 1 :] @ u
+        col %= p
     return h
 
 
-def _hessenberg_char_poly(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of det(xI - H) modulo each prime, (primes, k + 1).
+def _hessenberg_char_poly(h: np.ndarray, p: int) -> np.ndarray:
+    """Ascending coefficients of det(xI - H) modulo p, length k + 1.
 
     The leading principal characteristic polynomials of a Hessenberg H follow
     p_(m+1) = x p_m - sum_(i <= m) h_im h_(i+1,i)...h_(m,m-1) p_i
-    (Cohen, GTM 138, algorithm 2.2.9), one batched product per column.
+    (Cohen, GTM 138, algorithm 2.2.9), one vector-matrix product per column.
     """
-    n_primes, k = h.shape[0], h.shape[1]
-    mods = primes[:, None]
-    polys = np.zeros((n_primes, k + 1, k + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    t = np.ones((n_primes, 0), dtype=np.int64)  # h_(i+1,i)...h_(m,m-1), i < m
+    k = h.shape[0]
+    polys = np.zeros((k + 1, k + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    t = np.ones(k, dtype=np.int64)  # t[i] = h_(i+1,i)...h_(m,m-1), i < m
     for m in range(k):
         if m:
-            t = t * h[:, m, m - 1, None] % mods
-        t = np.concatenate([t, np.ones((n_primes, 1), dtype=np.int64)], axis=1)
-        f = h[:, : m + 1, m] * t % mods
-        acc = -np.einsum("pi,pic->pc", f, polys[:, : m + 1, : m + 2])
-        acc[:, 1:] += polys[:, m, : m + 1]
-        polys[:, m + 1, : m + 2] = acc % mods
-    return polys[:, k].copy()  # a view would keep all of polys alive
+            t[:m] = t[:m] * h[m, m - 1] % p
+        f = h[: m + 1, m] * t[: m + 1] % p
+        acc = -(f @ polys[: m + 1, : m + 2])
+        acc[1:] += polys[m, : m + 1]
+        polys[m + 1, : m + 2] = acc % p
+    return polys[k]
 
 
 def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
@@ -314,16 +303,16 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): M is reduced to upper
     Hessenberg form by similarity modulo as many primes below 2^26 as it
     takes for their product to exceed twice Hadamard's coefficient bound
-    B = prod_i (2 + isqrt(sum_j m_ij^2)), all primes at once in int64
-    arrays; the Hessenberg recurrence gives the coefficients modulo each
-    prime, and the Chinese remainder theorem lifts them to the symmetric
-    residues. O(k^3) word operations per prime. Given a modulus, a prime
-    below 2^26, the polynomial is computed modulo it alone: one reduction,
-    no bound and no lift, coefficients in [0, modulus). The top two
-    coefficients are checked against the traces of M and M^2, reduced
-    modulo the modulus when there is one. Raises ValueError for an order of
-    2048 or more, a modulus out of range, or, without a modulus, a bound
-    above 2^44497, before any elimination.
+    B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time in a k x k
+    int64 array; the Hessenberg recurrence gives the coefficients modulo
+    each prime, and the Chinese remainder theorem lifts them to the
+    symmetric residues. O(k^3) word operations per prime. Given a modulus, a
+    prime below 2^26, the polynomial is computed modulo it alone: one
+    reduction, no bound and no lift, coefficients in [0, modulus). The top
+    two coefficients are checked against the traces of M and M^2, over the
+    integers for the lift and on the residues modulo the modulus otherwise.
+    Raises ValueError for an order of 2048 or more, a modulus out of range,
+    or, without a modulus, a bound above 2^44497, before any elimination.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -335,8 +324,8 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
         raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
     if modulus is not None and not 1 < modulus < 1 << PRIME_BITS:
         raise ValueError(f"modulus {modulus} is not a prime below 2^{PRIME_BITS}")
-    rows = arr.tolist()
     if modulus is None:
+        rows = arr.tolist()
         norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
         twice_bound = 2 * math.prod(2 + r for r in norms)
         if twice_bound.bit_length() > MAX_BOUND_BITS:
@@ -352,28 +341,28 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
             product *= p
     else:
         chosen = [modulus]
-    step = max(1, BATCH_ENTRIES // max(1, k * k))
-    batches = [
-        np.array(chosen[i : i + step], dtype=np.int64)
-        for i in range(0, len(chosen), step)
-    ]
-    residues = np.concatenate(
-        [_hessenberg_char_poly(_hessenberg_batch(arr, b), b) for b in batches]
-    )
+    wide = np.uint64 if arr.dtype == np.uint64 else np.int64
+    residues = []
+    for p in chosen:
+        r = (arr.astype(wide, copy=False) % wide(p)).astype(np.int64, copy=False)
+        residues.append(_hessenberg_char_poly(_hessenberg(r, p), p).tolist())
     if modulus is None:
         weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
-        lifted = (
-            sum(map(mul, weights, column)) % product for column in residues.T.tolist()
-        )
+        lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
         coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
+        trace = sum(rows[i][i] for i in range(k))
+        trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
+        top = (1, -trace, (trace * trace - trace_sq) // 2)
     else:
-        coeffs = tuple(residues[0].tolist())[::-1]
-    trace = sum(rows[i][i] for i in range(k))
-    trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
-    top = (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]
-    if modulus is not None:
-        top = tuple(x % modulus for x in top)
-    if coeffs[:3] != top:
+        coeffs = tuple(residues[0])[::-1]
+        # r holds the residues modulo the modulus, the loop's one pass.
+        # e2 = sum_(i<j) r_ii r_jj - r_ij r_ji, each product reduced before
+        # it is summed; halving tr^2 - tr(R^2) would need an inverse of 2,
+        # which does not exist modulo 2
+        q, d = modulus, np.diagonal(r)
+        e2 = int(d @ ((np.cumsum(d) - d) % q)) - int(np.triu(r * r.T % q, 1).sum())
+        top = (1, -int(d.sum()) % q, e2 % q)
+    if coeffs[:3] != top[: k + 1]:
         raise ArithmeticError("characteristic polynomial disagrees with the traces")
     return IntPolynomial(coeffs, modulus)
 

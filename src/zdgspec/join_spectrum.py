@@ -17,6 +17,8 @@ with n rather than with the number of divisors.
 
 ``prime_power_spectrum`` is the third route: for n = p^t the entire
 spectrum in closed form, exact integers, no linear algebra at all.
+``exact_total_spectrum`` answers from it for p^t, and from K_(p-1,q-1) for
+n = pq, before it reaches for a characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .eigen import (
     symmetric_eigenvalues,
 )
 from .errors import OracleCapError
-from .numtheory import euler_phi, is_prime
+from .numtheory import euler_phi, factorize, is_prime
 from .zdg_explicit import ClassKind, build_zero_divisor_graph, expected_vertex_count
 
 DEFAULT_ORACLE_CAP = 1200
@@ -66,15 +68,6 @@ def oracle_cap() -> int:
     return value
 
 
-def class_spectrum(kind: ClassKind, size: int) -> SpectrumMultiset:
-    """Laplacian spectrum of one class graph: K_size or its complement."""
-    if size < 1:
-        raise ValueError("class size must be at least 1")
-    if kind is ClassKind.COMPLETE and size > 1:
-        return SpectrumMultiset.from_pairs([(0, 1), (size, size - 1)])
-    return SpectrumMultiset.from_pairs([(0, size)])
-
-
 @dataclass(frozen=True)
 class ClassContribution:
     """Spectral contribution of one gcd class A_d inside the join."""
@@ -87,20 +80,16 @@ class ClassContribution:
     def pairs(self) -> list[tuple[int, int]]:
         """(eigenvalue, multiplicity) pairs this class adds to the spectrum.
 
-        The class spectrum loses exactly one zero occurrence (not all of
-        them) and shifts by the neighbor weight, so a singleton contributes
-        nothing and an empty class on w vertices keeps w - 1 zeros.
+        The class graph is K_w (spectrum 0, w with multiplicity w - 1) or
+        its complement (0 with multiplicity w); the join removes one zero
+        and shifts the rest by the neighbor weight M. So a complete class
+        adds M + w and an empty class M, each w - 1 times, and a singleton
+        adds nothing.
         """
-        out = []
-        zeros_to_drop = 1
-        for entry in class_spectrum(self.kind, self.size).entries:
-            mult = entry.multiplicity
-            if entry.value == 0 and zeros_to_drop:
-                mult -= zeros_to_drop
-                zeros_to_drop = 0
-            if mult:
-                out.append((int(entry.value) + self.neighbor_weight, mult))
-        return out
+        if self.size < 2:
+            return []
+        shift = self.size if self.kind is ClassKind.COMPLETE else 0
+        return [(self.neighbor_weight + shift, self.size - 1)]
 
 
 @dataclass(frozen=True)
@@ -182,7 +171,10 @@ def exact_total_spectrum(
 ) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
-    Class contributions are integers by construction, so the spectrum is
+    The two integral families come in closed form, with no polynomial:
+    n = p^t from ``prime_power_spectrum``, the paper's theorem, and n = pq,
+    whose graph is the complete bipartite K_(p-1,q-1). For every other n,
+    class contributions are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
     completely over the integers. Its roots are deflated exactly from the
     nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a quotient
@@ -198,10 +190,19 @@ def exact_total_spectrum(
     quotient eigenvalues come from ``assembly``, the ``reduced_spectrum(n)``
     of the caller, and are computed here when it is not given.
     """
+    if assembly is not None and assembly.n != n:
+        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
+    require_composite(n)
+    fact = factorize(n)
+    if fact.is_prime_power:
+        return prime_power_spectrum(*fact.factors[0])
+    if fact.is_product_of_two_distinct_primes:  # K_(p-1,q-1)
+        p, q = fact.primes
+        return SpectrumMultiset.from_pairs(
+            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)], exact=True
+        )
     if assembly is None:
         assembly = reduced_spectrum(n)
-    elif assembly.n != n:
-        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
     values = assembly.quotient_values
     norm = math.sqrt(sum(v * v for v in values))
     rho = 1e3 * len(values) * np.finfo(np.float64).eps * norm

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zdgspec import eigen
 from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
@@ -188,15 +188,15 @@ def test_char_poly_evaluates_to_determinant(m, s):
 
 
 def _spy_primes(monkeypatch) -> list[int]:
-    """Record the primes each call of the elimination is handed."""
+    """Record the prime each call of the elimination is handed."""
     seen: list[int] = []
-    real = eigen._hessenberg_batch
+    real = eigen._hessenberg
 
-    def spy(a, primes):
-        seen.extend(primes.tolist())
-        return real(a, primes)
+    def spy(a, p):
+        seen.append(p)
+        return real(a, p)
 
-    monkeypatch.setattr(eigen, "_hessenberg_batch", spy)
+    monkeypatch.setattr(eigen, "_hessenberg", spy)
     return seen
 
 
@@ -255,10 +255,10 @@ class _Eliminated(Exception):
 
 
 def _forbid_elimination(monkeypatch) -> None:
-    def no_elimination(a, primes):
+    def no_elimination(a, p):
         raise _Eliminated
 
-    monkeypatch.setattr(eigen, "_hessenberg_batch", no_elimination)
+    monkeypatch.setattr(eigen, "_hessenberg", no_elimination)
 
 
 def test_char_poly_refuses_bound_beyond_table(monkeypatch):
@@ -312,9 +312,12 @@ def test_exclusion_prime_is_first_table_prime():
     ),
     st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
 )
+@example(np.array([[0, 1], [1, 0]]), 2)
 @settings(max_examples=100, deadline=None)
 def test_char_poly_modulo_prime_is_exact_reduced(m, q):
-    # small primes make pivots vanish modulo q alone, so rows get swapped
+    # small primes make pivots vanish modulo q alone, so rows get swapped;
+    # x^2 - 1 modulo 2 is x^2 + 1, which a trace check that halves
+    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2
     residues = char_poly_integer(m, q)
     assert residues.modulus == q
     assert residues.coefficients == tuple(
@@ -326,9 +329,9 @@ def test_char_poly_modulo_prime_is_exact_reduced(m, q):
 def test_char_poly_trace_check(monkeypatch, modulus):
     real = eigen._hessenberg_char_poly
 
-    def wrong_trace(h, primes):
-        out = real(h, primes)
-        out[:, -2] = (out[:, -2] + 1) % primes
+    def wrong_trace(h, p):
+        out = real(h, p)
+        out[-2] = (out[-2] + 1) % p
         return out
 
     monkeypatch.setattr(eigen, "_hessenberg_char_poly", wrong_trace)

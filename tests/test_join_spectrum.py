@@ -4,12 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 import zdgspec.join_spectrum
 from zdgspec import eigen
-from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
-from zdgspec.eigen import char_poly_integer, max_deviation
+from zdgspec.divisor_graph import weighted_laplacian
+from zdgspec.eigen import (
+    SpectrumMultiset,
+    char_poly_integer,
+    integer_roots_complete,
+    max_deviation,
+)
 from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
+    ClassContribution,
     brute_spectrum,
-    class_spectrum,
     exact_total_spectrum,
     oracle_cap,
     prime_power_spectrum,
@@ -27,15 +32,15 @@ composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prim
 # class spectra
 
 
-def test_class_spectrum_displays():
-    assert class_spectrum(ClassKind.COMPLETE, 4).pairs() == [(0.0, 1), (4.0, 3)]
-    assert class_spectrum(ClassKind.NULL, 6).pairs() == [(0.0, 6)]
-    assert class_spectrum(ClassKind.COMPLETE, 1).pairs() == [(0.0, 1)]
-
-
-def test_class_spectrum_rejects_empty():
-    with pytest.raises(ValueError):
-        class_spectrum(ClassKind.NULL, 0)
+def test_class_contribution_pairs():
+    # K_4 (spectrum 0, 4^3), a null class of 6 (0^6) and a singleton, each
+    # losing one zero and shifted by its neighbor weight
+    assert ClassContribution(2, ClassKind.COMPLETE, 4, 10).pairs() == [(14, 3)]
+    assert ClassContribution(2, ClassKind.COMPLETE, 4, 0).pairs() == [(4, 3)]
+    assert ClassContribution(3, ClassKind.NULL, 6, 5).pairs() == [(5, 5)]
+    assert ClassContribution(3, ClassKind.NULL, 6, 0).pairs() == [(0, 5)]
+    assert ClassContribution(6, ClassKind.COMPLETE, 1, 7).pairs() == []
+    assert ClassContribution(6, ClassKind.NULL, 1, 7).pairs() == []
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +292,32 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
     assert seen == [eigen.EXCLUSION_PRIME]
 
 
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (2**20, prime_power_spectrum(2, 20).pairs()),
-        (2 * 1000003, [(0.0, 1), (1.0, 1000001), (1000003.0, 1)]),
-    ],
-)
-def test_integral_still_lifted_in_full(monkeypatch, n, expected):
+INTEGRAL_FAMILIES = [
+    (2**20, prime_power_spectrum(2, 20).pairs()),
+    (2 * 1000003, [(0.0, 1), (1.0, 1000001), (1000003.0, 1)]),
+]
+
+
+@pytest.mark.parametrize("n, expected", INTEGRAL_FAMILIES)
+def test_integral_families_reach_no_elimination(monkeypatch, n, expected):
     seen = _spy_primes(monkeypatch)
-    char_poly_integer(weighted_laplacian(build_divisor_graph(n)))
-    lift = list(seen)  # as many primes as Hadamard's bound asks for
-    seen.clear()
     assert exact_total_spectrum(n).pairs() == expected
-    assert seen == [eigen.EXCLUSION_PRIME] + lift
+    assert seen == []
+
+
+@pytest.mark.parametrize("n, expected", INTEGRAL_FAMILIES)
+def test_integral_still_lifted_in_full(monkeypatch, n, expected):
+    # the lift, called on the quotient Laplacian itself, runs over the first
+    # table primes that Hadamard's bound asks for and deflates to the
+    # closed form
+    seen = _spy_primes(monkeypatch)
+    assembly = reduced_spectrum(n)
+    poly = char_poly_integer(weighted_laplacian(assembly.graph))
+    assert seen and seen == list(eigen._word_primes()[: len(seen)])
+    candidates = {round(v) for v in assembly.quotient_values}
+    roots, complete = integer_roots_complete(poly, candidates)
+    assert complete
+    pairs = list(roots.items())
+    for c in assembly.contributions:
+        pairs.extend(c.pairs())
+    assert SpectrumMultiset.from_pairs(pairs).pairs() == expected
