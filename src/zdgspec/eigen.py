@@ -7,15 +7,17 @@ Two routes to a spectrum live here and check each other:
   plus multiset coalescing with integer snapping;
 * an exact route: the characteristic polynomial of an integer matrix,
   computed by Hessenberg reduction modulo word-size primes, one prime at a
-  time in a k x k int64 numpy array, as many as Hadamard's coefficient
-  bound asks for, and lifted to the integers by the Chinese remainder
-  theorem; and the deflation of its integer roots from a candidate set.
-  Residues stay below 2^26, so no int64 sum overflows; the lifted
-  coefficients are Python ints. Given one prime as the modulus, the same
-  two functions work in F_p[x] instead: the polynomial modulo that prime
-  alone, and its deflation modulo it. A polynomial that does not split over
-  the candidates modulo p cannot split over them over the integers, so one
-  prime settles most verdicts.
+  time, as many as Hadamard's coefficient bound asks for, and lifted to the
+  integers by the Chinese remainder theorem; and the deflation of its
+  integer roots from a candidate set. The order k picks the kernel: up to
+  SMALL_ORDER the elimination runs on lists of Python ints, where numpy's
+  per-call overhead would be most of the cost; above it, in a k x k int64
+  numpy array, whose residues stay below 2^26 so that no int64 sum
+  overflows. The lifted coefficients are Python ints. Given one prime as
+  the modulus, the same two functions work in F_p[x] instead: the
+  polynomial modulo that prime alone, and its deflation modulo it. A
+  polynomial that does not split over the candidates modulo p cannot split
+  over them over the integers, so one prime settles most verdicts.
 """
 
 from __future__ import annotations
@@ -191,6 +193,15 @@ MAX_BOUND_BITS = 44497
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
 EXCLUSION_PRIME = (1 << PRIME_BITS) - 5
+# the largest order that _char_poly_mod eliminates on Python ints: up to it,
+# numpy's fixed cost per call outweighs its vectorised arithmetic. Measured
+# crossover, in microseconds per char_poly_integer(L, EXCLUSION_PRIME) on the
+# quotient Laplacian L (median over four n per k of the best of 25 x 10
+# calls; 2-vCPU machine, one BLAS thread):
+#   k        4    6    8   10   12   13   14   16
+#   numpy  103  257  294  264  303  361  508  423
+#   Python  27   91  166  214  300  458  523  656
+SMALL_ORDER = 12
 
 
 def _divide_linear(
@@ -297,22 +308,91 @@ def _hessenberg_char_poly(h: np.ndarray, p: int) -> np.ndarray:
     return polys[k]
 
 
+def _hessenberg_rows(h: list[list[int]], p: int) -> list[list[int]]:
+    """``_hessenberg`` on a list of rows of residues, in place: the same
+    pivots, row operations and column update, on Python ints; a row whose
+    multiplier is zero is left as it is."""
+    k = len(h)
+    for m in range(1, k - 1):
+        if not h[m][m - 1]:
+            i = next((i for i in range(m + 1, k) if h[i][m - 1]), None)
+            if i is None:
+                continue
+            h[m], h[i] = h[i], h[m]
+            for row in h:
+                row[m], row[i] = row[i], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        pivot_row = h[m][m:]
+        u = [row[m - 1] * inv % p for row in h[m + 1 :]]
+        for row, ui in zip(h[m + 1 :], u):
+            if ui:
+                row[m - 1] = 0
+                row[m:] = [(x - ui * y) % p for x, y in zip(row[m:], pivot_row)]
+        if any(u):
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, u, row[m + 1 :]))) % p
+    return h
+
+
+def _hessenberg_char_poly_rows(h: list[list[int]], p: int) -> list[int]:
+    """``_hessenberg_char_poly`` on a list of rows: the same recurrence, its
+    polynomials as lists of Python ints, one term at a time."""
+    polys = [[1]]
+    t: list[int] = []  # t[i] = h_(i+1,i)...h_(m,m-1), i < m
+    for m in range(len(h)):
+        if m:
+            sub = h[m][m - 1]
+            t = [x * sub % p for x in t]
+        t.append(1)
+        acc = [0, *polys[m]]
+        for i in range(m + 1):
+            f = h[i][m] * t[i] % p
+            if f:
+                acc[: i + 1] = [a - f * c for a, c in zip(acc, polys[i])]
+        polys.append([c % p for c in acc])
+    return polys[-1]
+
+
+def _char_poly_mod(a: list[list[int]] | np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) modulo the prime p, length k + 1.
+
+    The kernel follows the order k. Up to SMALL_ORDER, ``a`` is a list of
+    rows of Python ints, reduced and eliminated in Python lists; above it,
+    ``a`` is an integer ndarray, reduced into int64 and eliminated in numpy.
+    Both run the same pivots and the same recurrence on the same residues.
+    """
+    if len(a) <= SMALL_ORDER:
+        h = _hessenberg_rows([[x % p for x in row] for row in a], p)
+        return _hessenberg_char_poly_rows(h, p)
+    r = _residues(a, p)
+    return _hessenberg_char_poly(_hessenberg(r, p), p).tolist()
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """The entries of an integer ndarray modulo p, in [0, p), as int64."""
+    wide = np.uint64 if a.dtype == np.uint64 else np.int64
+    return (a.astype(wide, copy=False) % wide(p)).astype(np.int64, copy=False)
+
+
 def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): M is reduced to upper
     Hessenberg form by similarity modulo as many primes below 2^26 as it
     takes for their product to exceed twice Hadamard's coefficient bound
-    B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time in a k x k
-    int64 array; the Hessenberg recurrence gives the coefficients modulo
-    each prime, and the Chinese remainder theorem lifts them to the
-    symmetric residues. O(k^3) word operations per prime. Given a modulus, a
+    B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time; the
+    Hessenberg recurrence gives the coefficients modulo each prime, and the
+    Chinese remainder theorem lifts them to the symmetric residues. O(k^3)
+    word operations per prime, on Python ints up to order SMALL_ORDER and in
+    a k x k int64 array above it (``_char_poly_mod``). Given a modulus, a
     prime below 2^26, the polynomial is computed modulo it alone: one
     reduction, no bound and no lift, coefficients in [0, modulus). The top
-    two coefficients are checked against the traces of M and M^2, over the
-    integers for the lift and on the residues modulo the modulus otherwise.
-    Raises ValueError for an order of 2048 or more, a modulus out of range,
-    or, without a modulus, a bound above 2^44497, before any elimination.
+    two coefficients are checked against the traces of M and M^2: over the
+    integers for the lift and for a small order, reduced modulo the modulus
+    if there is one, and on the int64 residues for a modulus above
+    SMALL_ORDER. Raises ValueError for an order of 2048 or more, a modulus
+    out of range, or, without a modulus, a bound above 2^44497, before any
+    elimination.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -324,8 +404,8 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
         raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
     if modulus is not None and not 1 < modulus < 1 << PRIME_BITS:
         raise ValueError(f"modulus {modulus} is not a prime below 2^{PRIME_BITS}")
+    rows = arr.tolist() if modulus is None or k <= SMALL_ORDER else None
     if modulus is None:
-        rows = arr.tolist()
         norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
         twice_bound = 2 * math.prod(2 + r for r in norms)
         if twice_bound.bit_length() > MAX_BOUND_BITS:
@@ -341,25 +421,29 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
             product *= p
     else:
         chosen = [modulus]
-    wide = np.uint64 if arr.dtype == np.uint64 else np.int64
-    residues = []
-    for p in chosen:
-        r = (arr.astype(wide, copy=False) % wide(p)).astype(np.int64, copy=False)
-        residues.append(_hessenberg_char_poly(_hessenberg(r, p), p).tolist())
+    # the form _char_poly_mod reads at this order, converted once for all primes
+    a = rows if k <= SMALL_ORDER else arr
+    residues = [_char_poly_mod(a, p) for p in chosen]
     if modulus is None:
         weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
         lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
         coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
+    else:
+        coeffs = tuple(residues[0])[::-1]
+    if rows is not None:
+        # over the integers, where tr^2 - tr(M^2) is even, then reduced
         trace = sum(rows[i][i] for i in range(k))
         trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
         top = (1, -trace, (trace * trace - trace_sq) // 2)
+        if modulus is not None:
+            top = tuple(c % modulus for c in top)
     else:
-        coeffs = tuple(residues[0])[::-1]
-        # r holds the residues modulo the modulus, the loop's one pass.
-        # e2 = sum_(i<j) r_ii r_jj - r_ij r_ji, each product reduced before
-        # it is summed; halving tr^2 - tr(R^2) would need an inverse of 2,
-        # which does not exist modulo 2
-        q, d = modulus, np.diagonal(r)
+        # e2 = sum_(i<j) r_ii r_jj - r_ij r_ji on the residues r modulo q,
+        # each product reduced before it is summed; halving tr^2 - tr(R^2)
+        # would need an inverse of 2, which does not exist modulo 2
+        q = modulus
+        r = _residues(arr, q)
+        d = np.diagonal(r)
         e2 = int(d @ ((np.cumsum(d) - d) % q)) - int(np.triu(r * r.T % q, 1).sum())
         top = (1, -int(d.sum()) % q, e2 % q)
     if coeffs[:3] != top[: k + 1]:

@@ -188,15 +188,15 @@ def test_char_poly_evaluates_to_determinant(m, s):
 
 
 def _spy_primes(monkeypatch) -> list[int]:
-    """Record the prime each call of the elimination is handed."""
+    """Record the prime each call of the per-prime kernel is handed."""
     seen: list[int] = []
-    real = eigen._hessenberg
+    real = eigen._char_poly_mod
 
     def spy(a, p):
         seen.append(p)
         return real(a, p)
 
-    monkeypatch.setattr(eigen, "_hessenberg", spy)
+    monkeypatch.setattr(eigen, "_char_poly_mod", spy)
     return seen
 
 
@@ -258,7 +258,7 @@ def _forbid_elimination(monkeypatch) -> None:
     def no_elimination(a, p):
         raise _Eliminated
 
-    monkeypatch.setattr(eigen, "_hessenberg", no_elimination)
+    monkeypatch.setattr(eigen, "_char_poly_mod", no_elimination)
 
 
 def test_char_poly_refuses_bound_beyond_table(monkeypatch):
@@ -307,17 +307,21 @@ def test_exclusion_prime_is_first_table_prime():
 
 @given(
     st.one_of(
-        st.integers(min_value=1, max_value=10).flatmap(lambda d: int_matrix(d, 10**9)),
+        st.integers(min_value=1, max_value=eigen.SMALL_ORDER + 3).flatmap(
+            lambda d: int_matrix(d, 10**9)
+        ),
         small_dim.flatmap(symmetric_int_matrix),
     ),
     st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
 )
 @example(np.array([[0, 1], [1, 0]]), 2)
+@example(np.pad([[0, 1], [1, 0]], (0, eigen.SMALL_ORDER - 1)), 2)
 @settings(max_examples=100, deadline=None)
 def test_char_poly_modulo_prime_is_exact_reduced(m, q):
     # small primes make pivots vanish modulo q alone, so rows get swapped;
     # x^2 - 1 modulo 2 is x^2 + 1, which a trace check that halves
-    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2
+    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2, on either
+    # side of SMALL_ORDER
     residues = char_poly_integer(m, q)
     assert residues.modulus == q
     assert residues.coefficients == tuple(
@@ -327,16 +331,52 @@ def test_char_poly_modulo_prime_is_exact_reduced(m, q):
 
 @pytest.mark.parametrize("modulus", [None, eigen.EXCLUSION_PRIME])
 def test_char_poly_trace_check(monkeypatch, modulus):
-    real = eigen._hessenberg_char_poly
+    real = eigen._char_poly_mod
 
-    def wrong_trace(h, p):
-        out = real(h, p)
+    def wrong_trace(a, p):
+        out = real(a, p)
         out[-2] = (out[-2] + 1) % p
         return out
 
-    monkeypatch.setattr(eigen, "_hessenberg_char_poly", wrong_trace)
+    monkeypatch.setattr(eigen, "_char_poly_mod", wrong_trace)
     with pytest.raises(ArithmeticError):
         char_poly_integer(np.array([[3, 5], [-2, 7]]), modulus)
+    # above SMALL_ORDER the numpy kernel, and modulo a prime the int64 check
+    k = eigen.SMALL_ORDER + 1
+    m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 11 - 5
+    with pytest.raises(ArithmeticError):
+        char_poly_integer(m, modulus)
+
+
+def sparse_int_matrix(dim: int):
+    # 70% zeros, so that pivots vanish and rows get swapped
+    entry = st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=-(10**9), max_value=10**9),
+    ).map(lambda t: 0 if t[0] < 7 else t[1])
+    return st.lists(
+        st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim
+    )
+
+
+@given(
+    st.integers(min_value=1, max_value=eigen.SMALL_ORDER + 3).flatmap(
+        sparse_int_matrix
+    ),
+    st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
+)
+@example([[0, 1], [1, 0]], 2)
+@settings(max_examples=150, deadline=None)
+def test_python_kernel_matches_numpy_kernel(rows, q):
+    # the same residues give the same Hessenberg form, pivots and all, and
+    # the same characteristic polynomial
+    r = np.array(rows, dtype=np.int64) % q
+    h = eigen._hessenberg(r, q)
+    h_rows = eigen._hessenberg_rows(r.tolist(), q)
+    assert h_rows == h.tolist()
+    assert eigen._hessenberg_char_poly_rows(h_rows, q) == (
+        eigen._hessenberg_char_poly(h, q).tolist()
+    )
 
 
 def test_char_poly_rejects_modulus_out_of_range():

@@ -292,6 +292,24 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
     assert seen == [eigen.EXCLUSION_PRIME]
 
 
+@pytest.mark.parametrize(
+    "n, k, kernel", [(90, 10, "_hessenberg_rows"), (2520, 46, "_hessenberg")]
+)
+def test_kernel_follows_order(monkeypatch, n, k, kernel):
+    # k <= SMALL_ORDER eliminates in Python lists, a larger k in numpy
+    orders = {"_hessenberg_rows": [], "_hessenberg": []}
+    for name, seen in orders.items():
+        real = getattr(eigen, name)
+
+        def spy(h, p, real=real, seen=seen):
+            seen.append(len(h))
+            return real(h, p)
+
+        monkeypatch.setattr(eigen, name, spy)
+    assert exact_total_spectrum(n) is None
+    assert orders == {name: [k] if name == kernel else [] for name in orders}
+
+
 INTEGRAL_FAMILIES = [
     (2**20, prime_power_spectrum(2, 20).pairs()),
     (2 * 1000003, [(0.0, 1), (1.0, 1000001), (1000003.0, 1)]),
