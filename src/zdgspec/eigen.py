@@ -6,18 +6,20 @@ Two routes to a spectrum live here and check each other:
   k x k quotient of the fast path and the explicit oracle Laplacian alike),
   plus multiset coalescing with integer snapping;
 * an exact route: the characteristic polynomial of an integer matrix,
-  computed by Hessenberg reduction modulo word-size primes, one prime at a
-  time, as many as Hadamard's coefficient bound asks for, and lifted to the
-  integers by the Chinese remainder theorem; and the deflation of its
-  integer roots from a candidate set. The order k picks the kernel: up to
-  SMALL_ORDER the elimination runs on lists of Python ints, where numpy's
-  per-call overhead would be most of the cost; above it, in a k x k int64
-  numpy array, whose residues stay below 2^26 so that no int64 sum
-  overflows. The lifted coefficients are Python ints. Given one prime as
-  the modulus, the same two functions work in F_p[x] instead: the
-  polynomial modulo that prime alone, and its deflation modulo it. A
-  polynomial that does not split over the candidates modulo p cannot split
-  over them over the integers, so one prime settles most verdicts.
+  computed modulo word-size primes, one prime at a time, as many as
+  Hadamard's coefficient bound asks for, and lifted to the integers by the
+  Chinese remainder theorem; and the deflation of its integer roots from a
+  candidate set. The order k picks the kernel for each prime p. Up to
+  POWER_SUM_ORDER, and below p, the coefficients come from the power sums
+  tr(R^j) of the k x k int64 residues R by Newton's identities, with the
+  powers taken in baby and giant steps, O(sqrt(k)) matrix products in all;
+  above it, or for a prime p <= k, R is reduced to Hessenberg form in
+  numpy. Residues stay below 2^26 so that no int64 sum overflows. The
+  lifted coefficients are Python ints. Given one prime as the modulus, the
+  same two functions work in F_p[x] instead: the polynomial modulo that
+  prime alone, and its deflation modulo it. A polynomial that does not
+  split over the candidates modulo p cannot split over them over the
+  integers, so one prime settles most verdicts.
 """
 
 from __future__ import annotations
@@ -193,15 +195,17 @@ MAX_BOUND_BITS = 44497
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
 EXCLUSION_PRIME = (1 << PRIME_BITS) - 5
-# the largest order that _char_poly_mod eliminates on Python ints: up to it,
-# numpy's fixed cost per call outweighs its vectorised arithmetic. Measured
-# crossover, in microseconds per char_poly_integer(L, EXCLUSION_PRIME) on the
-# quotient Laplacian L (median over four n per k of the best of 25 x 10
-# calls; 2-vCPU machine, one BLAS thread):
-#   k        4    6    8   10   12   13   14   16
-#   numpy  103  257  294  264  303  361  508  423
-#   Python  27   91  166  214  300  458  523  656
-SMALL_ORDER = 12
+# the largest order at which _char_poly_mod takes the power-sum kernel: one
+# entry of its trace product sums k^2 products of two residues below p, and
+# k^2 (p - 1)^2 < 2^63 holds for every p below 2^PRIME_BITS when k^2 < 2^11,
+# that is k <= 45, while at k = 46 EXCLUSION_PRIME already overflows it. The
+# bound, not speed, sets the order: in microseconds per polynomial of random
+# residues modulo EXCLUSION_PRIME (median of 9 bests of 10 calls; 2-vCPU
+# Xeon, one BLAS thread), the power sums are ahead at every k from 30 to 46:
+#   k            30    33    36    39    42    44    45
+#   Hessenberg  768   850  1657  1748  1477  1318  2069
+#   power sums  332   403   886  1065   888   923  1488
+POWER_SUM_ORDER = 45
 
 
 def _divide_linear(
@@ -258,6 +262,29 @@ def _word_primes() -> tuple[int, ...]:
     return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
 
 
+@functools.lru_cache(maxsize=16)
+def _is_word_prime(q: int) -> bool:
+    """Whether 1 < q < 2^PRIME_BITS is prime: deterministic Miller-Rabin to
+    the bases 2, 3, 5 and 7, whose least strong pseudoprime is 3215031751
+    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980). Cached, since
+    the one-prime exclusion asks it of the same modulus for every n."""
+    if q % 2 == 0 or q % 3 == 0 or q % 5 == 0 or q % 7 == 0:
+        return q in (2, 3, 5, 7)
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
     """Upper Hessenberg form of the int64 residues a modulo the prime p.
 
@@ -308,63 +335,64 @@ def _hessenberg_char_poly(h: np.ndarray, p: int) -> np.ndarray:
     return polys[k]
 
 
-def _hessenberg_rows(h: list[list[int]], p: int) -> list[list[int]]:
-    """``_hessenberg`` on a list of rows of residues, in place: the same
-    pivots, row operations and column update, on Python ints; a row whose
-    multiplier is zero is left as it is."""
-    k = len(h)
-    for m in range(1, k - 1):
-        if not h[m][m - 1]:
-            i = next((i for i in range(m + 1, k) if h[i][m - 1]), None)
-            if i is None:
-                continue
-            h[m], h[i] = h[i], h[m]
-            for row in h:
-                row[m], row[i] = row[i], row[m]
-        inv = pow(h[m][m - 1], -1, p)
-        pivot_row = h[m][m:]
-        u = [row[m - 1] * inv % p for row in h[m + 1 :]]
-        for row, ui in zip(h[m + 1 :], u):
-            if ui:
-                row[m - 1] = 0
-                row[m:] = [(x - ui * y) % p for x, y in zip(row[m:], pivot_row)]
-        if any(u):
-            for row in h:
-                row[m] = (row[m] + sum(map(mul, u, row[m + 1 :]))) % p
-    return h
+def _power_sum_char_poly(r: np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - R) modulo the prime p > k, length
+    k + 1, from the power sums tr(R^j), j <= k + 1, of the k x k int64
+    residues R.
 
-
-def _hessenberg_char_poly_rows(h: list[list[int]], p: int) -> list[int]:
-    """``_hessenberg_char_poly`` on a list of rows: the same recurrence, its
-    polynomials as lists of Python ints, one term at a time."""
-    polys = [[1]]
-    t: list[int] = []  # t[i] = h_(i+1,i)...h_(m,m-1), i < m
-    for m in range(len(h)):
-        if m:
-            sub = h[m][m - 1]
-            t = [x * sub % p for x in t]
-        t.append(1)
-        acc = [0, *polys[m]]
-        for i in range(m + 1):
-            f = h[i][m] * t[i] % p
-            if f:
-                acc[: i + 1] = [a - f * c for a, c in zip(acc, polys[i])]
-        polys.append([c % p for c in acc])
-    return polys[-1]
-
-
-def _char_poly_mod(a: list[list[int]] | np.ndarray, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - A) modulo the prime p, length k + 1.
-
-    The kernel follows the order k. Up to SMALL_ORDER, ``a`` is a list of
-    rows of Python ints, reduced and eliminated in Python lists; above it,
-    ``a`` is an integer ndarray, reduced into int64 and eliminated in numpy.
-    Both run the same pivots and the same recurrence on the same residues.
+    Baby steps R, R^2, ..., R^s and giant steps I, R^s, ..., R^((g-1)s), with
+    s = isqrt(k) + 1 and s g >= k + 1 (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 1973), each one int64 product reduced modulo p. Since
+    tr(R^(is) R^j) = sum_ab (R^(is))_ab (R^j)_ba, one product of the
+    flattened giant stack with the flattened, transposed baby stack gives
+    every tr(R^(is + j)); its sums stay below 2^63 for k <= POWER_SUM_ORDER.
     """
-    if len(a) <= SMALL_ORDER:
-        h = _hessenberg_rows([[x % p for x in row] for row in a], p)
-        return _hessenberg_char_poly_rows(h, p)
+    k = r.shape[0]
+    s = math.isqrt(k) + 1
+    g = -(-(k + 1) // s)
+    baby = np.empty((s, k, k), dtype=np.int64)
+    baby[0] = r
+    for j in range(1, s):
+        np.remainder(baby[j - 1] @ r, p, out=baby[j])
+    giant = np.zeros((g, k, k), dtype=np.int64)
+    giant[0].flat[:: k + 1] = 1
+    giant[1:2] = baby[-1]  # a slice, empty when k <= 1 and g = 1
+    for i in range(2, g):
+        np.remainder(giant[i - 1] @ baby[-1], p, out=giant[i])
+    traces = giant.reshape(g, k * k) @ baby.transpose(0, 2, 1).reshape(s, k * k).T
+    return _newton_char_poly((traces.ravel() % p)[: k + 1].tolist(), p)
+
+
+def _newton_char_poly(sums: list[int], p: int) -> list[int]:
+    """Ascending coefficients, length k + 1, of the monic polynomial modulo
+    the prime p > k whose roots have the power sums p_j = sums[j - 1].
+
+    Newton's identities give the descending coefficients c_0 = 1, ...,
+    c_k from m c_m = -(c_0 p_m + c_1 p_(m-1) + ... + c_(m-1) p_1), which
+    divides by m <= k < p. The last sum, p_(k+1), is not needed for them:
+    by Cayley-Hamilton c_0 p_(k+1) + ... + c_k p_1 = 0, and ArithmeticError
+    is raised when it does not hold.
+    """
+    k = len(sums) - 1
+    c = [1]
+    for m in range(1, k + 1):
+        c.append(-sum(map(mul, c, sums[m - 1 :: -1])) * pow(m, -1, p) % p)
+    if sum(map(mul, c, sums[::-1])) % p:
+        raise ArithmeticError("power sums violate Cayley-Hamilton")
+    return c[::-1]
+
+
+def _char_poly_mod(a: np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) modulo the prime p, length k + 1,
+    for an integer ndarray A, reduced into int64.
+
+    The kernel follows the order k: from power sums when k < p and
+    k <= POWER_SUM_ORDER, by Hessenberg reduction otherwise.
+    """
     r = _residues(a, p)
+    k = r.shape[0]
+    if k < p and k <= POWER_SUM_ORDER:
+        return _power_sum_char_poly(r, p)
     return _hessenberg_char_poly(_hessenberg(r, p), p).tolist()
 
 
@@ -377,22 +405,23 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
 def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
-    Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): M is reduced to upper
-    Hessenberg form by similarity modulo as many primes below 2^26 as it
-    takes for their product to exceed twice Hadamard's coefficient bound
-    B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time; the
-    Hessenberg recurrence gives the coefficients modulo each prime, and the
-    Chinese remainder theorem lifts them to the symmetric residues. O(k^3)
-    word operations per prime, on Python ints up to order SMALL_ORDER and in
-    a k x k int64 array above it (``_char_poly_mod``). Given a modulus, a
-    prime below 2^26, the polynomial is computed modulo it alone: one
-    reduction, no bound and no lift, coefficients in [0, modulus). The top
-    two coefficients are checked against the traces of M and M^2: over the
-    integers for the lift and for a small order, reduced modulo the modulus
-    if there is one, and on the int64 residues for a modulus above
-    SMALL_ORDER. Raises ValueError for an order of 2048 or more, a modulus
-    out of range, or, without a modulus, a bound above 2^44497, before any
-    elimination.
+    Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): the coefficients are
+    computed modulo as many primes below 2^26 as it takes for their product
+    to exceed twice Hadamard's coefficient bound
+    B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time, and the
+    Chinese remainder theorem lifts them to the symmetric residues. Each
+    prime runs one kernel (``_char_poly_mod``): up to order POWER_SUM_ORDER,
+    Newton's identities on the traces of the powers of the residues,
+    O(sqrt(k)) int64 matrix products of O(k^3) word operations each,
+    checked against Cayley-Hamilton; above it, Hessenberg reduction by
+    similarity and its recurrence, O(k^3) word operations in numpy. Given a
+    modulus, which must be a prime below 2^26, the polynomial is computed
+    modulo it alone: one reduction, no bound and no lift, coefficients in
+    [0, modulus). The top two coefficients are checked against the traces
+    of M and M^2: over the integers for the lift, on the int64 residues for
+    a modulus. Raises ValueError for an order of 2048 or more, a modulus
+    that is not a prime below 2^26, or, without a modulus, a bound above
+    2^44497, before any elimination.
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -402,10 +431,12 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     k = arr.shape[0]
     if k >= MAX_ORDER:
         raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
-    if modulus is not None and not 1 < modulus < 1 << PRIME_BITS:
+    if modulus is not None and not (
+        1 < modulus < 1 << PRIME_BITS and _is_word_prime(modulus)
+    ):
         raise ValueError(f"modulus {modulus} is not a prime below 2^{PRIME_BITS}")
-    rows = arr.tolist() if modulus is None or k <= SMALL_ORDER else None
     if modulus is None:
+        rows = arr.tolist()
         norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
         twice_bound = 2 * math.prod(2 + r for r in norms)
         if twice_bound.bit_length() > MAX_BOUND_BITS:
@@ -419,33 +450,27 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
                 break
             chosen.append(p)
             product *= p
-    else:
-        chosen = [modulus]
-    # the form _char_poly_mod reads at this order, converted once for all primes
-    a = rows if k <= SMALL_ORDER else arr
-    residues = [_char_poly_mod(a, p) for p in chosen]
-    if modulus is None:
+        residues = [_char_poly_mod(arr, p) for p in chosen]
         weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
         lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
         coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
-    else:
-        coeffs = tuple(residues[0])[::-1]
-    if rows is not None:
-        # over the integers, where tr^2 - tr(M^2) is even, then reduced
+        # over the integers, where tr^2 - tr(M^2) is even
         trace = sum(rows[i][i] for i in range(k))
         trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
         top = (1, -trace, (trace * trace - trace_sq) // 2)
-        if modulus is not None:
-            top = tuple(c % modulus for c in top)
     else:
+        coeffs = tuple(_char_poly_mod(arr, modulus))[::-1]
         # e2 = sum_(i<j) r_ii r_jj - r_ij r_ji on the residues r modulo q,
-        # each product reduced before it is summed; halving tr^2 - tr(R^2)
-        # would need an inverse of 2, which does not exist modulo 2
+        # halved over the integers, where the sum is even, and reduced only
+        # then, since modulo 2 there is no inverse of 2; each r_ij r_ji is
+        # reduced before it is summed, so that no int64 sum overflows
         q = modulus
         r = _residues(arr, q)
-        d = np.diagonal(r)
-        e2 = int(d @ ((np.cumsum(d) - d) % q)) - int(np.triu(r * r.T % q, 1).sum())
-        top = (1, -int(d.sum()) % q, e2 % q)
+        d = r.diagonal()
+        trace = int(d.sum())
+        pairs = r * r.T % q
+        e2 = trace * trace - int(d @ d) - int(pairs.sum()) + int(pairs.trace())
+        top = (1, -trace % q, e2 // 2 % q)
     if coeffs[:3] != top[: k + 1]:
         raise ArithmeticError("characteristic polynomial disagrees with the traces")
     return IntPolynomial(coeffs, modulus)

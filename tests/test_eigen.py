@@ -15,6 +15,7 @@ from zdgspec.eigen import (
     integer_roots_complete,
     symmetric_eigenvalues,
 )
+from zdgspec.numtheory import is_prime
 
 small_dim = st.integers(min_value=1, max_value=6)
 
@@ -224,13 +225,35 @@ def test_char_poly_needs_more_than_100_primes(monkeypatch):
 
 def test_char_poly_pivot_vanishing_modulo_one_prime():
     # m[1][0] is the largest table prime, always chosen; only modulo it does
-    # the subdiagonal pivot vanish, so that prime alone swaps in row 2
+    # the entry vanish, which the power sums of order 4 must not notice
     p = eigen._word_primes()[0]
     m = np.array(
         [[3, -1, 4, 1], [p, 5, -9, 2], [6, -5, 3, p], [5, 8, -9, 7]], dtype=np.int64
     )
     poly = char_poly_integer(m)
     for s in range(-2, 3):
+        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+
+
+def test_char_poly_pivot_vanishing_through_hessenberg(monkeypatch):
+    # the same 4 x 4 block on the diagonal of an order above POWER_SUM_ORDER,
+    # so that every prime runs _hessenberg and the largest table prime finds
+    # m[1][0] = 0 and swaps in row 2
+    p = eigen._word_primes()[0]
+    k = eigen.POWER_SUM_ORDER + 1
+    m = np.eye(k, dtype=np.int64) + np.diag(np.arange(k - 1) % 3, 1)
+    m[:4, :4] = [[3, -1, 4, 1], [p, 5, -9, 2], [6, -5, 3, p], [5, 8, -9, 7]]
+    swapped = []
+    real = eigen._hessenberg
+
+    def spy(r, q):
+        swapped.append(q == p and r[1, 0] == 0 and r[2, 0] != 0)
+        return real(r, q)
+
+    monkeypatch.setattr(eigen, "_hessenberg", spy)
+    poly = char_poly_integer(m)
+    assert swapped[0] and not any(swapped[1:])
+    for s in (-1, 0, 2):
         assert poly.evaluate(s) == fraction_det_shifted(m, s)
 
 
@@ -307,7 +330,7 @@ def test_exclusion_prime_is_first_table_prime():
 
 @given(
     st.one_of(
-        st.integers(min_value=1, max_value=eigen.SMALL_ORDER + 3).flatmap(
+        st.integers(min_value=1, max_value=eigen.POWER_SUM_ORDER + 3).flatmap(
             lambda d: int_matrix(d, 10**9)
         ),
         small_dim.flatmap(symmetric_int_matrix),
@@ -315,13 +338,12 @@ def test_exclusion_prime_is_first_table_prime():
     st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
 )
 @example(np.array([[0, 1], [1, 0]]), 2)
-@example(np.pad([[0, 1], [1, 0]], (0, eigen.SMALL_ORDER - 1)), 2)
+@example(np.pad([[0, 1], [1, 0]], (0, eigen.POWER_SUM_ORDER - 1)), 2)
 @settings(max_examples=100, deadline=None)
 def test_char_poly_modulo_prime_is_exact_reduced(m, q):
     # small primes make pivots vanish modulo q alone, so rows get swapped;
     # x^2 - 1 modulo 2 is x^2 + 1, which a trace check that halves
-    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2, on either
-    # side of SMALL_ORDER
+    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2, at any order
     residues = char_poly_integer(m, q)
     assert residues.modulus == q
     assert residues.coefficients == tuple(
@@ -341,48 +363,127 @@ def test_char_poly_trace_check(monkeypatch, modulus):
     monkeypatch.setattr(eigen, "_char_poly_mod", wrong_trace)
     with pytest.raises(ArithmeticError):
         char_poly_integer(np.array([[3, 5], [-2, 7]]), modulus)
-    # above SMALL_ORDER the numpy kernel, and modulo a prime the int64 check
-    k = eigen.SMALL_ORDER + 1
+    # above POWER_SUM_ORDER the Hessenberg kernel
+    k = eigen.POWER_SUM_ORDER + 1
     m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 11 - 5
     with pytest.raises(ArithmeticError):
         char_poly_integer(m, modulus)
 
 
-def sparse_int_matrix(dim: int):
-    # 70% zeros, so that pivots vanish and rows get swapped
-    entry = st.tuples(
-        st.integers(min_value=0, max_value=9),
-        st.integers(min_value=-(10**9), max_value=10**9),
-    ).map(lambda t: 0 if t[0] < 7 else t[1])
-    return st.lists(
-        st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim
+def seeded_matrix(bound: int):
+    # one seed per matrix, so that order 45 costs no 2025 separate draws; a
+    # third of them 70% zeros, so that Hessenberg pivots vanish and swap
+    def build(k, seed, sparse):
+        rng = np.random.default_rng(seed)
+        m = rng.integers(0, bound, size=(k, k))
+        return m * (rng.random((k, k)) < 0.3) if sparse else m
+
+    return st.builds(
+        build,
+        st.integers(min_value=1, max_value=eigen.POWER_SUM_ORDER),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([False, False, True]),
     )
 
 
 @given(
-    st.integers(min_value=1, max_value=eigen.SMALL_ORDER + 3).flatmap(
-        sparse_int_matrix
-    ),
-    st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
+    seeded_matrix(2**26),
+    st.sampled_from([eigen.EXCLUSION_PRIME, eigen._word_primes()[-1], 101]),
 )
-@example([[0, 1], [1, 0]], 2)
+@example(
+    np.full((eigen.POWER_SUM_ORDER,) * 2, eigen.EXCLUSION_PRIME - 1),
+    eigen.EXCLUSION_PRIME,
+)
 @settings(max_examples=150, deadline=None)
-def test_python_kernel_matches_numpy_kernel(rows, q):
-    # the same residues give the same Hessenberg form, pivots and all, and
-    # the same characteristic polynomial
-    r = np.array(rows, dtype=np.int64) % q
-    h = eigen._hessenberg(r, q)
-    h_rows = eigen._hessenberg_rows(r.tolist(), q)
-    assert h_rows == h.tolist()
-    assert eigen._hessenberg_char_poly_rows(h_rows, q) == (
-        eigen._hessenberg_char_poly(h, q).tolist()
+def test_power_sum_kernel_matches_hessenberg(m, q):
+    # both kernels give the same polynomial of the same residues; the
+    # all-(q - 1) matrix of order 45 has the largest entries the int64
+    # bound of the trace product allows
+    r = m % q
+    assert eigen._power_sum_char_poly(r, q) == (
+        eigen._hessenberg_char_poly(eigen._hessenberg(r, q), q).tolist()
     )
+
+
+def test_power_sums_check_cayley_hamilton():
+    # tr(M^1) ... tr(M^6) of an order-5 matrix, over the integers: the first
+    # five give the polynomial, and any one of the six off by 1 breaks it
+    q = 101
+    m = np.array(
+        [
+            [3, 1, 4, 1, 5],
+            [9, 2, 6, 5, 3],
+            [5, 8, 9, 7, 9],
+            [3, 2, 3, 8, 4],
+            [6, 2, 6, 4, 3],
+        ]
+    )
+    power, sums = np.eye(5, dtype=object), []
+    for _ in range(6):
+        power = power.dot(m.astype(object))
+        sums.append(int(np.trace(power)) % q)
+    expected = [c % q for c in char_poly_integer(m).coefficients[::-1]]
+    assert eigen._newton_char_poly(sums, q) == expected
+    for j in range(6):
+        wrong = sums.copy()
+        wrong[j] = (wrong[j] + 1) % q
+        with pytest.raises(ArithmeticError):
+            eigen._newton_char_poly(wrong, q)
+
+
+@pytest.mark.parametrize(
+    "k, q, kernel",
+    [
+        (6, 7, "_power_sum_char_poly"),
+        (7, 7, "_hessenberg"),
+        (8, 7, "_hessenberg"),
+        (2, 2, "_hessenberg"),
+        (eigen.POWER_SUM_ORDER, eigen.EXCLUSION_PRIME, "_power_sum_char_poly"),
+        (eigen.POWER_SUM_ORDER + 1, eigen.EXCLUSION_PRIME, "_hessenberg"),
+    ],
+)
+def test_kernel_needs_order_below_prime(monkeypatch, k, q, kernel):
+    # Newton's identities divide by every order up to k, so p <= k takes
+    # the Hessenberg kernel whatever the order
+    seen = []
+    for name in ("_power_sum_char_poly", "_hessenberg"):
+        real = getattr(eigen, name)
+
+        def spy(r, p, name=name, real=real):
+            seen.append(name)
+            return real(r, p)
+
+        monkeypatch.setattr(eigen, name, spy)
+    m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 5 - 2
+    char_poly_integer(m, q)
+    assert seen == [kernel]
 
 
 def test_char_poly_rejects_modulus_out_of_range():
     for q in (1, 2**26):
         with pytest.raises(ValueError):
             char_poly_integer(np.array([[1]]), q)
+
+
+def test_char_poly_refuses_composite_modulus(monkeypatch):
+    # modulo 4 or 6 a pivot can lack an inverse, and modulo 9 or 15 the
+    # residues mean nothing; each is refused before any elimination
+    _forbid_elimination(monkeypatch)
+    m = np.array([[1, 2, 3], [2, 5, 7], [4, 1, 6]])
+    for q in (4, 6, 9, 15, 2**25):
+        with pytest.raises(ValueError):
+            char_poly_integer(m, q)
+    with pytest.raises(_Eliminated):
+        char_poly_integer(m, 7)
+
+
+def test_word_primality_is_exact():
+    # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    assert not any(eigen._is_word_prime(q) for q in (2047, 1373653, 25326001))
+    assert all(eigen._is_word_prime(q) for q in eigen._word_primes()[:50])
+    assert [q for q in range(2, 10**4) if eigen._is_word_prime(q)] == [
+        q for q in range(2, 10**4) if is_prime(q)
+    ]
 
 
 def test_char_poly_rejects_bad_input():

@@ -293,17 +293,17 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    "n, k, kernel", [(90, 10, "_hessenberg_rows"), (2520, 46, "_hessenberg")]
+    "n, k, kernel", [(90, 10, "_power_sum_char_poly"), (2520, 46, "_hessenberg")]
 )
 def test_kernel_follows_order(monkeypatch, n, k, kernel):
-    # k <= SMALL_ORDER eliminates in Python lists, a larger k in numpy
-    orders = {"_hessenberg_rows": [], "_hessenberg": []}
+    # k <= POWER_SUM_ORDER takes the power sums, a larger k Hessenberg
+    orders = {"_power_sum_char_poly": [], "_hessenberg": []}
     for name, seen in orders.items():
         real = getattr(eigen, name)
 
-        def spy(h, p, real=real, seen=seen):
-            seen.append(len(h))
-            return real(h, p)
+        def spy(r, p, real=real, seen=seen):
+            seen.append(len(r))
+            return real(r, p)
 
         monkeypatch.setattr(eigen, name, spy)
     assert exact_total_spectrum(n) is None
