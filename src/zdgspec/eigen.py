@@ -11,15 +11,15 @@ Two routes to a spectrum live here and check each other:
   Chinese remainder theorem; and the deflation of its integer roots from a
   candidate set. The order k picks the kernel for each prime p. Up to
   POWER_SUM_ORDER, and below p, the coefficients come from the power sums
-  tr(R^j) of the k x k int64 residues R by Newton's identities, with the
-  powers taken in baby and giant steps, O(sqrt(k)) matrix products in all;
+  tr(R^j) of the k x k residues R by Newton's identities, with the powers
+  taken in baby and giant steps, O(sqrt(k)) matrix products in all, each a
+  float64 BLAS product that is exact because the primes stay below 2^21;
   above it, or for a prime p <= k, R is reduced to Hessenberg form in
-  numpy. Residues stay below 2^26 so that no int64 sum overflows. The
-  lifted coefficients are Python ints. Given one prime as the modulus, the
-  same two functions work in F_p[x] instead: the polynomial modulo that
-  prime alone, and its deflation modulo it. A polynomial that does not
-  split over the candidates modulo p cannot split over them over the
-  integers, so one prime settles most verdicts.
+  int64 numpy. The lifted coefficients are Python ints. Given one prime as
+  the modulus, the same two functions work in F_p[x] instead: the
+  polynomial modulo that prime alone, and its deflation modulo it. A
+  polynomial that does not split over the candidates modulo p cannot split
+  over them over the integers, so one prime settles most verdicts.
 """
 
 from __future__ import annotations
@@ -186,26 +186,29 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
 # exact integer polynomials
 
 # The exact route works modulo primes below 2^PRIME_BITS: a sum of k < 2^11 =
-# MAX_ORDER products of two residues stays below k * p^2 < 2^63, so int64
-# never overflows. Their product must exceed twice the coefficient bound, which
-# is refused past MAX_BOUND_BITS bits, before any k x k array exists.
-PRIME_BITS = 26
+# MAX_ORDER products of two residues in [0, p) stays below k * p^2 < 2^53, so
+# it is an exact float64 integer, and int64 never overflows. Since every
+# partial sum is such an integer too, a float64 product of residues is exact
+# in whatever order BLAS sums, with or without fused multiply-add. The primes'
+# product must exceed twice the coefficient bound, which is refused past
+# MAX_BOUND_BITS bits, before any k x k array exists.
+PRIME_BITS = 21
 MAX_ORDER = 2048
 MAX_BOUND_BITS = 44497
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
-EXCLUSION_PRIME = (1 << PRIME_BITS) - 5
-# the largest order at which _char_poly_mod takes the power-sum kernel: one
-# entry of its trace product sums k^2 products of two residues below p, and
-# k^2 (p - 1)^2 < 2^63 holds for every p below 2^PRIME_BITS when k^2 < 2^11,
-# that is k <= 45, while at k = 46 EXCLUSION_PRIME already overflows it. The
-# bound, not speed, sets the order: in microseconds per polynomial of random
-# residues modulo EXCLUSION_PRIME (median of 9 bests of 10 calls; 2-vCPU
-# Xeon, one BLAS thread), the power sums are ahead at every k from 30 to 46:
-#   k            30    33    36    39    42    44    45
-#   Hessenberg  768   850  1657  1748  1477  1318  2069
-#   power sums  332   403   886  1065   888   923  1488
-POWER_SUM_ORDER = 45
+EXCLUSION_PRIME = (1 << PRIME_BITS) - 9
+# the largest order at which _char_poly_mod takes the power-sum kernel. Its
+# residues are symmetric, |x| <= p/2 + 2 < 2^20 (see _centre), so one entry
+# of its trace product sums k^2 products below 2^40, and k^2 2^40 < 2^53
+# holds when k^2 < 2^13, that is k <= 90. The bound, not speed, sets the
+# order: in microseconds per polynomial of random residues modulo
+# EXCLUSION_PRIME (median of 9 bests of 10 calls; 2-vCPU Xeon, one BLAS
+# thread), the power sums are ahead at every k from 28 to 90:
+#   k            28    34    38    46    60    75    90
+#   Hessenberg  683  1401  1604  2124  3267  4792  6681
+#   power sums  176   248   302   414  1062  2076  3502
+POWER_SUM_ORDER = 90
 
 
 def _divide_linear(
@@ -247,11 +250,11 @@ class IntPolynomial:
 
 @functools.cache
 def _word_primes() -> tuple[int, ...]:
-    """The primes in [2^26 - 2^15, 2^26), descending, sieved on first use:
-    1837 of them, whose product exceeds 2^47000 > 2^MAX_BOUND_BITS."""
+    """The primes in [2^21 - 2^15, 2^21), descending, sieved on first use:
+    2227 of them, whose product exceeds 2^46741 > 2^MAX_BOUND_BITS."""
     hi = 1 << PRIME_BITS
     lo = hi - (1 << 15)
-    small = np.ones(1 << (PRIME_BITS // 2), dtype=bool)
+    small = np.ones(math.isqrt(hi) + 1, dtype=bool)
     small[:2] = False
     for d in range(2, math.isqrt(small.size) + 1):
         if small[d]:
@@ -342,25 +345,45 @@ def _power_sum_char_poly(r: np.ndarray, p: int) -> list[int]:
 
     Baby steps R, R^2, ..., R^s and giant steps I, R^s, ..., R^((g-1)s), with
     s = isqrt(k) + 1 and s g >= k + 1 (Paterson and Stockmeyer, SIAM J.
-    Comput. 2, 1973), each one int64 product reduced modulo p. Since
-    tr(R^(is) R^j) = sum_ab (R^(is))_ab (R^j)_ba, one product of the
+    Comput. 2, 1973), each one float64 BLAS product of symmetric residues,
+    exact since its sums stay below k 2^40 < 2^53, and reduced by _centre.
+    Since tr(R^(is) R^j) = sum_ab (R^(is))_ab (R^j)_ba, one product of the
     flattened giant stack with the flattened, transposed baby stack gives
-    every tr(R^(is + j)); its sums stay below 2^63 for k <= POWER_SUM_ORDER.
+    every tr(R^(is + j)); its sums stay below k^2 2^40 < 2^53 for
+    k <= POWER_SUM_ORDER.
     """
     k = r.shape[0]
     s = math.isqrt(k) + 1
     g = -(-(k + 1) // s)
-    baby = np.empty((s, k, k), dtype=np.int64)
+    baby = np.empty((s, k, k))
     baby[0] = r
+    _centre(baby[0], p)
     for j in range(1, s):
-        np.remainder(baby[j - 1] @ r, p, out=baby[j])
-    giant = np.zeros((g, k, k), dtype=np.int64)
+        _centre(np.matmul(baby[j - 1], baby[0], out=baby[j]), p)
+    giant = np.zeros((g, k, k))
     giant[0].flat[:: k + 1] = 1
     giant[1:2] = baby[-1]  # a slice, empty when k <= 1 and g = 1
     for i in range(2, g):
-        np.remainder(giant[i - 1] @ baby[-1], p, out=giant[i])
+        _centre(np.matmul(giant[i - 1], baby[-1], out=giant[i]), p)
     traces = giant.reshape(g, k * k) @ baby.transpose(0, 2, 1).reshape(s, k * k).T
-    return _newton_char_poly((traces.ravel() % p)[: k + 1].tolist(), p)
+    sums = traces.ravel()[: k + 1].astype(np.int64) % p
+    return _newton_char_poly(sums.tolist(), p)
+
+
+def _centre(y: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the float64 integers y, |y| < 2^52, in place to symmetric
+    residues modulo p < 2^21, |y| <= p/2 + 2, and return y.
+
+    y - rint(y/p) p, with y/p taken as y times the float 1/p: its two
+    roundings leave it within 2/p of y/p, so rint lands on an integer within
+    1/2 + 2/p of y/p. The product rint(y/p) p and the difference are
+    integers below 2^53, hence exact.
+    """
+    t = y * (1.0 / p)
+    np.rint(t, out=t)
+    t *= p
+    y -= t
+    return y
 
 
 def _newton_char_poly(sums: list[int], p: int) -> list[int]:
@@ -382,14 +405,14 @@ def _newton_char_poly(sums: list[int], p: int) -> list[int]:
     return c[::-1]
 
 
-def _char_poly_mod(a: np.ndarray, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - A) modulo the prime p, length k + 1,
-    for an integer ndarray A, reduced into int64.
+def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - R) modulo the prime p, length k + 1,
+    for the int64 residues R in [0, p) of ``_residues``, which it leaves as
+    they are.
 
     The kernel follows the order k: from power sums when k < p and
     k <= POWER_SUM_ORDER, by Hessenberg reduction otherwise.
     """
-    r = _residues(a, p)
     k = r.shape[0]
     if k < p and k <= POWER_SUM_ORDER:
         return _power_sum_char_poly(r, p)
@@ -406,21 +429,22 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): the coefficients are
-    computed modulo as many primes below 2^26 as it takes for their product
+    computed modulo as many primes below 2^21 as it takes for their product
     to exceed twice Hadamard's coefficient bound
     B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time, and the
     Chinese remainder theorem lifts them to the symmetric residues. Each
     prime runs one kernel (``_char_poly_mod``): up to order POWER_SUM_ORDER,
     Newton's identities on the traces of the powers of the residues,
-    O(sqrt(k)) int64 matrix products of O(k^3) word operations each,
-    checked against Cayley-Hamilton; above it, Hessenberg reduction by
-    similarity and its recurrence, O(k^3) word operations in numpy. Given a
-    modulus, which must be a prime below 2^26, the polynomial is computed
-    modulo it alone: one reduction, no bound and no lift, coefficients in
-    [0, modulus). The top two coefficients are checked against the traces
-    of M and M^2: over the integers for the lift, on the int64 residues for
-    a modulus. Raises ValueError for an order of 2048 or more, a modulus
-    that is not a prime below 2^26, or, without a modulus, a bound above
+    O(sqrt(k)) float64 BLAS matrix products of O(k^3) operations each, exact
+    since every sum stays below 2^53, checked against Cayley-Hamilton; above
+    it, Hessenberg reduction by similarity and its recurrence, O(k^3) word
+    operations in int64 numpy. Given a modulus, which must be a prime below
+    2^21, the polynomial is computed modulo it alone: one reduction, no
+    bound and no lift, coefficients in [0, modulus). The top two
+    coefficients are checked against the traces of M and M^2: over the
+    integers for the lift, on the same int64 residues as the kernel for a
+    modulus. Raises ValueError for an order of 2048 or more, a modulus that
+    is not a prime below 2^21, or, without a modulus, a bound above
     2^44497, before any elimination.
     """
     arr = np.asarray(m)
@@ -450,7 +474,7 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
                 break
             chosen.append(p)
             product *= p
-        residues = [_char_poly_mod(arr, p) for p in chosen]
+        residues = [_char_poly_mod(_residues(arr, p), p) for p in chosen]
         weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
         lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
         coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
@@ -459,18 +483,16 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
         trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
         top = (1, -trace, (trace * trace - trace_sq) // 2)
     else:
-        coeffs = tuple(_char_poly_mod(arr, modulus))[::-1]
-        # e2 = sum_(i<j) r_ii r_jj - r_ij r_ji on the residues r modulo q,
-        # halved over the integers, where the sum is even, and reduced only
-        # then, since modulo 2 there is no inverse of 2; each r_ij r_ji is
-        # reduced before it is summed, so that no int64 sum overflows
+        # twice e2 is tr(R)^2 - tr(R^2) for the residues r modulo q, an even
+        # number, so it is reduced modulo 2q and only then halved, since
+        # modulo 2 there is no inverse of 2; each r_ij r_ji is reduced before
+        # it is summed, so that no int64 sum overflows
         q = modulus
         r = _residues(arr, q)
-        d = r.diagonal()
-        trace = int(d.sum())
-        pairs = r * r.T % q
-        e2 = trace * trace - int(d @ d) - int(pairs.sum()) + int(pairs.trace())
-        top = (1, -trace % q, e2 // 2 % q)
+        coeffs = tuple(_char_poly_mod(r, q))[::-1]
+        trace = int(r.trace())
+        twice_e2 = (trace * trace - int((r * r.T % (2 * q)).sum())) % (2 * q)
+        top = (1, -trace % q, twice_e2 // 2)
     if coeffs[:3] != top[: k + 1]:
         raise ArithmeticError("characteristic polynomial disagrees with the traces")
     return IntPolynomial(coeffs, modulus)

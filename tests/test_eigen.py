@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -173,6 +174,8 @@ def fraction_det_shifted(m, s: int) -> int:
             det = -det
         det *= a[c][c]
         for r in range(c + 1, k):
+            if not a[r][c]:
+                continue
             f = a[r][c] / a[c][c]
             for j in range(c, k):
                 a[r][j] -= f * a[c][j]
@@ -206,9 +209,13 @@ def test_char_poly_large_entries_prime_count(monkeypatch):
     m = np.random.default_rng(5).integers(-(10**18), 10**18, size=(20, 20))
     poly = char_poly_integer(m)
     # 20 rows of norm 2^60.8 to 2^61.5: twice Hadamard's bound has 1225
-    # bits, which 48 distinct primes below 2^26 cover and 47 do not
-    assert len(seen) == len(set(seen)) == 48
-    assert all(2**25 < p < 2**26 for p in seen)
+    # bits, which 59 distinct primes below 2^21 cover and 58 do not
+    assert len(seen) == len(set(seen)) == 59
+    norms = (math.isqrt(sum(x * x for x in row)) for row in m.tolist())
+    twice_bound = 2 * math.prod(2 + r for r in norms)
+    assert twice_bound.bit_length() == 1225
+    assert math.prod(seen[:-1]) < twice_bound < math.prod(seen)
+    assert all(2**20 < p < 2**21 for p in seen)
     assert poly.degree == 20
     for s in (0, 1, -2):
         assert poly.evaluate(s) == fraction_det_shifted(m, s)
@@ -325,7 +332,7 @@ def test_char_poly_modulo_prime_skips_bound(monkeypatch):
 
 
 def test_exclusion_prime_is_first_table_prime():
-    assert eigen.EXCLUSION_PRIME == eigen._word_primes()[0] == 2**26 - 5
+    assert eigen.EXCLUSION_PRIME == eigen._word_primes()[0] == 2**21 - 9
 
 
 @given(
@@ -371,7 +378,7 @@ def test_char_poly_trace_check(monkeypatch, modulus):
 
 
 def seeded_matrix(bound: int):
-    # one seed per matrix, so that order 45 costs no 2025 separate draws; a
+    # one seed per matrix, so that order 90 costs no 8100 separate draws; a
     # third of them 70% zeros, so that Hessenberg pivots vanish and swap
     def build(k, seed, sparse):
         rng = np.random.default_rng(seed)
@@ -386,23 +393,64 @@ def seeded_matrix(bound: int):
     )
 
 
+def extreme_idempotent(k: int, q: int) -> np.ndarray:
+    """R = c u v^T modulo q with c = (q - 1)/2 = -1/2, u all ones and v of
+    k/2 - 1 ones and k/2 + 1 minus ones: v.u = -2, so R^2 = c (v.u) R = R,
+    and every entry of every power of R is +-(q - 1)/2, the largest
+    symmetric residue."""
+    v = np.where(np.arange(k) < k // 2 - 1, 1, -1)
+    return (q - 1) // 2 * np.outer(np.ones(k, dtype=np.int64), v) % q
+
+
+# a prime below 2^21 modulo which c = 1/90 = 1094571 > q/2: the all-c matrix
+# R of order 90 has R^2 = 90 c R = R, so every product its trace product sums
+# is (c - q)^2 = 1001416^2, all of one sign, and each trace is 0.90 * 2^53
+SIGN_COHERENT_PRIME = 2095987
+
+
 @given(
     seeded_matrix(2**26),
     st.sampled_from([eigen.EXCLUSION_PRIME, eigen._word_primes()[-1], 101]),
 )
 @example(
-    np.full((eigen.POWER_SUM_ORDER,) * 2, eigen.EXCLUSION_PRIME - 1),
+    extreme_idempotent(eigen.POWER_SUM_ORDER, eigen.EXCLUSION_PRIME),
     eigen.EXCLUSION_PRIME,
+)
+@example(
+    np.full((90, 90), pow(90, -1, SIGN_COHERENT_PRIME)),
+    SIGN_COHERENT_PRIME,
 )
 @settings(max_examples=150, deadline=None)
 def test_power_sum_kernel_matches_hessenberg(m, q):
-    # both kernels give the same polynomial of the same residues; the
-    # all-(q - 1) matrix of order 45 has the largest entries the int64
-    # bound of the trace product allows
+    # both kernels give the same polynomial of the same residues; the two
+    # examples of order POWER_SUM_ORDER = 90 push the float64 products to
+    # the bound: every residue of every power at the largest symmetric
+    # residue, and every sum of the trace product near 2^53
     r = m % q
     assert eigen._power_sum_char_poly(r, q) == (
         eigen._hessenberg_char_poly(eigen._hessenberg(r, q), q).tolist()
     )
+
+
+@given(
+    st.integers(min_value=-(2**52) + 1, max_value=2**52 - 1),
+    st.sampled_from([2, 101, eigen._word_primes()[-1], eigen.EXCLUSION_PRIME]),
+)
+@example(2**52 - 1, eigen.EXCLUSION_PRIME)
+@example(  # y/q just below and just past a half-integer
+    2**31 * eigen.EXCLUSION_PRIME + (eigen.EXCLUSION_PRIME - 1) // 2,
+    eigen.EXCLUSION_PRIME,
+)
+@example(
+    -(2**31) * eigen.EXCLUSION_PRIME - (eigen.EXCLUSION_PRIME + 1) // 2,
+    eigen.EXCLUSION_PRIME,
+)
+@settings(max_examples=200)
+def test_centre_gives_symmetric_residues(y, q):
+    # the bound |x| <= q/2 + 2 that makes the float64 trace product exact
+    x = eigen._centre(np.array([float(y)]), q)[0]
+    assert x == int(x) and (int(x) - y) % q == 0
+    assert abs(x) <= q / 2 + 2
 
 
 def test_power_sums_check_cayley_hamilton():
@@ -460,7 +508,7 @@ def test_kernel_needs_order_below_prime(monkeypatch, k, q, kernel):
 
 
 def test_char_poly_rejects_modulus_out_of_range():
-    for q in (1, 2**26):
+    for q in (1, 2**21, 2**26):
         with pytest.raises(ValueError):
             char_poly_integer(np.array([[1]]), q)
 
@@ -484,6 +532,18 @@ def test_word_primality_is_exact():
     assert [q for q in range(2, 10**4) if eigen._is_word_prime(q)] == [
         q for q in range(2, 10**4) if is_prime(q)
     ]
+
+
+def test_word_prime_table_is_prime_and_covers_bound():
+    # a sieve that stops short of sqrt(2^PRIME_BITS) lets in products of two
+    # primes above its limit, such as 1031 * 2027 below 2^21
+    table = eigen._word_primes()
+    hi = 1 << eigen.PRIME_BITS
+    assert list(table) == sorted(table, reverse=True)
+    assert hi - 2**15 <= table[-1] and table[0] < hi
+    assert all(is_prime(q) for q in table)
+    # the lift needs a product above twice a bound of MAX_BOUND_BITS bits
+    assert math.prod(table) > 2 ** (eigen.MAX_BOUND_BITS + 1)
 
 
 def test_char_poly_rejects_bad_input():

@@ -285,7 +285,9 @@ def test_exact_route_agrees_with_float_route(n):
         assert dev is not None and dev <= 1e-8 * max(1.0, total.max_value)
 
 
-@pytest.mark.parametrize("n", [30030, 8648640])
+# 720, 840, 1260, 1680 and 2520 are the least n with k = 28, 30, 34, 38 and
+# 46 proper divisors, the orders the dense-quotient benchmark draws
+@pytest.mark.parametrize("n", [720, 840, 1260, 1680, 2520, 30030, 8648640])
 def test_non_integral_settled_by_one_prime(monkeypatch, n):
     seen = _spy_primes(monkeypatch)
     assert exact_total_spectrum(n) is None
@@ -293,7 +295,12 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    "n, k, kernel", [(90, 10, "_power_sum_char_poly"), (2520, 46, "_hessenberg")]
+    "n, k, kernel",
+    [
+        (90, 10, "_power_sum_char_poly"),
+        (2520, 46, "_power_sum_char_poly"),
+        (55440, 118, "_hessenberg"),
+    ],
 )
 def test_kernel_follows_order(monkeypatch, n, k, kernel):
     # k <= POWER_SUM_ORDER takes the power sums, a larger k Hessenberg
