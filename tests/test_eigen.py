@@ -272,10 +272,18 @@ def test_char_poly_attains_hadamard_bound():
     h = np.array([[1]], dtype=np.int64)
     for _ in range(3):
         h = np.block([[h, h], [h, -h]])
-    scale = 2_350_000
+    scale = 4_400_000
     m = h * scale
+    det = 8**4 * scale**8
+    bound = (2 + math.isqrt(8 * scale**2)) ** 8
+    product = 1
+    for p in eigen._word_primes():
+        if product > bound:
+            break
+        product *= p
+    assert bound < product < 2 * det
     poly = char_poly_integer(m)
-    assert poly.coefficients[-1] == 8**4 * scale**8
+    assert poly.coefficients[-1] == det
     for s in (0, 1, -1):
         assert poly.evaluate(s) == fraction_det_shifted(m, s)
 
