@@ -57,11 +57,6 @@ def degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
     return min(degs), max(degs)
 
 
-def edge_count_doubled(assembly: SpectrumAssembly) -> int:
-    """Sum of all vertex degrees, i.e. twice the edge count."""
-    return sum(c.size * class_vertex_degree(c) for c in assembly.contributions)
-
-
 def vertex_connectivity(n: int) -> int:
     """Closed form: p - 1 in general, p - 2 for n = p^2 (complete graph)."""
     require_composite(n)

@@ -3,7 +3,9 @@
 Subcommands: spectrum, analyze, divisor-graph, graph, verify, survey.
 Exit codes: 0 ok, 1 verification failure, 2 invalid n, 3 oracle cap
 exceeded, 4 I/O error, 5 n too large (Z_n has more zero divisors than int64
-can count). ZDG_ORACLE_CAP overrides the brute-force vertex cap.
+can count, or the exact characteristic polynomial of its quotient is past
+its envelope: 2048 proper divisors or more, or a coefficient bound above
+2^44497). ZDG_ORACLE_CAP overrides the brute-force vertex cap.
 
 Output is deliberately canonical: fixed JSON key order, floats at 12
 significant digits, exact integers without a decimal point, so records

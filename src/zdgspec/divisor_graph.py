@@ -39,9 +39,6 @@ class WeightedDivisorGraph:
     adjacency: np.ndarray  # (k, k) bool, symmetric, false diagonal
     neighbor_weights: np.ndarray  # (k,) int64, M_i = sum of neighbor weights
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as ascending (d_i, d_j) divisor pairs."""
         return [

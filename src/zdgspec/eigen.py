@@ -9,13 +9,12 @@ Two routes to a spectrum live here and check each other:
   computed modulo word-size primes, one prime at a time, as many as
   Hadamard's coefficient bound asks for, and lifted to the integers by the
   Chinese remainder theorem; and the deflation of its integer roots from a
-  candidate set. The order k picks the kernel for each prime p. Up to
-  POWER_SUM_ORDER, and below p, the coefficients come from the power sums
-  tr(R^j) of the k x k residues R by Newton's identities, with the powers
-  taken in baby and giant steps, O(sqrt(k)) matrix products in all, each a
-  float64 BLAS product that is exact because the primes stay below 2^21;
-  above it, or for a prime p <= k, R is reduced to Hessenberg form in
-  int64 numpy. The lifted coefficients are Python ints. Given one prime as
+  candidate set. For each prime p > k the coefficients come from the power
+  sums tr(R^j) of the k x k residues R by Newton's identities, with the
+  powers taken in baby and giant steps: O(sqrt(k)) matrix products in all,
+  each a float64 BLAS product that is exact because the primes stay below
+  2^21, holding (s + g) k^2 float64 numbers for s baby and g giant steps,
+  s g >= k + 1. The lifted coefficients are Python ints. Given one prime as
   the modulus, the same two functions work in F_p[x] instead: the
   polynomial modulo that prime alone, and its deflation modulo it. A
   polynomial that does not split over the candidates modulo p cannot split
@@ -78,19 +77,6 @@ class SpectrumMultiset:
     def pairs(self) -> list[tuple[float, int]]:
         return [(e.value, e.multiplicity) for e in self.entries]
 
-    def expand(self) -> list[float]:
-        out: list[float] = []
-        for e in self.entries:
-            out.extend([e.value] * e.multiplicity)
-        return out
-
-    def value_sum(self) -> float:
-        return sum(e.value * e.multiplicity for e in self.entries)
-
-    @property
-    def min_value(self) -> float:
-        return self.entries[0].value
-
     @property
     def max_value(self) -> float:
         return self.entries[-1].value
@@ -103,9 +89,6 @@ class SpectrumMultiset:
         if first.multiplicity >= 2:
             return first.value
         return self.entries[1].value
-
-    def zero_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries if e.value == 0.0)
 
     @property
     def is_integral(self) -> bool:
@@ -185,30 +168,22 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
 # ---------------------------------------------------------------------------
 # exact integer polynomials
 
-# The exact route works modulo primes below 2^PRIME_BITS: a sum of k < 2^11 =
-# MAX_ORDER products of two residues in [0, p) stays below k * p^2 < 2^53, so
-# it is an exact float64 integer, and int64 never overflows. Since every
-# partial sum is such an integer too, a float64 product of residues is exact
-# in whatever order BLAS sums, with or without fused multiply-add. The primes'
-# product must exceed twice the coefficient bound, which is refused past
+# The exact route works modulo primes p < 2^PRIME_BITS, in fact p <= 2^21 - 9,
+# on symmetric residues |x| <= p/2 + 2 < 2^20 (see _centre), whose products
+# stay below 2^40. A step of the kernel sums k < 2^11 = MAX_ORDER of them,
+# below 2^51, inside _centre's range; a chunk of its trace product sums
+# TRACE_CHUNK = 2^13 of them, below 2^53. Either is an exact float64 integer,
+# and so is every partial sum, so the float64 products are exact in whatever
+# order BLAS sums, with or without fused multiply-add. The primes' product
+# must exceed twice the coefficient bound, which is refused past
 # MAX_BOUND_BITS bits, before any k x k array exists.
 PRIME_BITS = 21
 MAX_ORDER = 2048
 MAX_BOUND_BITS = 44497
+TRACE_CHUNK = 1 << (53 - 2 * (PRIME_BITS - 1))
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
 EXCLUSION_PRIME = (1 << PRIME_BITS) - 9
-# the largest order at which _char_poly_mod takes the power-sum kernel. Its
-# residues are symmetric, |x| <= p/2 + 2 < 2^20 (see _centre), so one entry
-# of its trace product sums k^2 products below 2^40, and k^2 2^40 < 2^53
-# holds when k^2 < 2^13, that is k <= 90. The bound, not speed, sets the
-# order: in microseconds per polynomial of random residues modulo
-# EXCLUSION_PRIME (median of 9 bests of 10 calls; 2-vCPU Xeon, one BLAS
-# thread), the power sums are ahead at every k from 28 to 90:
-#   k            28    34    38    46    60    75    90
-#   Hessenberg  683  1401  1604  2124  3267  4792  6681
-#   power sums  176   248   302   414  1062  2076  3502
-POWER_SUM_ORDER = 90
 
 
 def _divide_linear(
@@ -288,69 +263,22 @@ def _is_word_prime(q: int) -> bool:
     return True
 
 
-def _hessenberg(a: np.ndarray, p: int) -> np.ndarray:
-    """Upper Hessenberg form of the int64 residues a modulo the prime p.
-
-    Returns a new k x k int64 array with entries in [0, p), similar to a
-    modulo p. The pivot of column m - 1 is its first nonzero entry from row
-    m down, swapped into row and column m.
-    """
-    h = a.copy()
-    k = h.shape[0]
-    for m in range(1, k - 1):
-        if not h[m, m - 1]:
-            below = np.flatnonzero(h[m + 1 :, m - 1])
-            if not below.size:
-                continue
-            i = m + 1 + int(below[0])
-            h[[m, i]] = h[[i, m]]
-            h[:, [m, i]] = h[:, [i, m]]
-        u = h[m + 1 :, m - 1] * pow(int(h[m, m - 1]), -1, p) % p
-        # row i -= u_i * row m for i > m, then column m += sum_i u_i * column i
-        h[m + 1 :, m - 1] = 0
-        rows = h[m + 1 :, m:]
-        rows -= u[:, None] * h[m, m:]
-        rows %= p
-        col = h[:, m]
-        col += h[:, m + 1 :] @ u
-        col %= p
-    return h
-
-
-def _hessenberg_char_poly(h: np.ndarray, p: int) -> np.ndarray:
-    """Ascending coefficients of det(xI - H) modulo p, length k + 1.
-
-    The leading principal characteristic polynomials of a Hessenberg H follow
-    p_(m+1) = x p_m - sum_(i <= m) h_im h_(i+1,i)...h_(m,m-1) p_i
-    (Cohen, GTM 138, algorithm 2.2.9), one vector-matrix product per column.
-    """
-    k = h.shape[0]
-    polys = np.zeros((k + 1, k + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    t = np.ones(k, dtype=np.int64)  # t[i] = h_(i+1,i)...h_(m,m-1), i < m
-    for m in range(k):
-        if m:
-            t[:m] = t[:m] * h[m, m - 1] % p
-        f = h[: m + 1, m] * t[: m + 1] % p
-        acc = -(f @ polys[: m + 1, : m + 2])
-        acc[1:] += polys[m, : m + 1]
-        polys[m + 1, : m + 2] = acc % p
-    return polys[k]
-
-
-def _power_sum_char_poly(r: np.ndarray, p: int) -> list[int]:
+def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
     """Ascending coefficients of det(xI - R) modulo the prime p > k, length
-    k + 1, from the power sums tr(R^j), j <= k + 1, of the k x k int64
-    residues R.
+    k + 1, for the k x k int64 residues R in [0, p) of ``_residues``, which
+    it leaves as they are, from the power sums tr(R^j), j <= k + 1.
 
     Baby steps R, R^2, ..., R^s and giant steps I, R^s, ..., R^((g-1)s), with
     s = isqrt(k) + 1 and s g >= k + 1 (Paterson and Stockmeyer, SIAM J.
-    Comput. 2, 1973), each one float64 BLAS product of symmetric residues,
-    exact since its sums stay below k 2^40 < 2^53, and reduced by _centre.
-    Since tr(R^(is) R^j) = sum_ab (R^(is))_ab (R^j)_ba, one product of the
-    flattened giant stack with the flattened, transposed baby stack gives
-    every tr(R^(is + j)); its sums stay below k^2 2^40 < 2^53 for
-    k <= POWER_SUM_ORDER.
+    Comput. 2, 1973): O(sqrt(k)) float64 BLAS products of symmetric
+    residues, each exact since its sums stay below k 2^40 < 2^51, and
+    reduced by _centre. The giant steps are stored transposed, so that
+    tr(R^(is) R^j) = sum_ab (R^(is))^T_ab (R^j)_ab, and one product of the
+    flattened giant stack with the flattened baby stack gives every
+    tr(R^(is + j)). That product is summed over chunks of TRACE_CHUNK
+    entries of the k^2 axis, whose sums stay below 2^53, each reduced modulo
+    p before they are added; one chunk up to k = 90. The two stacks hold
+    (s + g) k^2 float64 numbers, about 3 GB at k = 2047.
     """
     k = r.shape[0]
     s = math.isqrt(k) + 1
@@ -360,14 +288,18 @@ def _power_sum_char_poly(r: np.ndarray, p: int) -> list[int]:
     _centre(baby[0], p)
     for j in range(1, s):
         _centre(np.matmul(baby[j - 1], baby[0], out=baby[j]), p)
+    step = baby[-1].T
     giant = np.zeros((g, k, k))
     giant[0].flat[:: k + 1] = 1
-    giant[1:2] = baby[-1]  # a slice, empty when k <= 1 and g = 1
+    giant[1:2] = step  # a slice, empty when k <= 1 and g = 1
     for i in range(2, g):
-        _centre(np.matmul(giant[i - 1], baby[-1], out=giant[i]), p)
-    traces = giant.reshape(g, k * k) @ baby.transpose(0, 2, 1).reshape(s, k * k).T
-    sums = traces.ravel()[: k + 1].astype(np.int64) % p
-    return _newton_char_poly(sums.tolist(), p)
+        _centre(np.matmul(step, giant[i - 1], out=giant[i]), p)
+    flat_giant, flat_baby = giant.reshape(g, k * k), baby.reshape(s, k * k).T
+    sums = np.zeros((g, s), dtype=np.int64)
+    for lo in range(0, k * k, TRACE_CHUNK):
+        chunk = slice(lo, lo + TRACE_CHUNK)
+        sums += (flat_giant[:, chunk] @ flat_baby[chunk]).astype(np.int64) % p
+    return _newton_char_poly(sums.ravel().tolist()[: k + 1], p)
 
 
 def _centre(y: np.ndarray, p: int) -> np.ndarray:
@@ -405,20 +337,6 @@ def _newton_char_poly(sums: list[int], p: int) -> list[int]:
     return c[::-1]
 
 
-def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - R) modulo the prime p, length k + 1,
-    for the int64 residues R in [0, p) of ``_residues``, which it leaves as
-    they are.
-
-    The kernel follows the order k: from power sums when k < p and
-    k <= POWER_SUM_ORDER, by Hessenberg reduction otherwise.
-    """
-    k = r.shape[0]
-    if k < p and k <= POWER_SUM_ORDER:
-        return _power_sum_char_poly(r, p)
-    return _hessenberg_char_poly(_hessenberg(r, p), p).tolist()
-
-
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """The entries of an integer ndarray modulo p, in [0, p), as int64."""
     wide = np.uint64 if a.dtype == np.uint64 else np.int64
@@ -433,19 +351,20 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     to exceed twice Hadamard's coefficient bound
     B = prod_i (2 + isqrt(sum_j m_ij^2)), one prime at a time, and the
     Chinese remainder theorem lifts them to the symmetric residues. Each
-    prime runs one kernel (``_char_poly_mod``): up to order POWER_SUM_ORDER,
-    Newton's identities on the traces of the powers of the residues,
-    O(sqrt(k)) float64 BLAS matrix products of O(k^3) operations each, exact
-    since every sum stays below 2^53, checked against Cayley-Hamilton; above
-    it, Hessenberg reduction by similarity and its recurrence, O(k^3) word
-    operations in int64 numpy. Given a modulus, which must be a prime below
-    2^21, the polynomial is computed modulo it alone: one reduction, no
-    bound and no lift, coefficients in [0, modulus). The top two
-    coefficients are checked against the traces of M and M^2: over the
-    integers for the lift, on the same int64 residues as the kernel for a
-    modulus. Raises ValueError for an order of 2048 or more, a modulus that
-    is not a prime below 2^21, or, without a modulus, a bound above
-    2^44497, before any elimination.
+    prime runs one kernel (``_char_poly_mod``): Newton's identities on the
+    traces of the powers of the residues, O(sqrt(k)) float64 BLAS matrix
+    products of O(k^3) operations each, exact since every sum stays below
+    2^53, checked against Cayley-Hamilton; it holds (s + g) k^2 float64
+    numbers, s g >= k + 1 and s = isqrt(k) + 1, about 3 GB at k = 2047.
+    Given a modulus, which must be a prime above the order k, since Newton
+    divides by every m <= k, and below 2^21, the polynomial is computed
+    modulo it alone: one reduction, no bound and no lift, coefficients in
+    [0, modulus). The top two coefficients are checked against the traces
+    of M and M^2: over the integers for the lift, on the same int64 residues
+    as the kernel for a modulus. Before any elimination, raises
+    OverflowError for an order of 2048 or more or, without a modulus, a
+    bound above 2^44497, the envelope of the word primes, and ValueError
+    for a modulus that is not a prime in (k, 2^21).
     """
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -454,17 +373,22 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
         raise ValueError("expected integer entries")
     k = arr.shape[0]
     if k >= MAX_ORDER:
-        raise ValueError(f"order {k} is too large, residues need order < {MAX_ORDER}")
+        raise OverflowError(
+            f"order {k} is too large, the exact char-poly needs order < {MAX_ORDER}"
+        )
     if modulus is not None and not (
-        1 < modulus < 1 << PRIME_BITS and _is_word_prime(modulus)
+        max(k, 1) < modulus < 1 << PRIME_BITS and _is_word_prime(modulus)
     ):
-        raise ValueError(f"modulus {modulus} is not a prime below 2^{PRIME_BITS}")
+        raise ValueError(
+            f"modulus {modulus} is not a prime above the order {k} "
+            f"and below 2^{PRIME_BITS}"
+        )
     if modulus is None:
         rows = arr.tolist()
         norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
         twice_bound = 2 * math.prod(2 + r for r in norms)
         if twice_bound.bit_length() > MAX_BOUND_BITS:
-            raise ValueError(
+            raise OverflowError(
                 f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
                 f"beyond 2^{MAX_BOUND_BITS}"
             )

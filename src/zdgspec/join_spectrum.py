@@ -182,8 +182,8 @@ def exact_total_spectrum(
     the eigenvalues as the root of their sum of squares: Weyl's bound plus
     LAPACK's backward error, below 0.01 for n <= 10^7. Only a larger float
     error hides a root. The polynomial is first computed and deflated modulo
-    the one prime EXCLUSION_PRIME = 2^21 - 9, by float64 BLAS products up to
-    k = POWER_SUM_ORDER = 90: a split over the candidates over Z would
+    the one prime EXCLUSION_PRIME = 2^21 - 9, from power sums in O(sqrt(k))
+    float64 BLAS products: a split over the candidates over Z would
     reduce to a split over their residues, so when deflation stops short
     there the answer is None, certified, without Hadamard's bound or the
     lift. Only a polynomial that splits modulo that prime pays for the

@@ -10,7 +10,6 @@ from zdgspec.analysis import (
     class_vertex_degree,
     complement_disconnected,
     degree_extremes,
-    edge_count_doubled,
     is_laplacian_integral,
     lambda_equals_order,
     mu_equals_kappa,
@@ -20,6 +19,8 @@ from zdgspec.errors import EmptyGraphError
 from zdgspec.join_spectrum import reduced_spectrum
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph, degrees
+
+from helpers import edge_count_doubled
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zdgspec import eigen
 from zdgspec.cli import build_parser, main
 
 EXPECTED_15 = (
@@ -246,3 +247,14 @@ def test_vertex_count_beyond_int64_exits_5(capsys, command):
     assert code == 5
     assert out == ""
     assert "int64" in err and "Traceback" not in err
+
+
+def test_order_beyond_char_poly_envelope_exits_5(capsys, monkeypatch):
+    # analyze 2520 needs the char-poly of its order-46 quotient; lowering the
+    # order cap takes it down the path of a real n past the cap, such as
+    # 6983776800 with 2302 proper divisors, without allocating one
+    monkeypatch.setattr(eigen, "MAX_ORDER", 40)
+    code, out, err = run(capsys, "analyze", "2520")
+    assert code == 5
+    assert out == ""
+    assert "order 46" in err and "Traceback" not in err

@@ -13,6 +13,8 @@ from zdgspec.divisor_graph import (
 from zdgspec.errors import EmptyGraphError
 from zdgspec.numtheory import euler_phi, is_prime
 
+from helpers import neighbors
+
 composite = st.integers(min_value=4, max_value=2000).filter(lambda n: not is_prime(n))
 
 
@@ -89,7 +91,7 @@ def test_divisor_graph_connected(n):
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for j in g.neighbors(i):
+        for j in neighbors(g, i):
             if j not in seen:
                 seen.add(j)
                 frontier.append(j)

@@ -242,28 +242,6 @@ def test_char_poly_pivot_vanishing_modulo_one_prime():
         assert poly.evaluate(s) == fraction_det_shifted(m, s)
 
 
-def test_char_poly_pivot_vanishing_through_hessenberg(monkeypatch):
-    # the same 4 x 4 block on the diagonal of an order above POWER_SUM_ORDER,
-    # so that every prime runs _hessenberg and the largest table prime finds
-    # m[1][0] = 0 and swaps in row 2
-    p = eigen._word_primes()[0]
-    k = eigen.POWER_SUM_ORDER + 1
-    m = np.eye(k, dtype=np.int64) + np.diag(np.arange(k - 1) % 3, 1)
-    m[:4, :4] = [[3, -1, 4, 1], [p, 5, -9, 2], [6, -5, 3, p], [5, 8, -9, 7]]
-    swapped = []
-    real = eigen._hessenberg
-
-    def spy(r, q):
-        swapped.append(q == p and r[1, 0] == 0 and r[2, 0] != 0)
-        return real(r, q)
-
-    monkeypatch.setattr(eigen, "_hessenberg", spy)
-    poly = char_poly_integer(m)
-    assert swapped[0] and not any(swapped[1:])
-    for s in (-1, 0, 2):
-        assert poly.evaluate(s) == fraction_det_shifted(m, s)
-
-
 def test_char_poly_attains_hadamard_bound():
     # an order-8 Sylvester Hadamard matrix has orthogonal rows, so
     # det = prod of the row norms = (sqrt(8) * scale)^8 exactly; at this scale
@@ -308,7 +286,7 @@ def test_char_poly_refuses_bound_beyond_table(monkeypatch):
 
     with pytest.raises(_Eliminated):  # 2B has 44497 bits: accepted
         char_poly_integer(matrix(41))
-    with pytest.raises(ValueError):  # 44498 bits: refused
+    with pytest.raises(OverflowError):  # 44498 bits: refused
         char_poly_integer(matrix(42))
 
 
@@ -318,7 +296,7 @@ def test_char_poly_refuses_order_2048(monkeypatch):
     m = np.broadcast_to(np.int64(0), (2048, 2048))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             char_poly_integer(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -333,7 +311,7 @@ def test_char_poly_modulo_prime_skips_bound(monkeypatch):
     m = np.diag([2**62 - 2] * 717 + [2**42 - 2]).astype(np.int64)
     with pytest.raises(_Eliminated):
         char_poly_integer(m, eigen.EXCLUSION_PRIME)
-    with pytest.raises(ValueError):
+    with pytest.raises(OverflowError):
         char_poly_integer(
             np.broadcast_to(np.int64(0), (2048, 2048)), eigen.EXCLUSION_PRIME
         )
@@ -345,20 +323,25 @@ def test_exclusion_prime_is_first_table_prime():
 
 @given(
     st.one_of(
-        st.integers(min_value=1, max_value=eigen.POWER_SUM_ORDER + 3).flatmap(
-            lambda d: int_matrix(d, 10**9)
-        ),
+        st.integers(min_value=1, max_value=93).flatmap(lambda d: int_matrix(d, 10**9)),
         small_dim.flatmap(symmetric_int_matrix),
-    ),
-    st.sampled_from([2, 7, 101, eigen.EXCLUSION_PRIME]),
+    ).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sampled_from(
+                [q for q in (2, 3, 7, 101, eigen.EXCLUSION_PRIME) if q > len(m)]
+            ),
+        )
+    )
 )
-@example(np.array([[0, 1], [1, 0]]), 2)
-@example(np.pad([[0, 1], [1, 0]], (0, eigen.POWER_SUM_ORDER - 1)), 2)
+@example((np.array([[0, 1], [1, 0]]), 3))
+@example((np.pad([[0, 1], [1, 0]], (0, 89)), 97))
 @settings(max_examples=100, deadline=None)
-def test_char_poly_modulo_prime_is_exact_reduced(m, q):
-    # small primes make pivots vanish modulo q alone, so rows get swapped;
-    # x^2 - 1 modulo 2 is x^2 + 1, which a trace check that halves
-    # (tr^2 - tr(M^2)) / 2 on the residues gets wrong as x^2, at any order
+def test_char_poly_modulo_prime_is_exact_reduced(mq):
+    # each prime above the order; x^2 - 1 modulo an odd q is x^2 + q - 1,
+    # which a trace check that reduces tr^2 - tr(M^2) = -2 modulo q before
+    # halving reads as (q - 2) // 2, at any order
+    m, q = mq
     residues = char_poly_integer(m, q)
     assert residues.modulus == q
     assert residues.coefficients == tuple(
@@ -378,15 +361,65 @@ def test_char_poly_trace_check(monkeypatch, modulus):
     monkeypatch.setattr(eigen, "_char_poly_mod", wrong_trace)
     with pytest.raises(ArithmeticError):
         char_poly_integer(np.array([[3, 5], [-2, 7]]), modulus)
-    # above POWER_SUM_ORDER the Hessenberg kernel
-    k = eigen.POWER_SUM_ORDER + 1
+    # an order whose trace product takes two chunks
+    k = 91
     m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 11 - 5
     with pytest.raises(ArithmeticError):
         char_poly_integer(m, modulus)
 
 
+def hessenberg(a: np.ndarray, p: int) -> np.ndarray:
+    """Upper Hessenberg form of the int64 residues a modulo the prime p.
+
+    Returns a new k x k int64 array with entries in [0, p), similar to a
+    modulo p. The pivot of column m - 1 is its first nonzero entry from row
+    m down, swapped into row and column m.
+    """
+    h = a.copy()
+    k = h.shape[0]
+    for m in range(1, k - 1):
+        if not h[m, m - 1]:
+            below = np.flatnonzero(h[m + 1 :, m - 1])
+            if not below.size:
+                continue
+            i = m + 1 + int(below[0])
+            h[[m, i]] = h[[i, m]]
+            h[:, [m, i]] = h[:, [i, m]]
+        u = h[m + 1 :, m - 1] * pow(int(h[m, m - 1]), -1, p) % p
+        # row i -= u_i * row m for i > m, then column m += sum_i u_i * column i
+        h[m + 1 :, m - 1] = 0
+        rows = h[m + 1 :, m:]
+        rows -= u[:, None] * h[m, m:]
+        rows %= p
+        col = h[:, m]
+        col += h[:, m + 1 :] @ u
+        col %= p
+    return h
+
+
+def hessenberg_char_poly(h: np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - H) modulo p, length k + 1.
+
+    The leading principal characteristic polynomials of a Hessenberg H follow
+    p_(m+1) = x p_m - sum_(i <= m) h_im h_(i+1,i)...h_(m,m-1) p_i
+    (Cohen, GTM 138, algorithm 2.2.9), one vector-matrix product per column.
+    """
+    k = h.shape[0]
+    polys = np.zeros((k + 1, k + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    t = np.ones(k, dtype=np.int64)  # t[i] = h_(i+1,i)...h_(m,m-1), i < m
+    for m in range(k):
+        if m:
+            t[:m] = t[:m] * h[m, m - 1] % p
+        f = h[: m + 1, m] * t[: m + 1] % p
+        acc = -(f @ polys[: m + 1, : m + 2])
+        acc[1:] += polys[m, : m + 1]
+        polys[m + 1, : m + 2] = acc % p
+    return polys[k].tolist()
+
+
 def seeded_matrix(bound: int):
-    # one seed per matrix, so that order 90 costs no 8100 separate draws; a
+    # one seed per matrix, so that order 130 costs no 16900 separate draws; a
     # third of them 70% zeros, so that Hessenberg pivots vanish and swap
     def build(k, seed, sparse):
         rng = np.random.default_rng(seed)
@@ -395,7 +428,7 @@ def seeded_matrix(bound: int):
 
     return st.builds(
         build,
-        st.integers(min_value=1, max_value=eigen.POWER_SUM_ORDER),
+        st.integers(min_value=1, max_value=130),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([False, False, True]),
     )
@@ -403,41 +436,54 @@ def seeded_matrix(bound: int):
 
 def extreme_idempotent(k: int, q: int) -> np.ndarray:
     """R = c u v^T modulo q with c = (q - 1)/2 = -1/2, u all ones and v of
-    k/2 - 1 ones and k/2 + 1 minus ones: v.u = -2, so R^2 = c (v.u) R = R,
-    and every entry of every power of R is +-(q - 1)/2, the largest
-    symmetric residue."""
+    k//2 - 1 ones, a zero last entry when k is odd, and minus ones else:
+    v.u = -2, so R^2 = c (v.u) R = R, and every entry of every power of R
+    off the zero column is +-(q - 1)/2, the largest symmetric residue."""
     v = np.where(np.arange(k) < k // 2 - 1, 1, -1)
+    v[-1] *= 1 - k % 2
     return (q - 1) // 2 * np.outer(np.ones(k, dtype=np.int64), v) % q
 
 
-# a prime below 2^21 modulo which c = 1/90 = 1094571 > q/2: the all-c matrix
-# R of order 90 has R^2 = 90 c R = R, so every product its trace product sums
-# is (c - q)^2 = 1001416^2, all of one sign, and each trace is 0.90 * 2^53
-SIGN_COHERENT_PRIME = 2095987
+# primes below 2^21 modulo which c = 1/k > q/2 for k = 90 and 91: the all-c
+# matrix R of order k has R^2 = k c R = R, so every product its trace
+# product sums is (c - q)^2, all of one sign. The one chunk at k = 90 sums
+# 0.90 * 2^53; at k = 91 the first chunk of 2^13 products sums 0.978 * 2^53
+SIGN_COHERENT_PRIME = {90: 2095987, 91: 2096911}
+
+
+def sign_coherent(k: int) -> tuple[np.ndarray, int]:
+    q = SIGN_COHERENT_PRIME[k]
+    return np.full((k, k), pow(k, -1, q)), q
+
+
+def symmetric_residues(k: int, q: int) -> np.ndarray:
+    """Random symmetric residues modulo q. Every power of R is symmetric, so
+    the trace product's tr(R^s R^s) sums k^2 squares, of mean about
+    q^2/12: at k = 160 and q = 2^21 - 9 they come to 1.05 * 2^53, which one
+    unchunked float64 sum does not hold exactly, while each chunk does."""
+    a = np.random.default_rng(k).integers(0, q, size=(k, k))
+    return np.triu(a) + np.triu(a, 1).T
 
 
 @given(
     seeded_matrix(2**26),
-    st.sampled_from([eigen.EXCLUSION_PRIME, eigen._word_primes()[-1], 101]),
+    st.sampled_from([eigen.EXCLUSION_PRIME, eigen._word_primes()[-1], 131]),
 )
-@example(
-    extreme_idempotent(eigen.POWER_SUM_ORDER, eigen.EXCLUSION_PRIME),
-    eigen.EXCLUSION_PRIME,
-)
-@example(
-    np.full((90, 90), pow(90, -1, SIGN_COHERENT_PRIME)),
-    SIGN_COHERENT_PRIME,
-)
+@example(extreme_idempotent(90, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
+@example(extreme_idempotent(91, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
+@example(*sign_coherent(90))
+@example(*sign_coherent(91))
+@example(symmetric_residues(160, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
 @settings(max_examples=150, deadline=None)
 def test_power_sum_kernel_matches_hessenberg(m, q):
-    # both kernels give the same polynomial of the same residues; the two
-    # examples of order POWER_SUM_ORDER = 90 push the float64 products to
-    # the bound: every residue of every power at the largest symmetric
-    # residue, and every sum of the trace product near 2^53
+    # the power sums give the polynomial of the Hessenberg reference for
+    # orders up to 130, k^2 in one to three chunks of the trace product; the
+    # examples push the float64 products to the bound at k = 90, one chunk,
+    # and at k = 91, two: every residue of every power at the largest
+    # symmetric residue, and every sum of one chunk near 2^53; and at
+    # k = 160 a trace product that only its chunks keep exact
     r = m % q
-    assert eigen._power_sum_char_poly(r, q) == (
-        eigen._hessenberg_char_poly(eigen._hessenberg(r, q), q).tolist()
-    )
+    assert eigen._char_poly_mod(r, q) == hessenberg_char_poly(hessenberg(r, q), q)
 
 
 @given(
@@ -488,31 +534,15 @@ def test_power_sums_check_cayley_hamilton():
 
 
 @pytest.mark.parametrize(
-    "k, q, kernel",
-    [
-        (6, 7, "_power_sum_char_poly"),
-        (7, 7, "_hessenberg"),
-        (8, 7, "_hessenberg"),
-        (2, 2, "_hessenberg"),
-        (eigen.POWER_SUM_ORDER, eigen.EXCLUSION_PRIME, "_power_sum_char_poly"),
-        (eigen.POWER_SUM_ORDER + 1, eigen.EXCLUSION_PRIME, "_hessenberg"),
-    ],
+    "k, q, accepted", [(6, 7, True), (7, 7, False), (8, 7, False), (2, 2, False)]
 )
-def test_kernel_needs_order_below_prime(monkeypatch, k, q, kernel):
-    # Newton's identities divide by every order up to k, so p <= k takes
-    # the Hessenberg kernel whatever the order
-    seen = []
-    for name in ("_power_sum_char_poly", "_hessenberg"):
-        real = getattr(eigen, name)
-
-        def spy(r, p, name=name, real=real):
-            seen.append(name)
-            return real(r, p)
-
-        monkeypatch.setattr(eigen, name, spy)
+def test_kernel_needs_order_below_prime(monkeypatch, k, q, accepted):
+    # Newton's identities divide by every order up to k, so a modulus
+    # q <= k is refused before any elimination
+    _forbid_elimination(monkeypatch)
     m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 5 - 2
-    char_poly_integer(m, q)
-    assert seen == [kernel]
+    with pytest.raises(_Eliminated if accepted else ValueError):
+        char_poly_integer(m, q)
 
 
 def test_char_poly_rejects_modulus_out_of_range():

@@ -23,6 +23,7 @@ from zdgspec.join_spectrum import (
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import ClassKind, build_zero_divisor_graph, degrees
 
+from helpers import expand, value_sum, zero_multiplicity
 from test_eigen import _spy_primes
 
 composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prime(n))
@@ -59,7 +60,7 @@ def test_reduced_n18_class_part_and_quotient():
     assert class_pairs == [(1, 5), (2, 1), (5, 1)]
     # quotient: roots of x(x^3 - 14x^2 + 47x - 22), one zero plus three reals
     assert assembly.quotient.total_multiplicity == 4
-    assert assembly.quotient.zero_multiplicity() == 1
+    assert zero_multiplicity(assembly.quotient) == 1
     quotient_nonzero = [e.value for e in assembly.quotient.entries if e.value != 0]
     assert sum(quotient_nonzero) == pytest.approx(14.0)
 
@@ -87,7 +88,7 @@ def test_count_identity(n):
 def test_trace_identity_against_oracle_degrees(n):
     assembly = reduced_spectrum(n)
     degree_sum = sum(degrees(build_zero_divisor_graph(n)))
-    assert assembly.total.value_sum() == pytest.approx(degree_sum, rel=1e-9, abs=1e-6)
+    assert value_sum(assembly.total) == pytest.approx(degree_sum, rel=1e-9, abs=1e-6)
 
 
 def test_reduced_coalesces_pairs_not_vertices(monkeypatch):
@@ -132,7 +133,7 @@ def test_graded_quotient_keeps_relative_accuracy():
     quotient = reduced_spectrum(9999930).quotient
     assert quotient.entries[0].value == 0.0
     assert quotient.entries[0].multiplicity == 1
-    nonzero = quotient.expand()[1:]
+    nonzero = expand(quotient)[1:]
     assert len(nonzero) == len(QUOTIENT_9999930)
     for got, ref in zip(nonzero, QUOTIENT_9999930):
         assert got == pytest.approx(float(ref), rel=1e-13)
@@ -141,7 +142,7 @@ def test_graded_quotient_keeps_relative_accuracy():
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_zero_multiplicity_exactly_one(n):
-    assert reduced_spectrum(n).total.zero_multiplicity() == 1
+    assert zero_multiplicity(reduced_spectrum(n).total) == 1
 
 
 @given(composite)
@@ -150,7 +151,7 @@ def test_quotient_contributes_k_values(n):
     assembly = reduced_spectrum(n)
     k = len(assembly.contributions)
     assert assembly.quotient.total_multiplicity == k
-    assert assembly.quotient.zero_multiplicity() >= 1
+    assert zero_multiplicity(assembly.quotient) >= 1
 
 
 @given(composite)
@@ -292,29 +293,6 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
     seen = _spy_primes(monkeypatch)
     assert exact_total_spectrum(n) is None
     assert seen == [eigen.EXCLUSION_PRIME]
-
-
-@pytest.mark.parametrize(
-    "n, k, kernel",
-    [
-        (90, 10, "_power_sum_char_poly"),
-        (2520, 46, "_power_sum_char_poly"),
-        (55440, 118, "_hessenberg"),
-    ],
-)
-def test_kernel_follows_order(monkeypatch, n, k, kernel):
-    # k <= POWER_SUM_ORDER takes the power sums, a larger k Hessenberg
-    orders = {"_power_sum_char_poly": [], "_hessenberg": []}
-    for name, seen in orders.items():
-        real = getattr(eigen, name)
-
-        def spy(r, p, real=real, seen=seen):
-            seen.append(len(r))
-            return real(r, p)
-
-        monkeypatch.setattr(eigen, name, spy)
-    assert exact_total_spectrum(n) is None
-    assert orders == {name: [k] if name == kernel else [] for name in orders}
 
 
 INTEGRAL_FAMILIES = [
