@@ -62,7 +62,7 @@ def main() -> int:
     for n in composites:
         z = n - euler_phi(n) - 1
         t_red, assembly = time_once(reduced_spectrum, n)
-        k = len(assembly.contributions)
+        k = len(assembly.graph.vertices)
         if z <= args.oracle_cap:
             t_brute, _ = time_once(brute_spectrum, n)
             ratio = t_brute / t_red if t_red > 0 else float("inf")
@@ -84,7 +84,7 @@ def main() -> int:
         z = n - euler_phi(n) - 1
         t_red, assembly = time_once(reduced_spectrum, n)
         t_exact, exact = time_once(exact_total_spectrum, n, assembly)
-        k = len(assembly.contributions)
+        k = len(assembly.graph.vertices)
         print(
             f"{n:>8} {z:>8} {k:>4} {t_red * 1e3:>10.2f}ms"
             f" {t_exact * 1e3:>10.2f}ms {exact is not None}"

@@ -1,11 +1,12 @@
 """Derived graph quantities and the number-theoretic characterizations.
 
 Everything here rides on the reduced path: mu and lambda are read off the
-assembled spectrum, degree extremes come from the class data (a vertex in
-class A_d sees its class neighbors plus all vertices of adjacent classes),
-and kappa has a closed form in the factorization of n. The predicates
-(complement disconnectedness, lambda = |V|, mu = kappa) are exact number
-theory; the numeric spectrum only corroborates them in tests.
+assembled spectrum, degree extremes come from the divisor graph (a vertex
+in class A_d sees the M_d vertices of the adjacent classes, plus the other
+|A_d| - 1 of its own when A_d is a clique), and kappa has a closed form in
+the factorization of n. The predicates (complement disconnectedness,
+lambda = |V|, mu = kappa) are exact number theory; the numeric spectrum
+only corroborates them in tests.
 
 Conventions at the degenerate end: Gamma(Z_4) is a single vertex, so mu is
 reported as undefined (None) rather than 0, and mu_equals_kappa is False
@@ -16,15 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .divisor_graph import require_composite
-from .join_spectrum import (
-    ClassContribution,
-    SpectrumAssembly,
-    exact_total_spectrum,
-    reduced_spectrum,
-)
+from .eigen import check_order
+from .join_spectrum import SpectrumAssembly, exact_total_spectrum, reduced_spectrum
 from .numtheory import factorize
-from .zdg_explicit import ClassKind
 
 EXTREME_MATCH_RTOL = 1e-8
 
@@ -46,15 +44,12 @@ class AnalysisReport:
     lambda_from_quotient: bool
 
 
-def class_vertex_degree(c: ClassContribution) -> int:
-    """Degree of every vertex in one gcd class (equitable, so constant)."""
-    inside = c.size - 1 if c.kind is ClassKind.COMPLETE else 0
-    return c.neighbor_weight + inside
-
-
 def degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
-    degs = [class_vertex_degree(c) for c in assembly.contributions]
-    return min(degs), max(degs)
+    """Least and greatest vertex degree; every vertex of a gcd class has
+    the same degree, M + (w - 1) on a clique of w and M otherwise."""
+    g = assembly.graph
+    degs = g.neighbor_weights + (np.asarray(g.weights) - 1) * g.complete
+    return int(degs.min()), int(degs.max())
 
 
 def vertex_connectivity(n: int) -> int:
@@ -100,7 +95,7 @@ def mu_equals_kappa(n: int) -> bool:
 def is_laplacian_integral(n: int, assembly: SpectrumAssembly | None = None) -> bool:
     """Exact test through the integer characteristic polynomial.
 
-    Class contributions are integers by construction, so the spectrum is
+    Class values are integers by construction, so the spectrum is
     integral iff the quotient polynomial factors completely over Z. Every
     root is verified exactly; the candidates come from the quotient
     eigenvalues of ``assembly``, the reduced path's result for n, computed
@@ -129,8 +124,15 @@ def _close(a: float, b: float) -> bool:
 
 
 def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
-    """Full report for one n plus the assembly it was read from."""
+    """Full report for one n plus the assembly it was read from.
+
+    Raises OverflowError, as ``char_poly_integer`` would, when the quotient
+    order (the number of proper divisors of n) is past the exact
+    characteristic polynomial's envelope; the order is read off the
+    factorization, before anything of size k is built.
+    """
     require_composite(n)
+    check_order(factorize(n).divisor_count() - 2)
     assembly = reduced_spectrum(n)
     delta_min, Delta_max = degree_extremes(assembly)
     mu_ok, lam_ok = _quotient_extremes(assembly)

@@ -39,11 +39,6 @@ EXIT_CAP = 3
 EXIT_IO = 4
 EXIT_TOO_LARGE = 5
 
-# --jobs is parsed so that existing invocations still run, and ignored: a
-# thread pool lost to the serial loop (survey 4 2000 on 2 vCPUs: 2.44 s
-# against 2.12 s)
-JOBS_HELP = "accepted and ignored; every n runs in this process, in order"
-
 CSV_HEADER = (
     "n,vertex_count,mu,lambda,kappa,delta,Delta,"
     "integral,comp_disconn,lam_eq_order,mu_eq_kappa,spectrum"
@@ -338,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("n_min", type=int)
     ve.add_argument("n_max", type=int)
     ve.add_argument("--cap", type=int, default=None, help="brute-force vertex cap")
-    ve.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     ve.set_defaults(func=cmd_verify)
 
     su = sub.add_parser(
@@ -353,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     su.add_argument("n_max", type=int)
     su.add_argument("--out", default=None, help="output path (default stdout)")
     su.add_argument("--format", choices=["csv", "json"], default="csv")
-    su.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     su.set_defaults(func=cmd_survey)
 
     return parser

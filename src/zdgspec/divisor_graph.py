@@ -2,7 +2,8 @@
 
 Vertices are the proper divisors d_1 < ... < d_k of n; d_i and d_j are
 adjacent iff n divides d_i * d_j. Vertex d_i carries the weight
-phi(n / d_i), the size of the residue class {x : gcd(x, n) = d_i}. This
+phi(n / d_i), the size of the residue class {x : gcd(x, n) = d_i}, and
+that class induces a clique when n divides d_i^2, else no edge. This
 graph is the quotient of the zero-divisor graph of Z_n under its class
 partition, and two k x k matrices built from it carry the quotient part of
 the Laplacian spectrum:
@@ -38,6 +39,7 @@ class WeightedDivisorGraph:
     weights: tuple[int, ...]
     adjacency: np.ndarray  # (k, k) bool, symmetric, false diagonal
     neighbor_weights: np.ndarray  # (k,) int64, M_i = sum of neighbor weights
+    complete: np.ndarray  # (k,) bool, whether the class of d_i is a clique
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as ascending (d_i, d_j) divisor pairs."""
@@ -72,8 +74,11 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     b = e - a  # exponents of n / d, whose phi is prod (p - 1) p^(b - 1) over b > 0
     w = np.where(b > 0, (p - 1) * p ** np.maximum(b - 1, 0), 1).prod(axis=0)
     adj = (a[:, :, None] + a[:, None] >= e[:, None]).all(axis=0)
+    # the diagonal 2a_i >= e says n | d_i^2; the class of d_i holds the
+    # d_i u with u prime to n / d_i, so n | xy within it exactly then
+    complete = adj.diagonal().copy()
     np.fill_diagonal(adj, False)
-    return WeightedDivisorGraph(n, divs, tuple(w.tolist()), adj, adj @ w)
+    return WeightedDivisorGraph(n, divs, tuple(w.tolist()), adj, adj @ w, complete)
 
 
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:

@@ -55,18 +55,15 @@ class SpectrumMultiset:
     entries: tuple[SpectrumEntry, ...]
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: list[tuple[float, int]] | list[tuple[int, int]],
-        exact: bool = True,
-    ) -> "SpectrumMultiset":
-        """Build directly from sorted-or-not (value, multiplicity) pairs."""
-        merged: dict[float, int] = {}
+    def from_pairs(cls, pairs: list[tuple[int, int]]) -> "SpectrumMultiset":
+        """Exact spectrum from sorted-or-not (integer value, multiplicity)
+        pairs; equal values merge."""
+        merged: dict[int, int] = {}
         for value, mult in pairs:
             if mult:
                 merged[value] = merged.get(value, 0) + mult
         entries = tuple(
-            SpectrumEntry(float(v), m, exact) for v, m in sorted(merged.items())
+            SpectrumEntry(float(v), m, True) for v, m in sorted(merged.items())
         )
         return cls(entries)
 
@@ -343,6 +340,15 @@ def _residues(a: np.ndarray, p: int) -> np.ndarray:
     return (a.astype(wide, copy=False) % wide(p)).astype(np.int64, copy=False)
 
 
+def check_order(k: int) -> None:
+    """Refuse an order past the char-poly's envelope: OverflowError for
+    k >= MAX_ORDER."""
+    if k >= MAX_ORDER:
+        raise OverflowError(
+            f"order {k} is too large, the exact char-poly needs order < {MAX_ORDER}"
+        )
+
+
 def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     """Exact characteristic polynomial det(xI - M) of an integer matrix.
 
@@ -372,10 +378,7 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("expected integer entries")
     k = arr.shape[0]
-    if k >= MAX_ORDER:
-        raise OverflowError(
-            f"order {k} is too large, the exact char-poly needs order < {MAX_ORDER}"
-        )
+    check_order(k)
     if modulus is not None and not (
         max(k, 1) < modulus < 1 << PRIME_BITS and _is_word_prime(modulus)
     ):

@@ -5,9 +5,10 @@ classes partition them equitably, each class induces a complete or empty
 graph, and the whole graph is the generalized join of those pieces over the
 proper-divisor quotient. The spectrum then splits into
 
-* per-class contributions: a complete class on w vertices shifted by its
-  neighbor weight M contributes M + w with multiplicity w - 1, an empty
-  class contributes M with multiplicity w - 1;
+* one (value, multiplicity) pair per class of w > 1 vertices, read off the
+  divisor graph (``class_pairs``): M + w with multiplicity w - 1 for a
+  clique, M with multiplicity w - 1 for an edgeless class, M the class's
+  neighbor weight;
 * the k eigenvalues of the vertex-weighted quotient Laplacian, exactly one
   of which is 0.
 
@@ -46,7 +47,7 @@ from .eigen import (
 )
 from .errors import OracleCapError
 from .numtheory import euler_phi, factorize, is_prime
-from .zdg_explicit import ClassKind, build_zero_divisor_graph, expected_vertex_count
+from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
 
 DEFAULT_ORACLE_CAP = 1200
 ORACLE_CAP_ENV = "ZDG_ORACLE_CAP"
@@ -69,51 +70,34 @@ def oracle_cap() -> int:
 
 
 @dataclass(frozen=True)
-class ClassContribution:
-    """Spectral contribution of one gcd class A_d inside the join."""
-
-    divisor: int
-    kind: ClassKind
-    size: int
-    neighbor_weight: int  # sum of the sizes of all adjacent classes
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """(eigenvalue, multiplicity) pairs this class adds to the spectrum.
-
-        The class graph is K_w (spectrum 0, w with multiplicity w - 1) or
-        its complement (0 with multiplicity w); the join removes one zero
-        and shifts the rest by the neighbor weight M. So a complete class
-        adds M + w and an empty class M, each w - 1 times, and a singleton
-        adds nothing.
-        """
-        if self.size < 2:
-            return []
-        shift = self.size if self.kind is ClassKind.COMPLETE else 0
-        return [(self.neighbor_weight + shift, self.size - 1)]
-
-
-@dataclass(frozen=True)
 class SpectrumAssembly:
     """Reduced-path spectrum together with the pieces it was built from."""
 
     n: int
     graph: WeightedDivisorGraph
-    contributions: tuple[ClassContribution, ...]
     quotient_values: tuple[float, ...]  # ascending, before coalescing
     quotient: SpectrumMultiset
     total: SpectrumMultiset
 
     @property
     def vertex_count(self) -> int:
-        return sum(c.size for c in self.contributions)
+        return sum(self.graph.weights)
 
 
-def class_contributions(g: WeightedDivisorGraph) -> tuple[ClassContribution, ...]:
-    out = []
-    for d, w, m in zip(g.vertices, g.weights, g.neighbor_weights.tolist()):
-        kind = ClassKind.COMPLETE if (d * d) % g.n == 0 else ClassKind.NULL
-        out.append(ClassContribution(d, kind, w, m))
-    return tuple(out)
+def class_pairs(g: WeightedDivisorGraph) -> list[tuple[int, int]]:
+    """(eigenvalue, multiplicity) pairs the gcd classes add to the spectrum.
+
+    A class of w vertices induces K_w (spectrum 0, w with multiplicity
+    w - 1) or its complement (0 with multiplicity w); the join removes one
+    zero and shifts the rest by the neighbor weight M. So a complete class
+    adds M + w and an empty class M, each w - 1 times, and a singleton
+    adds nothing.
+    """
+    return [
+        (m + w if c else m, w - 1)
+        for w, m, c in zip(g.weights, g.neighbor_weights.tolist(), g.complete.tolist())
+        if w > 1
+    ]
 
 
 def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
@@ -151,15 +135,11 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     """
     require_composite(n)
     g = build_divisor_graph(n)
-    contribs = class_contributions(g)
     quotient_values = _quotient_eigenvalues(g)
-    values: list[tuple[float, int]] = [(v, 1) for v in quotient_values]
-    for c in contribs:
-        values.extend(c.pairs())
+    values = [(v, 1) for v in quotient_values] + class_pairs(g)
     return SpectrumAssembly(
         n=n,
         graph=g,
-        contributions=contribs,
         quotient_values=tuple(quotient_values),
         quotient=coalesce(quotient_values),
         total=coalesce(values),
@@ -174,7 +154,7 @@ def exact_total_spectrum(
     The two integral families come in closed form, with no polynomial:
     n = p^t from ``prime_power_spectrum``, the paper's theorem, and n = pq,
     whose graph is the complete bipartite K_(p-1,q-1). For every other n,
-    class contributions are integers by construction, so the spectrum is
+    class values are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
     completely over the integers. Its roots are deflated exactly from the
     nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a quotient
@@ -200,7 +180,7 @@ def exact_total_spectrum(
     if fact.is_product_of_two_distinct_primes:  # K_(p-1,q-1)
         p, q = fact.primes
         return SpectrumMultiset.from_pairs(
-            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)], exact=True
+            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)]
         )
     if assembly is None:
         assembly = reduced_spectrum(n)
@@ -220,10 +200,8 @@ def exact_total_spectrum(
     roots, complete = integer_roots_complete(poly, candidates)
     if not complete:
         return None
-    pairs: list[tuple[int, int]] = list(roots.items())
-    for c in assembly.contributions:
-        pairs.extend(c.pairs())
-    return SpectrumMultiset.from_pairs(pairs, exact=True)
+    pairs = list(roots.items()) + class_pairs(assembly.graph)
+    return SpectrumMultiset.from_pairs(pairs)
 
 
 def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
@@ -254,7 +232,7 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
         pairs.append((p**m - 1, euler_phi(p ** (m + 1)) - 1))
         for j in range(1, m):
             pairs.append((p ** (m - j) - 1, euler_phi(p ** (m + 1 + j))))
-    return SpectrumMultiset.from_pairs(pairs, exact=True)
+    return SpectrumMultiset.from_pairs(pairs)
 
 
 def check_oracle_cap(n: int, cap: int | None = None) -> None:

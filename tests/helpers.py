@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from zdgspec.analysis import class_vertex_degree
 from zdgspec.divisor_graph import WeightedDivisorGraph
 from zdgspec.eigen import SpectrumMultiset
 from zdgspec.join_spectrum import SpectrumAssembly
@@ -25,6 +24,18 @@ def neighbors(graph: WeightedDivisorGraph, i: int) -> np.ndarray:
     return np.flatnonzero(graph.adjacency[i])
 
 
+def class_degrees(graph: WeightedDivisorGraph) -> list[int]:
+    """Degree of the vertices of each gcd class, in divisor order: the
+    neighbor weight M, plus w - 1 inside a clique of w vertices."""
+    return [
+        m + (w - 1) * c
+        for w, m, c in zip(
+            graph.weights, graph.neighbor_weights.tolist(), graph.complete.tolist()
+        )
+    ]
+
+
 def edge_count_doubled(assembly: SpectrumAssembly) -> int:
     """Sum of all vertex degrees, i.e. twice the edge count."""
-    return sum(c.size * class_vertex_degree(c) for c in assembly.contributions)
+    g = assembly.graph
+    return sum(w * d for w, d in zip(g.weights, class_degrees(g)))

@@ -250,8 +250,8 @@ def test_criterion_8_reduction_payoff():
     elapsed = time.time() - started
     if elapsed >= 1.0:
         failures.append(f"reduced path took {elapsed:.2f}s")
-    if len(assembly.contributions) != 62:
-        failures.append(f"k = {len(assembly.contributions)}")
+    if len(assembly.graph.vertices) != 62:
+        failures.append(f"k = {len(assembly.graph.vertices)}")
     expected = n - euler_phi(n) - 1
     if assembly.total.total_multiplicity != expected:
         failures.append("multiplicity sum != n - phi(n) - 1")

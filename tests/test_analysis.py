@@ -7,7 +7,6 @@ import zdgspec.join_spectrum
 from zdgspec.analysis import (
     analyze,
     analyze_assembly,
-    class_vertex_degree,
     complement_disconnected,
     degree_extremes,
     is_laplacian_integral,
@@ -16,11 +15,11 @@ from zdgspec.analysis import (
     vertex_connectivity,
 )
 from zdgspec.errors import EmptyGraphError
-from zdgspec.join_spectrum import reduced_spectrum
+from zdgspec.join_spectrum import class_pairs, reduced_spectrum
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph, degrees
 
-from helpers import edge_count_doubled
+from helpers import class_degrees, edge_count_doubled
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
 
@@ -174,7 +173,7 @@ def test_extremes_avoid_class_values(n):
     if fact.is_prime_power or fact.is_product_of_two_distinct_primes:
         return
     report, assembly = analyze_assembly(n)
-    class_values = {v for c in assembly.contributions for v, _ in c.pairs()}
+    class_values = {v for v, _ in class_pairs(assembly.graph)}
     for value in (report.mu, report.lambda_):
         for cv in class_values:
             assert abs(value - cv) > 1e-8
@@ -195,7 +194,7 @@ def test_report_fields_n15():
 
 def test_class_degree_helper():
     _, assembly = analyze_assembly(18)
-    degs = [class_vertex_degree(c) for c in assembly.contributions]
+    degs = class_degrees(assembly.graph)
     # A_2 sees A_9 (1); A_3 sees A_6 (2); A_6 is complete of size 2 (3+1);
     # A_9 is a complete singleton seeing A_2 and A_6 (8)
     assert degs == [1, 2, 4, 8]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import zdgspec.join_spectrum
 from zdgspec import eigen
 from zdgspec.cli import build_parser, main
 
@@ -181,12 +182,6 @@ def test_verify_cap_skips(capsys):
     assert "skipped" in out
 
 
-def test_verify_jobs_deterministic(capsys):
-    _, seq, _ = run(capsys, "verify", "4", "60")
-    _, par, _ = run(capsys, "verify", "4", "60", "--jobs", "3")
-    assert seq == par
-
-
 # ---------------------------------------------------------------------------
 # survey
 
@@ -230,10 +225,12 @@ def test_survey_unwritable_path(capsys):
     assert err
 
 
-def test_survey_jobs_deterministic(capsys):
-    _, seq, _ = run(capsys, "survey", "4", "80")
-    _, par, _ = run(capsys, "survey", "4", "80", "--jobs", "4")
-    assert seq == par
+@pytest.mark.parametrize("command", ["verify", "survey"])
+def test_jobs_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "4", "20", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_parser_built_once_per_process(capsys):
@@ -252,8 +249,13 @@ def test_vertex_count_beyond_int64_exits_5(capsys, command):
 def test_order_beyond_char_poly_envelope_exits_5(capsys, monkeypatch):
     # analyze 2520 needs the char-poly of its order-46 quotient; lowering the
     # order cap takes it down the path of a real n past the cap, such as
-    # 6983776800 with 2302 proper divisors, without allocating one
+    # 6983776800 with 2302 proper divisors, without allocating one; the
+    # refusal comes from the factorization, before the divisor graph
+    def no_graph(n):
+        raise AssertionError("divisor graph built for a refused order")
+
     monkeypatch.setattr(eigen, "MAX_ORDER", 40)
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", no_graph)
     code, out, err = run(capsys, "analyze", "2520")
     assert code == 5
     assert out == ""

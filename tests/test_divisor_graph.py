@@ -12,6 +12,7 @@ from zdgspec.divisor_graph import (
 )
 from zdgspec.errors import EmptyGraphError
 from zdgspec.numtheory import euler_phi, is_prime
+from zdgspec.zdg_explicit import ClassKind, class_partition
 
 from helpers import neighbors
 
@@ -96,6 +97,13 @@ def test_divisor_graph_connected(n):
                 seen.add(j)
                 frontier.append(j)
     assert len(seen) == k
+
+
+@given(composite)
+@settings(max_examples=60, deadline=None)
+def test_complete_matches_oracle_class_kinds(n):
+    kinds = [c.kind is ClassKind.COMPLETE for c in class_partition(n).classes]
+    assert build_divisor_graph(n).complete.tolist() == kinds
 
 
 def test_class_degrees_examples():
@@ -186,5 +194,6 @@ def test_build_matches_pairwise_definition():
         assert g.weights == tuple(w)
         assert np.array_equal(g.adjacency, adj)
         assert g.neighbor_weights.tolist() == m
+        assert g.complete.tolist() == [d * d % n == 0 for d in divs]
         assert np.array_equal(weighted_laplacian(g), lap)
         assert np.array_equal(symmetric_form(g).view(np.int64), c.view(np.int64))

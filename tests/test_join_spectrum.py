@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import zdgspec.join_spectrum
 from zdgspec import eigen
-from zdgspec.divisor_graph import weighted_laplacian
+from zdgspec.divisor_graph import WeightedDivisorGraph, weighted_laplacian
 from zdgspec.eigen import (
     SpectrumMultiset,
     char_poly_integer,
@@ -13,15 +13,15 @@ from zdgspec.eigen import (
 )
 from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
-    ClassContribution,
     brute_spectrum,
+    class_pairs,
     exact_total_spectrum,
     oracle_cap,
     prime_power_spectrum,
     reduced_spectrum,
 )
 from zdgspec.numtheory import euler_phi, is_prime
-from zdgspec.zdg_explicit import ClassKind, build_zero_divisor_graph, degrees
+from zdgspec.zdg_explicit import build_zero_divisor_graph, degrees
 
 from helpers import expand, value_sum, zero_multiplicity
 from test_eigen import _spy_primes
@@ -33,15 +33,28 @@ composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prim
 # class spectra
 
 
+def _one_class(divisor, complete, size, neighbor_weight):
+    """A graph holding one class; class_pairs reads only its size, its
+    neighbor weight and whether it is a clique."""
+    return WeightedDivisorGraph(
+        n=0,
+        vertices=(divisor,),
+        weights=(size,),
+        adjacency=np.zeros((1, 1), dtype=bool),
+        neighbor_weights=np.array([neighbor_weight], dtype=np.int64),
+        complete=np.array([complete]),
+    )
+
+
 def test_class_contribution_pairs():
     # K_4 (spectrum 0, 4^3), a null class of 6 (0^6) and a singleton, each
     # losing one zero and shifted by its neighbor weight
-    assert ClassContribution(2, ClassKind.COMPLETE, 4, 10).pairs() == [(14, 3)]
-    assert ClassContribution(2, ClassKind.COMPLETE, 4, 0).pairs() == [(4, 3)]
-    assert ClassContribution(3, ClassKind.NULL, 6, 5).pairs() == [(5, 5)]
-    assert ClassContribution(3, ClassKind.NULL, 6, 0).pairs() == [(0, 5)]
-    assert ClassContribution(6, ClassKind.COMPLETE, 1, 7).pairs() == []
-    assert ClassContribution(6, ClassKind.NULL, 1, 7).pairs() == []
+    assert class_pairs(_one_class(2, True, 4, 10)) == [(14, 3)]
+    assert class_pairs(_one_class(2, True, 4, 0)) == [(4, 3)]
+    assert class_pairs(_one_class(3, False, 6, 5)) == [(5, 5)]
+    assert class_pairs(_one_class(3, False, 6, 0)) == [(0, 5)]
+    assert class_pairs(_one_class(6, True, 1, 7)) == []
+    assert class_pairs(_one_class(6, False, 1, 7)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +69,7 @@ def test_reduced_n15_paper_table():
 
 def test_reduced_n18_class_part_and_quotient():
     assembly = reduced_spectrum(18)
-    class_pairs = sorted(p for c in assembly.contributions for p in c.pairs())
-    assert class_pairs == [(1, 5), (2, 1), (5, 1)]
+    assert sorted(class_pairs(assembly.graph)) == [(1, 5), (2, 1), (5, 1)]
     # quotient: roots of x(x^3 - 14x^2 + 47x - 22), one zero plus three reals
     assert assembly.quotient.total_multiplicity == 4
     assert zero_multiplicity(assembly.quotient) == 1
@@ -102,7 +114,7 @@ def test_reduced_coalesces_pairs_not_vertices(monkeypatch):
 
     monkeypatch.setattr(zdgspec.join_spectrum, "coalesce", recording)
     assembly = reduced_spectrum(9699690)
-    k = len(assembly.contributions)
+    k = len(assembly.graph.vertices)
     assert k == 254
     assert assembly.total.total_multiplicity == 9699690 - euler_phi(9699690) - 1
     assert max(lengths) <= 2 * k
@@ -149,7 +161,7 @@ def test_zero_multiplicity_exactly_one(n):
 @settings(max_examples=60, deadline=None)
 def test_quotient_contributes_k_values(n):
     assembly = reduced_spectrum(n)
-    k = len(assembly.contributions)
+    k = len(assembly.graph.vertices)
     assert assembly.quotient.total_multiplicity == k
     assert zero_multiplicity(assembly.quotient) >= 1
 
@@ -157,8 +169,8 @@ def test_quotient_contributes_k_values(n):
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_classes_contribute_size_minus_one(n):
-    for c in reduced_spectrum(n).contributions:
-        assert sum(m for _, m in c.pairs()) == c.size - 1
+    g = reduced_spectrum(n).graph
+    assert [m for _, m in class_pairs(g)] == [w - 1 for w in g.weights if w > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +332,5 @@ def test_integral_still_lifted_in_full(monkeypatch, n, expected):
     candidates = {round(v) for v in assembly.quotient_values}
     roots, complete = integer_roots_complete(poly, candidates)
     assert complete
-    pairs = list(roots.items())
-    for c in assembly.contributions:
-        pairs.extend(c.pairs())
+    pairs = list(roots.items()) + class_pairs(assembly.graph)
     assert SpectrumMultiset.from_pairs(pairs).pairs() == expected
