@@ -8,7 +8,9 @@ for every composite n in [4, 3000]. The command list is `survey 4 1500`
 (CSV), `survey 4 300` (JSON), `verify 4 303`, `spectrum` and `analyze` of
 four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 `spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
-2, 6, 30, 210, and `spectrum` of 19996, 1024, 2310 and 15.
+2, 6, 30, 210, and `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
+8100243 (the last three each have a quotient value just above a class
+value).
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -36,7 +38,7 @@ DENSE_MAX = 10**4
 DENSE_K = (28, 30, 34, 38, 46)
 BULK_BASES = (2, 6, 30, 210)
 BULK_BAND = (1_000_000, 1_020_000)
-FIXED_N = (19996, 1024, 2310, 15)
+FIXED_N = (19996, 1024, 2310, 15, 32805, 81729, 8100243)
 EXACT_RANGE = (4, 3000)
 
 

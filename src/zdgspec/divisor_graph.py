@@ -14,8 +14,8 @@ the Laplacian spectrum:
 
 Everything is read off the exponent vectors a_i of the divisors over the
 factorization n = prod p^e: n | d_i * d_j iff a_i + a_j >= e in every
-coordinate, and phi(n / d_i) is the product of phi(p^(e - a_i)). So the
-graph is one k x k broadcast and never multiplies two divisors.
+coordinate; phi(n / d_i) = prod phi(p^(e - a_i)) comes from the pass that
+generates d_i. So the graph is one k x k broadcast and multiplies no divisors.
 
 All arrays use ascending divisor order so fixtures are reproducible.
 """
@@ -65,20 +65,18 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     if n - euler_phi(n) - 1 > INT64_MAX:
         raise OverflowError(f"Z_{n} has more zero divisors than int64 can count")
     fact = factorize(n)
-    divs, exps = zip(*fact.divisors_with_exponents()[1:-1])
+    divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis
     a = np.array(exps, dtype=np.int16).T.copy()  # (r, k)
     e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None]
-    p = np.array(fact.primes, dtype=np.int64)[:, None]
-    b = e - a  # exponents of n / d, whose phi is prod (p - 1) p^(b - 1) over b > 0
-    w = np.where(b > 0, (p - 1) * p ** np.maximum(b - 1, 0), 1).prod(axis=0)
     adj = (a[:, :, None] + a[:, None] >= e[:, None]).all(axis=0)
     # the diagonal 2a_i >= e says n | d_i^2; the class of d_i holds the
     # d_i u with u prime to n / d_i, so n | xy within it exactly then
     complete = adj.diagonal().copy()
     np.fill_diagonal(adj, False)
-    return WeightedDivisorGraph(n, divs, tuple(w.tolist()), adj, adj @ w, complete)
+    w = np.array(weights, dtype=np.int64)
+    return WeightedDivisorGraph(n, divs, weights, adj, adj @ w, complete)
 
 
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:

@@ -93,40 +93,39 @@ class SpectrumMultiset:
 
 
 def coalesce(
-    values: Sequence[float | tuple[float, int]], tol: float = DEFAULT_COALESCE_TOL
+    values: Sequence[float], tol: float = DEFAULT_COALESCE_TOL
 ) -> SpectrumMultiset:
-    """Group near-equal values into a multiset.
+    """Group near-equal floats into a multiset.
 
-    Each item is a value or a (value, multiplicity) pair; a pair counts as
-    that many copies of its value, so exact multiplicities never have to be
-    expanded. Successive values chain into one group while each gap stays
-    within max(tol, tol*|value|). A group is represented by its mean, snapped
-    to the nearest integer (and flagged exact) when within 1e-6 of one.
+    Successive values chain into one group while each gap stays within
+    max(tol, tol*|value|). A group is represented by its mean, snapped to
+    the nearest integer (and flagged exact) when within 1e-6 of one; a
+    group that snaps to the integer of the entry before it adds its count
+    to that entry, so no exact value is listed twice.
     """
-    pairs = sorted(
-        (float(item[0]), item[1]) if isinstance(item, tuple) else (float(item), 1)
-        for item in values
-    )
     entries: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
-    for value, mult in pairs:
+    for value in sorted(map(float, values)):
         if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):
-            entries.append(_close_group(total, count))
+            _close_group(entries, total, count)
             total, count = 0.0, 0
-        total += value * mult
-        count += mult
+        total += value
+        count += 1
         prev = value
     if count:
-        entries.append(_close_group(total, count))
+        _close_group(entries, total, count)
     return SpectrumMultiset(tuple(entries))
 
 
-def _close_group(total: float, count: int) -> SpectrumEntry:
+def _close_group(entries: list[SpectrumEntry], total: float, count: int) -> None:
     mean = total / count
     nearest = round(mean)
-    if abs(mean - nearest) <= INTEGER_SNAP_TOL:
-        return SpectrumEntry(float(nearest), count, True)
-    return SpectrumEntry(mean, count, False)
+    if abs(mean - nearest) > INTEGER_SNAP_TOL:
+        entries.append(SpectrumEntry(mean, count, False))
+        return
+    if entries and entries[-1].exact and entries[-1].value == nearest:
+        count += entries.pop().multiplicity
+    entries.append(SpectrumEntry(float(nearest), count, True))
 
 
 def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:
@@ -149,8 +148,9 @@ def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:
 # floating-point eigensolver
 
 
-def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending, from LAPACK."""
+def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
+    """All eigenvalues of a symmetric matrix, ascending, from one LAPACK call:
+    ``eigvalsh``, or with ``vectors`` ``eigh``'s values and eigenvectors."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
@@ -159,7 +159,10 @@ def symmetric_eigenvalues(m: np.ndarray) -> list[float]:
     scale = np.abs(a).max()
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    return [float(v) for v in np.linalg.eigvalsh(a)]
+    if not vectors:
+        return np.linalg.eigvalsh(a).tolist()
+    values, vecs = np.linalg.eigh(a)
+    return values.tolist(), vecs
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ proper-divisor quotient. The spectrum then splits into
 * one (value, multiplicity) pair per class of w > 1 vertices, read off the
   divisor graph (``class_pairs``): M + w with multiplicity w - 1 for a
   clique, M with multiplicity w - 1 for an edgeless class, M the class's
-  neighbor weight;
+  neighbor weight, added as an exact integer entry;
 * the k eigenvalues of the vertex-weighted quotient Laplacian, exactly one
-  of which is 0.
+  of which is 0, from one LAPACK call and coalesced once. A class integer
+  joins one of their entries only when that entry is exact and equal to it.
 
 ``brute_spectrum`` is the independent oracle: it builds the explicit graph,
 takes LAPACK eigenvalues of its Laplacian, and is capped because it scales
@@ -39,6 +40,7 @@ from .divisor_graph import (
 )
 from .eigen import (
     EXCLUSION_PRIME,
+    SpectrumEntry,
     SpectrumMultiset,
     char_poly_integer,
     coalesce,
@@ -101,48 +103,54 @@ def class_pairs(g: WeightedDivisorGraph) -> list[tuple[int, int]]:
 
 
 def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
-    """Eigenvalues of the weighted quotient Laplacian, ascending.
+    """Eigenvalues of the weighted quotient Laplacian, ascending, from one eigh call.
 
     LAPACK's values are off by up to about eps * ||C|| for the symmetric
     form C. When that is more than QUOTIENT_RTOL of the smallest nonzero
     value (a strongly graded quotient, with classes of 1 to millions of
     vertices), each value is replaced by the Rayleigh quotient of its
-    eigenvector v in the integer form: the sum over edges of
-    m_i*m_j*(x_i - x_j)^2 over the sum of m_i*x_i^2, with x = W^(-1/2) v.
-    Every term is nonnegative with exact integer weights, so nothing
-    cancels, and the error is second order in that of v.
+    eigenvector v, from the same call, in the integer form: the sum over
+    edges of m_i*m_j*(x_i - x_j)^2 over the sum of m_i*x_i^2, with
+    x = W^(-1/2) v. Every term is nonnegative with exact integer weights,
+    so nothing cancels, and the error is second order in that of v.
     """
     c = symmetric_form(g)
-    values = symmetric_eigenvalues(c)
+    values, vectors = symmetric_eigenvalues(c, vectors=True)
     eps = np.finfo(np.float64).eps
     if len(values) < 2 or eps * np.linalg.norm(c) <= QUOTIENT_RTOL * values[1]:
         return values
-    _, vectors = np.linalg.eigh(c)
     w = np.asarray(g.weights, dtype=np.float64)
     x = vectors / np.sqrt(w)[:, None]
     i, j = np.nonzero(np.triu(g.adjacency))
     num = ((w[i] * w[j])[:, None] * (x[i] - x[j]) ** 2).sum(axis=0)
     den = (w[:, None] * x**2).sum(axis=0)
-    return sorted(float(v) for v in num / den)
+    return sorted((num / den).tolist())
 
 
 def reduced_spectrum(n: int) -> SpectrumAssembly:
     """Full Laplacian spectrum of the zero-divisor graph via the quotient.
 
     Runtime is governed by the number of proper divisors k, never by n:
-    one k x k symmetric eigenproblem plus at most k class (value,
-    multiplicity) pairs, merged without expanding their multiplicities.
+    one k x k symmetric eigenproblem, one coalescing of its k values, and
+    at most k class (value, multiplicity) pairs added as exact integers.
     """
     require_composite(n)
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
-    values = [(v, 1) for v in quotient_values] + class_pairs(g)
+    quotient = coalesce(quotient_values)
+    # one sorted pass; equal exact values sum, a float never joins an integer
+    total: list[SpectrumEntry] = []
+    classes = (SpectrumEntry(float(v), m, True) for v, m in class_pairs(g))
+    for e in sorted([*quotient.entries, *classes], key=lambda e: e.value):
+        if total and e.exact and total[-1].exact and total[-1].value == e.value:
+            e = SpectrumEntry(e.value, total.pop().multiplicity + e.multiplicity, True)
+        total.append(e)
     return SpectrumAssembly(
         n=n,
         graph=g,
         quotient_values=tuple(quotient_values),
-        quotient=coalesce(quotient_values),
-        total=coalesce(values),
+        quotient=quotient,
+        total=SpectrumMultiset(tuple(total)),
     )
 
 

@@ -52,12 +52,13 @@ class Factorization:
             out *= e + 1
         return out
 
-    def divisors_with_exponents(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Every divisor of n, ascending, with its exponent vector over
-        ``primes`` (1 and n included)."""
-        out: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    def divisors_with_exponents(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """Every divisor d of n, ascending (1 and n included), with its exponent
+        vector over ``primes`` and phi(n / d) = prod (p^j - p^j // p), p^j || n / d."""
+        out: list[tuple[int, tuple[int, ...], int]] = [(1, (), 1)]
         for p, e in self.factors:
-            out = [(d * p**i, a + (i,)) for d, a in out for i in range(e + 1)]
+            steps = [(i, p**i, p ** (e - i) - p ** (e - i) // p) for i in range(e + 1)]
+            out = [(d * q, a + (i,), f * g) for d, a, f in out for i, q, g in steps]
         return sorted(out)
 
 
@@ -96,7 +97,7 @@ def euler_phi(n: int) -> int:
 
 def all_divisors(n: int) -> list[int]:
     """All divisors of n >= 1, ascending (1 and n included)."""
-    return [d for d, _ in factorize(n).divisors_with_exponents()]
+    return [d for d, _, _ in factorize(n).divisors_with_exponents()]
 
 
 def proper_divisors(n: int) -> list[int]:

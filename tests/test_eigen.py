@@ -49,6 +49,20 @@ def test_rejects_nonsymmetric_and_bad_shape():
         symmetric_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=True)
+
+
+@given(small_dim.flatmap(symmetric_int_matrix))
+@settings(max_examples=60, deadline=None)
+def test_eigenvectors_come_with_the_values(m):
+    a = m.astype(float)
+    vals, vecs = symmetric_eigenvalues(a, vectors=True)
+    scale = 1.0 + np.abs(a).sum()
+    assert vals == sorted(vals)
+    assert vals == pytest.approx(symmetric_eigenvalues(a), abs=1e-12 * scale)
+    assert np.allclose(a @ vecs, vecs * vals, atol=1e-12 * scale)
+    assert np.allclose(vecs.T @ vecs, np.eye(len(vals)), atol=1e-12)
 
 
 @given(small_dim.flatmap(symmetric_int_matrix))
@@ -96,24 +110,11 @@ def test_coalesce_non_integer_representative_not_exact():
     assert not ms.is_integral
 
 
-# dyadic values keep every sum exact, so both inputs must give identical
-# entries; offsets of 2**-30 chain into a group, steps of 1/64 do not
-dyadic_value = st.builds(
-    lambda step, offset: step / 64 + offset * 2.0**-30,
-    st.integers(min_value=0, max_value=64 * 50),
-    st.integers(min_value=-3, max_value=3),
-)
-
-
-@given(
-    st.lists(
-        st.tuples(dyadic_value, st.integers(min_value=1, max_value=6)), max_size=12
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_coalesce_pairs_match_expanded_values(pairs):
-    expanded = [v for v, m in pairs for _ in range(m)]
-    assert coalesce(pairs).entries == coalesce(expanded).entries
+def test_coalesce_lists_each_exact_value_once():
+    # the gap of 1e-6 is past tol, so two groups form, but both snap to 5
+    ms = coalesce([0.0, 5 - 5e-7, 5 + 5e-7])
+    assert ms.pairs() == [(0.0, 1), (5.0, 2)]
+    assert all(e.exact for e in ms.entries)
 
 
 def test_second_smallest_counts_multiplicity():

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdgspec.join_spectrum
 from zdgspec import eigen
+from zdgspec.analysis import analyze
 from zdgspec.divisor_graph import WeightedDivisorGraph, weighted_laplacian
 from zdgspec.eigen import (
+    EXCLUSION_PRIME,
     SpectrumMultiset,
     char_poly_integer,
     integer_roots_complete,
@@ -117,7 +121,24 @@ def test_reduced_coalesces_pairs_not_vertices(monkeypatch):
     k = len(assembly.graph.vertices)
     assert k == 254
     assert assembly.total.total_multiplicity == 9699690 - euler_phi(9699690) - 1
-    assert max(lengths) <= 2 * k
+    assert lengths == [k]
+
+
+@pytest.mark.parametrize("n", [18, 9699690, 9999930])
+def test_reduced_makes_one_lapack_call(monkeypatch, n):
+    # 18 returns LAPACK's values as they are; 9699690 and 9999930 are graded
+    # and refine them from the eigenvectors of the same call
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    reduced_spectrum(n)
+    assert calls == ["eigh"]
 
 
 # Nonzero eigenvalues of the weighted quotient Laplacian of n = 9999930, from
@@ -149,6 +170,58 @@ def test_graded_quotient_keeps_relative_accuracy():
     assert len(nonzero) == len(QUOTIENT_9999930)
     for got, ref in zip(nonzero, QUOTIENT_9999930):
         assert got == pytest.approx(float(ref), rel=1e-13)
+
+
+def _assert_class_values_stand_apart(n):
+    """Every class value c of n is certified not to be a quotient root (the
+    residue char-poly is nonzero at c), so c must be one exact entry whose
+    multiplicity is its classes' w - 1, and each quotient entry must reach
+    the total unmerged."""
+    assembly = reduced_spectrum(n)
+    residues = char_poly_integer(weighted_laplacian(assembly.graph), EXCLUSION_PRIME)
+    classes = Counter()
+    for c, m in class_pairs(assembly.graph):
+        assert residues.evaluate(c) != 0
+        classes[c] += m
+    total = {e.value: e for e in assembly.total.entries}
+    assert len(total) == len(assembly.total.entries)
+    for c, m in classes.items():
+        assert (total[c].multiplicity, total[c].exact) == (m, True)
+    assert all(total[e.value] == e for e in assembly.quotient.entries)
+    assert len(total) == len(classes) + len(assembly.quotient.entries)
+
+
+# n, a class value c with its multiplicity, and the quotient value just above c
+# that a tolerance-chained merge used to fold into it
+CLASS_VALUE_NEIGHBORS = [
+    (32805, 3644, 5, 3644.000035),
+    (73503, 24500, 1, 24500.000245),
+    (81729, 27242, 1, 27242.0001527),
+    (8100243, 2700080, 1, 2700080.0000015),
+]
+
+
+@pytest.mark.parametrize("n, c, mult, near", CLASS_VALUE_NEIGHBORS)
+def test_class_value_not_merged_into_nearby_quotient_value(n, c, mult, near):
+    _assert_class_values_stand_apart(n)
+    total = reduced_spectrum(n).total
+    [exact] = [e for e in total.entries if e.value == c]
+    assert (exact.multiplicity, exact.exact) == (mult, True)
+    [apart] = [e for e in total.entries if c < e.value < c + 1]
+    assert apart.value == pytest.approx(near, abs=1e-7)
+    assert (apart.multiplicity, apart.exact) == (1, False)
+
+
+def test_lambda_is_the_quotient_value_above_a_class_value():
+    # not the mean 27242.0000763 of it and the class value 27242
+    assert analyze(81729).lambda_ == pytest.approx(27242.0001527, abs=1e-7)
+
+
+@given(st.sampled_from([q for q in range(1009, 1301) if is_prime(q)]))
+@settings(max_examples=25, deadline=None)
+def test_class_values_stand_apart_on_3_to_the_4_times_q(q):
+    # the quotient value next to a class value is about 0.15 / q above it
+    _assert_class_values_stand_apart(81 * q)
 
 
 @given(composite)
