@@ -72,12 +72,6 @@ def complement_disconnected(n: int) -> bool:
     return fact.is_prime_power and n != 4
 
 
-def lambda_equals_order(n: int) -> bool:
-    """The spectral radius attains the vertex count for the same n as
-    complement disconnection; the two predicates coincide."""
-    return complement_disconnected(n)
-
-
 def mu_equals_kappa(n: int) -> bool:
     """Algebraic connectivity equals vertex connectivity exactly for
     n = p*q and for prime powers p^t with t >= 3.
@@ -136,6 +130,7 @@ def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
     assembly = reduced_spectrum(n)
     delta_min, Delta_max = degree_extremes(assembly)
     mu_ok, lam_ok = _quotient_extremes(assembly)
+    disconnected = complement_disconnected(n)
     report = AnalysisReport(
         n=n,
         vertex_count=assembly.vertex_count,
@@ -145,8 +140,9 @@ def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
         delta_min=delta_min,
         Delta_max=Delta_max,
         laplacian_integral=is_laplacian_integral(n, assembly),
-        complement_disconnected=complement_disconnected(n),
-        lambda_equals_order=lambda_equals_order(n),
+        complement_disconnected=disconnected,
+        # lambda = |V| for exactly the n whose complement disconnects
+        lambda_equals_order=disconnected,
         mu_equals_kappa=mu_equals_kappa(n),
         mu_from_quotient=mu_ok,
         lambda_from_quotient=lam_ok,

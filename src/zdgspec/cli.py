@@ -51,14 +51,16 @@ CSV_HEADER = (
 
 def fmt_number(x: float | int | None) -> str:
     """12 significant digits; integers (and integral floats) without a
-    decimal point; None becomes JSON null."""
+    decimal point; a non-integral float whose 12 digits would read as an
+    integer in full (repr) instead; None becomes JSON null."""
     if x is None:
         return "null"
     if isinstance(x, int):
         return str(x)
     if x == int(x):
         return str(int(x))
-    return format(x, ".12g")
+    text = format(x, ".12g")
+    return repr(x) if text.lstrip("-").isdigit() else text
 
 
 def fmt_bool(b: bool) -> str:

@@ -55,17 +55,23 @@ class SpectrumMultiset:
     entries: tuple[SpectrumEntry, ...]
 
     @classmethod
+    def merged(cls, entries: Iterable[SpectrumEntry]) -> "SpectrumMultiset":
+        """The entries sorted by value; equal exact values sum into one
+        entry, and an inexact entry never merges, so no exact value is
+        listed twice and no float joins an integer."""
+        out: list[SpectrumEntry] = []
+        for e in sorted(entries, key=lambda e: e.value):
+            if e.exact and out and out[-1].exact and out[-1].value == e.value:
+                m = e.multiplicity + out.pop().multiplicity
+                e = SpectrumEntry(e.value, m, True)
+            out.append(e)
+        return cls(tuple(out))
+
+    @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int]]) -> "SpectrumMultiset":
         """Exact spectrum from sorted-or-not (integer value, multiplicity)
-        pairs; equal values merge."""
-        merged: dict[int, int] = {}
-        for value, mult in pairs:
-            if mult:
-                merged[value] = merged.get(value, 0) + mult
-        entries = tuple(
-            SpectrumEntry(float(v), m, True) for v, m in sorted(merged.items())
-        )
-        return cls(entries)
+        pairs; equal values merge, a zero multiplicity is dropped."""
+        return cls.merged(SpectrumEntry(float(v), m, True) for v, m in pairs if m)
 
     @property
     def total_multiplicity(self) -> int:
@@ -99,33 +105,31 @@ def coalesce(
 
     Successive values chain into one group while each gap stays within
     max(tol, tol*|value|). A group is represented by its mean, snapped to
-    the nearest integer (and flagged exact) when within 1e-6 of one; a
-    group that snaps to the integer of the entry before it adds its count
-    to that entry, so no exact value is listed twice.
+    the nearest integer (and flagged exact) when within 1e-6 of one; groups
+    that snap to the same integer merge (``SpectrumMultiset.merged``). An
+    unsnapped mean lies more than 1e-6 from every integer, so the merge's
+    sort cannot move it between a snapped group and its integer.
     """
     entries: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
     for value in sorted(map(float, values)):
         if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):
-            _close_group(entries, total, count)
+            entries.append(_group_entry(total, count))
             total, count = 0.0, 0
         total += value
         count += 1
         prev = value
     if count:
-        _close_group(entries, total, count)
-    return SpectrumMultiset(tuple(entries))
+        entries.append(_group_entry(total, count))
+    return SpectrumMultiset.merged(entries)
 
 
-def _close_group(entries: list[SpectrumEntry], total: float, count: int) -> None:
+def _group_entry(total: float, count: int) -> SpectrumEntry:
     mean = total / count
     nearest = round(mean)
     if abs(mean - nearest) > INTEGER_SNAP_TOL:
-        entries.append(SpectrumEntry(mean, count, False))
-        return
-    if entries and entries[-1].exact and entries[-1].value == nearest:
-        count += entries.pop().multiplicity
-    entries.append(SpectrumEntry(float(nearest), count, True))
+        return SpectrumEntry(mean, count, False)
+    return SpectrumEntry(float(nearest), count, True)
 
 
 def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:

@@ -138,19 +138,13 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
     quotient = coalesce(quotient_values)
-    # one sorted pass; equal exact values sum, a float never joins an integer
-    total: list[SpectrumEntry] = []
     classes = (SpectrumEntry(float(v), m, True) for v, m in class_pairs(g))
-    for e in sorted([*quotient.entries, *classes], key=lambda e: e.value):
-        if total and e.exact and total[-1].exact and total[-1].value == e.value:
-            e = SpectrumEntry(e.value, total.pop().multiplicity + e.multiplicity, True)
-        total.append(e)
     return SpectrumAssembly(
         n=n,
         graph=g,
         quotient_values=tuple(quotient_values),
         quotient=quotient,
-        total=SpectrumMultiset(tuple(total)),
+        total=SpectrumMultiset.merged([*quotient.entries, *classes]),
     )
 
 
@@ -215,31 +209,17 @@ def exact_total_spectrum(
 def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
     """Closed-form spectrum for n = p^t, t >= 2, as exact integers.
 
-    Split on the parity of t; each line is a (value, multiplicity) family
-    and the multiplicities always total p^(t-1) - 1.
+    0 once, and p^i - 1 for each i in [1, t - 1], phi(p^(t - i)) - 1 times
+    from the class of p^i plus once from the quotient unless i = t // 2;
+    the multiplicities total p^(t-1) - 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 2:
         raise ValueError("exponent must be at least 2")
-    pairs: list[tuple[int, int]] = [(0, 1)]
-    if t == 2:
-        if p > 2:
-            pairs.append((p - 1, p - 2))
-    elif t % 2 == 0:
-        m = t // 2
-        for i in range(1, m):
-            pairs.append((p ** (2 * m - i) - 1, euler_phi(p**i)))
-        pairs.append((p**m - 1, euler_phi(p**m) - 1))
-        for j in range(1, m):
-            pairs.append((p ** (m - j) - 1, euler_phi(p ** (m + j))))
-    else:
-        m = (t - 1) // 2
-        for i in range(1, m + 1):
-            pairs.append((p ** (2 * m + 1 - i) - 1, euler_phi(p**i)))
-        pairs.append((p**m - 1, euler_phi(p ** (m + 1)) - 1))
-        for j in range(1, m):
-            pairs.append((p ** (m - j) - 1, euler_phi(p ** (m + 1 + j))))
+    pairs = [(0, 1)] + [
+        (p**i - 1, euler_phi(p ** (t - i)) - 1 + (i != t // 2)) for i in range(1, t)
+    ]
     return SpectrumMultiset.from_pairs(pairs)
 
 

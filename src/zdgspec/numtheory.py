@@ -1,4 +1,4 @@
-"""Integer arithmetic foundation: factorization, totient, divisors, gcd.
+"""Integer arithmetic foundation: factorization, totient, divisors.
 
 Everything here is exact integer arithmetic on Python ints. Factorization is
 deterministic trial division, which is plenty for the desk-scale moduli
@@ -7,11 +7,8 @@ deterministic trial division, which is plenty for the desk-scale moduli
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-gcd = math.gcd
 
 
 @dataclass(frozen=True)
@@ -94,14 +91,3 @@ def euler_phi(n: int) -> int:
         out = out // p * (p - 1)
     return out
 
-
-def all_divisors(n: int) -> list[int]:
-    """All divisors of n >= 1, ascending (1 and n included)."""
-    return [d for d, _, _ in factorize(n).divisors_with_exponents()]
-
-
-def proper_divisors(n: int) -> list[int]:
-    """Divisors d of n with 1 < d < n, ascending. Requires n >= 2."""
-    if n < 2:
-        raise ValueError(f"proper_divisors requires n >= 2, got {n}")
-    return all_divisors(n)[1:-1]

@@ -5,22 +5,21 @@ are adjacent iff n divides x*y. Construction is a direct O(z^2) product
 scan over the z = n - phi(n) - 1 zero divisors, deliberately independent of
 the divisor-graph reduction it is used to check.
 
-The class partition groups vertices by gcd with n. Each class induces a
-complete or edgeless subgraph, cross-class adjacency is all-or-none, and
-expanding the divisor graph over the classes reproduces the oracle graph
-exactly; all three facts are exercised by the test suite.
+The graph knows nothing of the gcd classes. The test suite groups its
+vertices by gcd with n, expands the divisor graph over those classes (each
+class a clique or edgeless, two classes joined whole or not at all) and
+checks that the expansion equals this adjacency entry for entry.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor_graph import build_divisor_graph, require_composite
-from .numtheory import euler_phi, proper_divisors
+from .divisor_graph import require_composite
+from .numtheory import euler_phi
 
 
 @dataclass(frozen=True)
@@ -44,38 +43,6 @@ class SimpleGraph:
         ]
 
 
-class ClassKind(enum.Enum):
-    COMPLETE = "complete"
-    NULL = "null"
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    divisor: int
-    members: tuple[int, ...]
-    kind: ClassKind
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def graph_name(self) -> str:
-        """Display name of the induced subgraph; K_1 for singletons of
-        either kind (the two coincide on one vertex)."""
-        if self.size == 1:
-            return "K_1"
-        if self.kind is ClassKind.COMPLETE:
-            return f"K_{self.size}"
-        return f"K̄_{self.size}"
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    n: int
-    classes: tuple[DivisorClass, ...]
-
-
 def build_zero_divisor_graph(n: int) -> SimpleGraph:
     """Explicit zero-divisor graph of Z_n for composite n >= 4."""
     require_composite(n)
@@ -85,87 +52,6 @@ def build_zero_divisor_graph(n: int) -> SimpleGraph:
     adj = np.outer(labels, labels) % n == 0
     np.fill_diagonal(adj, False)
     return SimpleGraph(tuple(int(x) for x in labels), adj)
-
-
-def class_partition(n: int) -> ClassPartition:
-    """Partition the zero divisors of Z_n by their gcd with n."""
-    require_composite(n)
-    members: dict[int, list[int]] = {d: [] for d in proper_divisors(n)}
-    for x in range(1, n):
-        g = math.gcd(x, n)
-        if 1 < g < n:
-            members[g].append(x)
-    classes = tuple(
-        DivisorClass(
-            divisor=d,
-            members=tuple(members[d]),
-            kind=ClassKind.COMPLETE if (d * d) % n == 0 else ClassKind.NULL,
-        )
-        for d in sorted(members)
-    )
-    return ClassPartition(n, classes)
-
-
-def degrees(g: SimpleGraph) -> list[int]:
-    """Degree sequence in vertex-label order."""
-    return [int(d) for d in g.adjacency.sum(axis=1)]
-
-
-def verify_equitable(g: SimpleGraph, p: ClassPartition) -> bool:
-    """Check the class partition is equitable on the oracle graph.
-
-    Every vertex of class i must have the same number of neighbors in
-    class j, and for i != j that count must be 0 or all of class j.
-    """
-    if g.order and p.n != _infer_n(g, p):
-        raise ValueError("graph and partition built from different n")
-    index = {label: i for i, label in enumerate(g.vertex_labels)}
-    groups = [np.array([index[x] for x in c.members]) for c in p.classes]
-    counts = g.adjacency.astype(np.int64)
-    # z x k matrix of per-class neighbor counts
-    per_class = np.stack([counts[:, grp].sum(axis=1) for grp in groups], axis=1)
-    for i, grp in enumerate(groups):
-        rows = per_class[grp]
-        if not (rows == rows[0]).all():
-            return False
-        for j, cls in enumerate(p.classes):
-            if i != j and rows[0, j] not in (0, cls.size):
-                return False
-    return True
-
-
-def _infer_n(g: SimpleGraph, p: ClassPartition) -> int:
-    # the partition covers exactly the graph's labels when n matches
-    covered = sorted(x for c in p.classes for x in c.members)
-    return p.n if covered == sorted(g.vertex_labels) else -1
-
-
-def join_reconstruction(n: int) -> SimpleGraph:
-    """Rebuild the zero-divisor graph from its class partition.
-
-    Classes become cliques or independent sets according to their kind, and
-    two classes are fully joined exactly when their divisors are adjacent in
-    the divisor graph. The result must match the oracle graph label for
-    label; tests assert this edge-for-edge.
-    """
-    part = class_partition(n)
-    quotient = build_divisor_graph(n)
-    labels = tuple(sorted(x for c in part.classes for x in c.members))
-    index = {label: i for i, label in enumerate(labels)}
-    groups = {
-        c.divisor: np.array([index[x] for x in c.members]) for c in part.classes
-    }
-    z = len(labels)
-    adj = np.zeros((z, z), dtype=bool)
-    for c in part.classes:
-        if c.kind is ClassKind.COMPLETE and c.size > 1:
-            block = groups[c.divisor]
-            adj[np.ix_(block, block)] = True
-    for di, dj in quotient.edges():
-        adj[np.ix_(groups[di], groups[dj])] = True
-        adj[np.ix_(groups[dj], groups[di])] = True
-    np.fill_diagonal(adj, False)
-    return SimpleGraph(labels, adj)
 
 
 def expected_vertex_count(n: int) -> int:

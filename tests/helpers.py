@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from zdgspec.divisor_graph import WeightedDivisorGraph
+from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import SpectrumMultiset
 from zdgspec.join_spectrum import SpectrumAssembly
+from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
 
 
 def expand(spectrum: SpectrumMultiset) -> list[float]:
@@ -22,6 +23,37 @@ def zero_multiplicity(spectrum: SpectrumMultiset) -> int:
 
 def neighbors(graph: WeightedDivisorGraph, i: int) -> np.ndarray:
     return np.flatnonzero(graph.adjacency[i])
+
+
+def degrees(g: SimpleGraph) -> list[int]:
+    """Degree sequence in vertex-label order."""
+    return g.adjacency.sum(axis=1).tolist()
+
+
+def expand_classes(n: int) -> tuple[SimpleGraph, np.ndarray, np.ndarray]:
+    """The oracle graph of n, each vertex's gcd class (an index into the
+    divisor graph's vertices), and the divisor graph expanded over those
+    classes: x ~ y iff their classes are adjacent, or are one clique class.
+
+    The expansion equals the oracle adjacency exactly when the graph is the
+    generalized join of its gcd classes, each a clique where ``complete``
+    says and edgeless elsewhere, over the divisor graph.
+    """
+    oracle = build_zero_divisor_graph(n)
+    g = build_divisor_graph(n)
+    cls = np.searchsorted(g.vertices, np.gcd(oracle.vertex_labels, n))
+    expanded = (g.adjacency | np.diag(g.complete))[np.ix_(cls, cls)]
+    np.fill_diagonal(expanded, False)
+    return oracle, cls, expanded
+
+
+def class_names(graph: WeightedDivisorGraph) -> list[str]:
+    """Name of the subgraph each gcd class induces, in divisor order; K_1
+    for a singleton of either kind (the two coincide on one vertex)."""
+    return [
+        "K_1" if w == 1 else f"K_{w}" if c else f"K̄_{w}"
+        for w, c in zip(graph.weights, graph.complete.tolist())
+    ]
 
 
 def class_degrees(graph: WeightedDivisorGraph) -> list[int]:

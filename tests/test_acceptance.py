@@ -11,29 +11,28 @@ import numpy as np
 
 from zdgspec.analysis import (
     complement_disconnected,
-    lambda_equals_order,
     mu_equals_kappa,
     vertex_connectivity,
 )
 from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
-from zdgspec.eigen import char_poly_integer, max_deviation
+from zdgspec.eigen import char_poly_integer, integer_roots_complete, max_deviation
 from zdgspec.errors import OracleCapError
 from zdgspec.join_spectrum import (
     brute_spectrum,
-    exact_total_spectrum,
     prime_power_spectrum,
     reduced_spectrum,
 )
 from zdgspec.numtheory import euler_phi, factorize, is_prime
-from zdgspec.zdg_explicit import (
-    build_zero_divisor_graph,
-    class_partition,
-    degrees,
-    join_reconstruction,
-    verify_equitable,
-)
+from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import edge_count_doubled, value_sum, zero_multiplicity
+from helpers import (
+    class_names,
+    degrees,
+    edge_count_doubled,
+    expand_classes,
+    value_sum,
+    zero_multiplicity,
+)
 
 
 def _composites(lo: int, hi: int) -> list[int]:
@@ -93,11 +92,10 @@ def test_criterion_2_worked_examples():
     if total15.max_value != 6.0 or total15.second_smallest() != 2.0:
         failures.append("n=15 lambda/mu mismatch")
 
-    part18 = class_partition(18)
-    names = [c.graph_name for c in part18.classes]
+    g18 = build_divisor_graph(18)
+    names = class_names(g18)
     if names != ["K̄_6", "K̄_2", "K_2", "K_1"]:
         failures.append(f"n=18 class structure {names}")
-    g18 = build_divisor_graph(18)
     if g18.vertices != (2, 3, 6, 9) or g18.edges() != [(2, 9), (3, 6), (6, 9)]:
         failures.append("divisor graph of 18 is not the path 2-9-6-3")
 
@@ -130,9 +128,13 @@ def test_criterion_3_prime_power_closed_forms():
             failures.append(f"n={n}: closed form != reduced")
         if not red.is_integral:
             failures.append(f"n={n}: reduced spectrum did not snap to integers")
-        exact = exact_total_spectrum(n)
-        if exact is None or exact.pairs() != closed.pairs():
-            failures.append(f"n={n}: integer char-poly route disagrees")
+        # the quotient part of the closed form, from the integer char-poly
+        # with the closed-form shortcut bypassed: 0 and p^i - 1, i != t // 2
+        roots = {0} | {p**i - 1 for i in range(1, t) if i != t // 2}
+        poly = char_poly_integer(weighted_laplacian(build_divisor_graph(n)))
+        found, complete = integer_roots_complete(poly, roots)
+        if not complete or found != dict.fromkeys(roots, 1):
+            failures.append(f"n={n}: integer char-poly roots {dict(found)}")
         if p ** (t - 1) - 1 <= 1200:
             brute = brute_spectrum(n)
             dev = max_deviation(closed, brute)
@@ -140,7 +142,11 @@ def test_criterion_3_prime_power_closed_forms():
             if dev is None or dev > tol:
                 failures.append(f"n={n}: brute disagrees ({dev})")
         checked += 1
-    _finish(3, f"{checked} prime powers up to 4096, three routes agree", failures)
+    _finish(
+        3,
+        f"{checked} prime powers up to 4096: reduced, brute, integer char-poly",
+        failures,
+    )
 
 
 def test_criterion_4_characterization_sweeps():
@@ -152,10 +158,8 @@ def test_criterion_4_characterization_sweeps():
         lam = total.max_value
         tol = 1e-8 * max(1.0, lam)
         numeric_lambda_order = abs(lam - assembly.vertex_count) <= tol
-        if numeric_lambda_order != lambda_equals_order(n):
+        if numeric_lambda_order != complement_disconnected(n):
             failures.append(f"n={n}: lambda=|V| predicate mismatch")
-        if lambda_equals_order(n) != complement_disconnected(n):
-            failures.append(f"n={n}: lambda=|V| and complement predicates split")
         mu = total.second_smallest()
         kappa = vertex_connectivity(n)
         if mu is None:
@@ -204,19 +208,16 @@ def test_criterion_6_structural_invariants():
             failures.append(f"n={n}: multiplicity sum")
         if zero_multiplicity(assembly.total) != 1:
             failures.append(f"n={n}: zero multiplicity")
-        oracle = build_zero_divisor_graph(n)
+        oracle, cls, expanded = expand_classes(n)
         degree_sum = sum(degrees(oracle))
         if abs(value_sum(assembly.total) - degree_sum) > 1e-8 * max(1.0, degree_sum):
             failures.append(f"n={n}: trace != 2|E|")
         if edge_count_doubled(assembly) != degree_sum:
             failures.append(f"n={n}: reduced degree sum != oracle degree sum")
-        if not verify_equitable(oracle, class_partition(n)):
-            failures.append(f"n={n}: partition not equitable")
-        rebuilt = join_reconstruction(n)
-        if rebuilt.vertex_labels != oracle.vertex_labels or not np.array_equal(
-            rebuilt.adjacency, oracle.adjacency
-        ):
-            failures.append(f"n={n}: join reconstruction differs")
+        if np.bincount(cls).tolist() != list(assembly.graph.weights):
+            failures.append(f"n={n}: class sizes != divisor weights")
+        if not np.array_equal(expanded, oracle.adjacency):
+            failures.append(f"n={n}: class expansion differs from the oracle")
     _finish(6, "structural invariants over [4,1000]", failures)
 
 

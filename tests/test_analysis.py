@@ -10,16 +10,15 @@ from zdgspec.analysis import (
     complement_disconnected,
     degree_extremes,
     is_laplacian_integral,
-    lambda_equals_order,
     mu_equals_kappa,
     vertex_connectivity,
 )
 from zdgspec.errors import EmptyGraphError
 from zdgspec.join_spectrum import class_pairs, reduced_spectrum
 from zdgspec.numtheory import euler_phi, is_prime
-from zdgspec.zdg_explicit import build_zero_divisor_graph, degrees
+from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import class_degrees, edge_count_doubled
+from helpers import class_degrees, degrees, edge_count_doubled
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
 
@@ -69,10 +68,6 @@ def test_predicate_examples():
     assert complement_disconnected(15)
     assert not complement_disconnected(12)
     assert not complement_disconnected(4)
-
-    assert lambda_equals_order(15)
-    assert not lambda_equals_order(4)
-    assert not lambda_equals_order(12)
 
     assert mu_equals_kappa(15)
     assert mu_equals_kappa(8)

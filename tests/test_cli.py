@@ -26,7 +26,8 @@ def run(capsys, *argv):
 
 def reemit(obj) -> str:
     """Canonical serialization rules as documented: fixed order (as parsed),
-    12 significant digits, integral values without a decimal point."""
+    12 significant digits, integral values without a decimal point, and a
+    non-integral value whose 12 digits read as an integer in full."""
     if isinstance(obj, dict):
         return "{" + ",".join(f'"{k}":{reemit(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, list):
@@ -38,7 +39,10 @@ def reemit(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return str(int(obj)) if obj == int(obj) else format(obj, ".12g")
+        if obj == int(obj):
+            return str(int(obj))
+        text = format(obj, ".12g")
+        return repr(obj) if text.isdigit() else text
     return '"' + obj + '"'
 
 
@@ -91,6 +95,19 @@ def test_json_round_trip_byte_identical(capsys):
         _, out, _ = run(capsys, "spectrum", n, "--format", "json", "--method", "reduced")
         line = out.strip()
         assert reemit(json.loads(line)) == line
+
+
+def test_inexact_value_never_prints_as_an_integer(capsys):
+    # the largest quotient value lies 1.5e-6 above the class value 2700080
+    code, out, _ = run(capsys, "spectrum", "8100243")
+    assert code == 0
+    record = json.loads(out)
+    assert record["spectrum"][-2:] == [
+        {"value": 2700080, "multiplicity": 1, "exact": True},
+        {"value": 2700080.000001539, "multiplicity": 1, "exact": False},
+    ]
+    assert record["lambda"] == 2700080.000001539
+    assert reemit(record) == out.strip()
 
 
 def test_spectrum_csv_and_text(capsys):

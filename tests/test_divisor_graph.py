@@ -12,7 +12,6 @@ from zdgspec.divisor_graph import (
 )
 from zdgspec.errors import EmptyGraphError
 from zdgspec.numtheory import euler_phi, is_prime
-from zdgspec.zdg_explicit import ClassKind, class_partition
 
 from helpers import neighbors
 
@@ -102,8 +101,8 @@ def test_divisor_graph_connected(n):
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_complete_matches_oracle_class_kinds(n):
-    kinds = [c.kind is ClassKind.COMPLETE for c in class_partition(n).classes]
-    assert build_divisor_graph(n).complete.tolist() == kinds
+    g = build_divisor_graph(n)
+    assert g.complete.tolist() == [d * d % n == 0 for d in g.vertices]
 
 
 def test_class_degrees_examples():

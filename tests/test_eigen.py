@@ -11,6 +11,8 @@ from zdgspec import eigen
 from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
 from zdgspec.eigen import (
     IntPolynomial,
+    SpectrumEntry,
+    SpectrumMultiset,
     char_poly_integer,
     coalesce,
     integer_roots_complete,
@@ -115,6 +117,30 @@ def test_coalesce_lists_each_exact_value_once():
     ms = coalesce([0.0, 5 - 5e-7, 5 + 5e-7])
     assert ms.pairs() == [(0.0, 1), (5.0, 2)]
     assert all(e.exact for e in ms.entries)
+
+
+def test_merged_sorts_and_sums_exact_values_only():
+    entries = [
+        SpectrumEntry(5.0000015, 1, False),
+        SpectrumEntry(5.0, 2, True),
+        SpectrumEntry(4.5, 1, False),
+        SpectrumEntry(3.0, 4, True),
+        SpectrumEntry(5.0, 3, True),
+        SpectrumEntry(4.5, 1, False),
+        SpectrumEntry(3.0, 1, True),
+    ]
+    ms = SpectrumMultiset.merged(entries)
+    assert [(e.value, e.multiplicity, e.exact) for e in ms.entries] == [
+        (3.0, 5, True),
+        (4.5, 1, False),
+        (4.5, 1, False),
+        (5.0, 5, True),
+        (5.0000015, 1, False),
+    ]
+    assert SpectrumMultiset.from_pairs([(5, 2), (3, 0), (0, 1), (5, 1)]).pairs() == [
+        (0.0, 1),
+        (5.0, 3),
+    ]
 
 
 def test_second_smallest_counts_multiplicity():

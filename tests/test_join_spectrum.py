@@ -25,9 +25,9 @@ from zdgspec.join_spectrum import (
     reduced_spectrum,
 )
 from zdgspec.numtheory import euler_phi, is_prime
-from zdgspec.zdg_explicit import build_zero_divisor_graph, degrees
+from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import expand, value_sum, zero_multiplicity
+from helpers import degrees, expand, value_sum, zero_multiplicity
 from test_eigen import _spy_primes
 
 composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prime(n))
@@ -255,6 +255,12 @@ def test_prime_power_fixtures():
     assert prime_power_spectrum(2, 2).pairs() == [(0.0, 1)]
     assert prime_power_spectrum(2, 3).pairs() == [(0.0, 1), (1.0, 1), (3.0, 1)]
     assert prime_power_spectrum(2, 4).pairs() == [(0.0, 1), (1.0, 4), (3.0, 1), (7.0, 1)]
+    assert prime_power_spectrum(3, 5).pairs() == [
+        (0.0, 1), (2.0, 54), (8.0, 17), (26.0, 6), (80.0, 2)
+    ]
+    assert prime_power_spectrum(3, 6).pairs() == [
+        (0.0, 1), (2.0, 162), (8.0, 54), (26.0, 17), (80.0, 6), (242.0, 2)
+    ]
 
 
 def test_prime_power_rejects_bad_input():

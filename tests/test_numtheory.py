@@ -3,13 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from zdgspec.numtheory import (
-    all_divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    proper_divisors,
-)
+from zdgspec.numtheory import euler_phi, factorize, is_prime
 
 
 def test_factorize_small_values():
@@ -53,20 +47,18 @@ def test_euler_phi_matches_direct_count(n):
 @given(st.integers(min_value=2, max_value=3000))
 def test_divisor_sum_of_phi_is_n(n):
     # classic identity: sum of phi(d) over divisors d of n equals n
-    assert sum(euler_phi(d) for d in all_divisors(n)) == n
+    divs = factorize(n).divisors_with_exponents()
+    assert sum(euler_phi(d) for d, _, _ in divs) == n
+    assert [f for _, _, f in divs] == [euler_phi(n // d) for d, _, _ in divs]
 
 
 @given(st.integers(min_value=1, max_value=10000))
 def test_all_divisors_sorted_and_complete(n):
-    divs = all_divisors(n)
-    assert divs == sorted(divs)
-    assert divs == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_proper_divisors_strips_ends():
-    assert proper_divisors(12) == [2, 3, 4, 6]
-    assert proper_divisors(7) == []
-    assert proper_divisors(4) == [2]
+    fact = factorize(n)
+    divs = fact.divisors_with_exponents()
+    assert [d for d, _, _ in divs] == [d for d in range(1, n + 1) if n % d == 0]
+    for d, exps, _ in divs:
+        assert d == math.prod(p**a for p, a in zip(fact.primes, exps))
 
 
 @given(st.integers(min_value=2, max_value=20000))

@@ -1,5 +1,5 @@
-"""Smoke tests for the scripts under scripts/: each runs to completion on a
-small range and prints its header."""
+"""Smoke tests for the scripts under scripts/: each runs to completion (on a
+small range where it takes one) and prints its header."""
 
 import os
 import subprocess
@@ -16,6 +16,7 @@ SCRIPTS = [
         "       n      |V|    k      reduced       oracle    ratio",
     ),
     (["integral_census.py", "--min", "4", "--max", "60"], "composite n in [4, 60]"),
+    (["output_corpus.py"], "$ zdgspec survey 4 1500 --format csv"),
 ]
 
 

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zdgspec.divisor_graph import build_divisor_graph
 from zdgspec.errors import EmptyGraphError
 from zdgspec.numtheory import euler_phi, factorize, is_prime
-from zdgspec.zdg_explicit import (
-    ClassKind,
-    build_zero_divisor_graph,
-    class_partition,
-    degrees,
-    expected_vertex_count,
-    join_reconstruction,
-    verify_equitable,
-)
+from zdgspec.zdg_explicit import build_zero_divisor_graph, expected_vertex_count
+
+from helpers import class_names, degrees, expand_classes
 
 composite = st.integers(min_value=4, max_value=600).filter(lambda n: not is_prime(n))
 
@@ -39,7 +34,7 @@ def test_rejects_primes():
     with pytest.raises(EmptyGraphError):
         build_zero_divisor_graph(13)
     with pytest.raises(EmptyGraphError):
-        class_partition(3)
+        build_zero_divisor_graph(3)
 
 
 @given(composite)
@@ -61,59 +56,43 @@ def test_adjacency_matches_definition(n):
             assert bool(g.adjacency[i, j]) == expected
 
 
+def _class_members(n: int) -> list[tuple[int, ...]]:
+    oracle, cls, _ = expand_classes(n)
+    labels = np.array(oracle.vertex_labels)
+    return [tuple(labels[cls == i].tolist()) for i in range(cls.max() + 1)]
+
+
 def test_n18_class_structure():
-    part = class_partition(18)
-    by_divisor = {c.divisor: c for c in part.classes}
-    assert by_divisor[2].members == (2, 4, 8, 10, 14, 16)
-    assert by_divisor[3].members == (3, 15)
-    assert by_divisor[6].members == (6, 12)
-    assert by_divisor[9].members == (9,)
-    assert [c.graph_name for c in part.classes] == ["K̄_6", "K̄_2", "K_2", "K_1"]
+    assert _class_members(18) == [(2, 4, 8, 10, 14, 16), (3, 15), (6, 12), (9,)]
+    assert class_names(build_divisor_graph(18)) == ["K̄_6", "K̄_2", "K_2", "K_1"]
 
 
 def test_n12_class_sizes():
-    part = class_partition(12)
-    assert [c.size for c in part.classes] == [2, 2, 2, 1]
-    assert [c.size for c in part.classes] == [
-        euler_phi(12 // c.divisor) for c in part.classes
-    ]
+    sizes = [len(m) for m in _class_members(12)]
+    assert sizes == [2, 2, 2, 1]
+    assert sizes == [euler_phi(12 // d) for d in build_divisor_graph(12).vertices]
 
 
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_partition_invariants(n):
-    part = class_partition(n)
-    all_members: list[int] = []
-    for c in part.classes:
-        assert all(math.gcd(x, n) == c.divisor for x in c.members)
-        assert c.size == euler_phi(n // c.divisor)
-        assert (c.kind is ClassKind.COMPLETE) == ((c.divisor**2) % n == 0)
-        all_members.extend(c.members)
-    assert sorted(all_members) == [x for x in range(1, n) if math.gcd(x, n) > 1]
-
-
-@given(composite)
-@settings(max_examples=50, deadline=None)
-def test_equitable_partition(n):
-    g = build_zero_divisor_graph(n)
-    part = class_partition(n)
-    assert verify_equitable(g, part)
-
-
-def test_verify_equitable_rejects_mismatched_n():
-    g = build_zero_divisor_graph(12)
-    part = class_partition(18)
-    with pytest.raises(ValueError):
-        verify_equitable(g, part)
+    oracle, cls, _ = expand_classes(n)
+    g = build_divisor_graph(n)
+    labels = oracle.vertex_labels
+    assert labels == tuple(x for x in range(1, n) if math.gcd(x, n) > 1)
+    assert [g.vertices[i] for i in cls] == [math.gcd(x, n) for x in labels]
+    assert np.bincount(cls).tolist() == list(g.weights)
+    assert list(g.weights) == [euler_phi(n // d) for d in g.vertices]
 
 
 @given(composite)
 @settings(max_examples=40, deadline=None)
 def test_join_reconstruction_matches_oracle(n):
-    g = build_zero_divisor_graph(n)
-    rebuilt = join_reconstruction(n)
-    assert rebuilt.vertex_labels == g.vertex_labels
-    assert np.array_equal(rebuilt.adjacency, g.adjacency)
+    # the expansion is equitable, all-or-none between classes and a clique
+    # exactly where ``complete`` says, so equality shows all three of the
+    # oracle graph
+    oracle, _, expanded = expand_classes(n)
+    assert np.array_equal(expanded, oracle.adjacency)
 
 
 @given(composite)
