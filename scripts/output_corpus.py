@@ -8,9 +8,10 @@ for every composite n in [4, 3000]. The command list is `survey 4 1500`
 (CSV), `survey 4 300` (JSON), `verify 4 303`, `spectrum` and `analyze` of
 four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 `spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
-2, 6, 30, 210, and `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
+2, 6, 30, 210, `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
 8100243 (the last three each have a quotient value just above a class
-value).
+value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced)
+and `spectrum 15 --method closed-form` (the closed form of n = pq).
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -78,6 +79,8 @@ def commands(seed: int) -> list[list[str]]:
         primes = [p for p in range(-(-lo // b), hi // b + 1) if is_prime(p)]
         cmds += [["spectrum", str(b * p)] for p in sorted(rng.sample(primes, 2))]
     cmds += [["spectrum", str(n)] for n in FIXED_N]
+    cmds += [["spectrum", "36", "--method", "brute"]]
+    cmds += [["spectrum", "15", "--method", "closed-form"]]
     return cmds
 
 

@@ -21,12 +21,12 @@ from typing import TextIO
 
 from .analysis import AnalysisReport, analyze_assembly
 from .divisor_graph import build_divisor_graph, require_composite, weighted_laplacian
-from .eigen import SpectrumMultiset, max_deviation
+from .eigen import SpectrumMultiset, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
 from .join_spectrum import (
     brute_spectrum,
     check_oracle_cap,
-    prime_power_spectrum,
+    closed_form_spectrum,
     reduced_spectrum,
 )
 from .numtheory import factorize, is_prime
@@ -175,20 +175,23 @@ def _composites(n_min: int, n_max: int) -> list[int]:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     require_composite(args.n)
-    fact = factorize(args.n)
     method = args.method
     if method == "auto":
-        method = "closed-form" if fact.is_prime_power else "reduced"
-    if method == "closed-form" and not fact.is_prime_power:
-        print(f"closed form needs a prime power, {args.n} is not one", file=sys.stderr)
+        method = "closed-form" if factorize(args.n).is_prime_power else "reduced"
+    closed = closed_form_spectrum(args.n) if method == "closed-form" else None
+    if method == "closed-form" and closed is None:
+        print(
+            f"closed form needs a prime power p^t or a product pq of two "
+            f"distinct primes, {args.n} is neither",
+            file=sys.stderr,
+        )
         return EXIT_INVALID_N
     report, assembly = analyze_assembly(args.n)
-    if method == "closed-form":
-        ((p, t),) = fact.factors
-        spectrum = prime_power_spectrum(p, t)
+    if closed is not None:
+        spectrum = closed
         label = "closed_form"
     elif method == "brute":
-        spectrum = brute_spectrum(args.n, cap=args.cap)
+        spectrum = coalesce(brute_spectrum(args.n, cap=args.cap))
         label = "brute"
     else:
         spectrum = assembly.total
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "reduced", "brute", "closed-form"],
         default="auto",
-        help="auto picks the closed form for prime powers, reduced otherwise",
+        help="auto picks the closed form for prime powers, reduced otherwise; "
+        "closed-form also takes n = pq",
     )
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sp.add_argument("--cap", type=int, default=None, help="brute-force vertex cap")

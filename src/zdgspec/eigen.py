@@ -132,20 +132,19 @@ def _group_entry(total: float, count: int) -> SpectrumEntry:
     return SpectrumEntry(float(nearest), count, True)
 
 
-def max_deviation(a: SpectrumMultiset, b: SpectrumMultiset) -> float | None:
-    """Largest per-eigenvalue gap between two coalesced spectra.
+def max_deviation(spectrum: SpectrumMultiset, values: Sequence[float]) -> float | None:
+    """Largest absolute gap, eigenvalue by eigenvalue, between a spectrum
+    expanded by multiplicity and the ascending eigenvalues ``values``.
 
-    None when the (value, multiplicity) shapes disagree, i.e. different
-    entry counts or any multiplicity mismatch.
+    None when the expanded spectrum and ``values`` differ in length.
     """
-    if len(a.entries) != len(b.entries):
+    expanded = np.repeat(
+        [e.value for e in spectrum.entries], [e.multiplicity for e in spectrum.entries]
+    )
+    values = np.asarray(values, dtype=np.float64)
+    if expanded.shape != values.shape:
         return None
-    worst = 0.0
-    for ea, eb in zip(a.entries, b.entries):
-        if ea.multiplicity != eb.multiplicity:
-            return None
-        worst = max(worst, abs(ea.value - eb.value))
-    return worst
+    return float(np.abs(expanded - values).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +157,9 @@ def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    scale = np.abs(a).max()  # NaN or inf anywhere carries through to here
+    if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    scale = np.abs(a).max()
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     if not vectors:

@@ -13,14 +13,17 @@ proper-divisor quotient. The spectrum then splits into
   of which is 0, from one LAPACK call and coalesced once. A class integer
   joins one of their entries only when that entry is exact and equal to it.
 
-``brute_spectrum`` is the independent oracle: it builds the explicit graph,
-takes LAPACK eigenvalues of its Laplacian, and is capped because it scales
-with n rather than with the number of divisors.
+``brute_spectrum`` is the independent oracle: it builds the explicit graph
+and returns the LAPACK eigenvalues of its Laplacian, one per vertex and
+unmerged, so a check compares them eigenvalue by eigenvalue with the
+expanded reduced spectrum. It is capped because it scales with n rather
+than with the number of divisors.
 
 ``prime_power_spectrum`` is the third route: for n = p^t the entire
 spectrum in closed form, exact integers, no linear algebra at all.
-``exact_total_spectrum`` answers from it for p^t, and from K_(p-1,q-1) for
-n = pq, before it reaches for a characteristic polynomial.
+``closed_form_spectrum`` adds n = pq, whose graph is K_(p-1,q-1), and
+``exact_total_spectrum`` answers from it for both families before it
+reaches for a characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -153,8 +156,8 @@ def exact_total_spectrum(
 ) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
-    The two integral families come in closed form, with no polynomial:
-    n = p^t from ``prime_power_spectrum``, the paper's theorem, and n = pq,
+    The two integral families come in closed form, with no polynomial
+    (``closed_form_spectrum``): n = p^t, the paper's theorem, and n = pq,
     whose graph is the complete bipartite K_(p-1,q-1). For every other n,
     class values are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
@@ -176,14 +179,9 @@ def exact_total_spectrum(
     if assembly is not None and assembly.n != n:
         raise ValueError(f"assembly is for n={assembly.n}, not {n}")
     require_composite(n)
-    fact = factorize(n)
-    if fact.is_prime_power:
-        return prime_power_spectrum(*fact.factors[0])
-    if fact.is_product_of_two_distinct_primes:  # K_(p-1,q-1)
-        p, q = fact.primes
-        return SpectrumMultiset.from_pairs(
-            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)]
-        )
+    closed = closed_form_spectrum(n)
+    if closed is not None:
+        return closed
     if assembly is None:
         assembly = reduced_spectrum(n)
     values = assembly.quotient_values
@@ -223,6 +221,25 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
     return SpectrumMultiset.from_pairs(pairs)
 
 
+def closed_form_spectrum(n: int) -> SpectrumMultiset | None:
+    """Closed-form spectrum of a composite n = p^t or n = pq, None for any
+    other n.
+
+    p^t comes from ``prime_power_spectrum``. For p < q the graph of pq is
+    the complete bipartite K_(p-1,q-1): 0 once, p - 1 with multiplicity
+    q - 2, q - 1 with multiplicity p - 2, and p + q - 2 once.
+    """
+    fact = factorize(n)
+    if fact.is_prime_power:
+        return prime_power_spectrum(*fact.factors[0])
+    if fact.is_product_of_two_distinct_primes:
+        p, q = fact.primes
+        return SpectrumMultiset.from_pairs(
+            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)]
+        )
+    return None
+
+
 def check_oracle_cap(n: int, cap: int | None = None) -> None:
     """Refuse an explicit graph of n above the vertex cap.
 
@@ -237,13 +254,20 @@ def check_oracle_cap(n: int, cap: int | None = None) -> None:
         )
 
 
-def brute_spectrum(n: int, cap: int | None = None) -> SpectrumMultiset:
-    """Oracle spectrum from the explicit vertex-level graph, refused past
-    the vertex cap (see ``check_oracle_cap``)."""
+def brute_spectrum(n: int, cap: int | None = None) -> np.ndarray:
+    """Oracle eigenvalues of the explicit vertex-level graph's Laplacian, as
+    LAPACK returns them: an ascending float64 array of n - phi(n) - 1
+    values, never coalesced, so a defect in ``coalesce`` cannot hide on both
+    sides of a comparison. Refused past the vertex cap (see
+    ``check_oracle_cap``).
+
+    The Laplacian is one float array: 0 - A, which keeps +0.0 off the
+    edges, with the degrees written on its diagonal.
+    """
     require_composite(n)
     check_oracle_cap(n, cap)
-    g = build_zero_divisor_graph(n)
-    adj = g.adjacency.astype(np.float64)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return coalesce(symmetric_eigenvalues(lap))
+    adj = build_zero_divisor_graph(n).adjacency
+    lap = np.subtract(0.0, adj, dtype=np.float64)
+    lap.flat[:: len(lap) + 1] = adj.sum(axis=1)
+    return np.asarray(symmetric_eigenvalues(lap))
 

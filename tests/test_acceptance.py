@@ -67,7 +67,7 @@ def test_criterion_1_oracle_equivalence():
         dev = max_deviation(red, brute)
         tol = 1e-8 * max(1.0, red.max_value)
         if dev is None:
-            failures.append(f"n={n}: multiplicity shape mismatch")
+            failures.append(f"n={n}: size differs from {len(brute)} oracle values")
         elif dev > tol:
             failures.append(f"n={n}: deviation {dev:.3e} > {tol:.3e}")
         else:

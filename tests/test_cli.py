@@ -77,7 +77,19 @@ def test_spectrum_prime_rejected(capsys):
 def test_spectrum_closed_form_requires_prime_power(capsys):
     code, _, err = run(capsys, "spectrum", "12", "--method", "closed-form")
     assert code == 2
-    assert "prime power" in err
+    assert "prime power p^t" in err and "pq" in err
+
+
+def test_spectrum_closed_form_takes_pq(capsys):
+    code, out, _ = run(capsys, "spectrum", "15", "--method", "closed-form")
+    assert code == 0
+    closed = json.loads(out)
+    assert closed["method"] == "closed_form"
+    _, out, _ = run(capsys, "spectrum", "15", "--method", "reduced")
+    assert {**closed, "method": "reduced"} == json.loads(out)
+    # auto keeps the reduced path for pq
+    _, out, _ = run(capsys, "spectrum", "15")
+    assert json.loads(out)["method"] == "reduced"
 
 
 def test_spectrum_brute_method_and_cap(capsys):
@@ -178,6 +190,17 @@ def test_verify_small_range(capsys):
     assert code == 0
     assert out.strip().endswith("checked 19, passed 19, failed 0")
     assert out.count("PASS") == 19
+
+
+def test_verify_sees_a_snapping_defect(capsys, monkeypatch):
+    # a snap tolerance of 0.05 pulls quotient values onto integers they are
+    # not; compared with the oracle's raw eigenvalues, verify must fail
+    code, _, _ = run(capsys, "verify", "4", "100")
+    assert code == 0
+    monkeypatch.setattr(eigen, "INTEGER_SNAP_TOL", 0.05)
+    code, out, _ = run(capsys, "verify", "4", "100")
+    assert code == 1
+    assert "FAIL n=40 " in out
 
 
 def test_verify_empty_range(capsys):

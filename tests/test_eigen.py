@@ -16,6 +16,7 @@ from zdgspec.eigen import (
     char_poly_integer,
     coalesce,
     integer_roots_complete,
+    max_deviation,
     symmetric_eigenvalues,
 )
 from zdgspec.numtheory import is_prime
@@ -51,6 +52,10 @@ def test_rejects_nonsymmetric_and_bad_shape():
         symmetric_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.array([[np.inf]]))
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        symmetric_eigenvalues(np.array([[-np.inf, 0.0], [0.0, 1.0]]), vectors=True)
     with pytest.raises(ValueError):
         symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=True)
 
@@ -117,6 +122,15 @@ def test_coalesce_lists_each_exact_value_once():
     ms = coalesce([0.0, 5 - 5e-7, 5 + 5e-7])
     assert ms.pairs() == [(0.0, 1), (5.0, 2)]
     assert all(e.exact for e in ms.entries)
+
+
+def test_max_deviation_compares_each_eigenvalue():
+    ms = SpectrumMultiset.from_pairs([(0, 1), (2, 2)])
+    assert max_deviation(ms, [0.0, 2.0, 2.0]) == 0.0
+    # the mean of the pair is 2, but each value is 0.25 away from it
+    assert max_deviation(ms, np.array([1e-12, 1.75, 2.25])) == 0.25
+    assert max_deviation(ms, [0.0, 2.0]) is None
+    assert max_deviation(ms, [0.0, 2.0, 2.0, 2.0]) is None
 
 
 def test_merged_sorts_and_sums_exact_values_only():

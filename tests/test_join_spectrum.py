@@ -12,6 +12,7 @@ from zdgspec.eigen import (
     EXCLUSION_PRIME,
     SpectrumMultiset,
     char_poly_integer,
+    coalesce,
     integer_roots_complete,
     max_deviation,
 )
@@ -304,8 +305,21 @@ def test_prime_power_spectral_radius_is_order():
 
 
 def test_brute_fixtures():
-    assert brute_spectrum(8).pairs() == [(0.0, 1), (1.0, 1), (3.0, 1)]
-    assert brute_spectrum(9).pairs() == [(0.0, 1), (2.0, 1)]
+    raw = brute_spectrum(8)
+    assert isinstance(raw, np.ndarray) and raw.dtype == np.float64
+    assert raw.tolist() == pytest.approx([0.0, 1.0, 3.0], abs=1e-12)
+    assert coalesce(raw).pairs() == [(0.0, 1), (1.0, 1), (3.0, 1)]
+    assert coalesce(brute_spectrum(9)).pairs() == [(0.0, 1), (2.0, 1)]
+
+
+@pytest.mark.parametrize("n", [36, 100, 210])
+def test_brute_is_the_raw_laplacian_spectrum(n):
+    # the in-place Laplacian is the textbook D - A, bit for bit
+    adj = build_zero_divisor_graph(n).adjacency.astype(np.float64)
+    reference = np.linalg.eigvalsh(np.diag(adj.sum(axis=1)) - adj)
+    raw = brute_spectrum(n)
+    assert len(raw) == n - euler_phi(n) - 1
+    assert np.array_equal(raw, reference)
 
 
 def test_brute_cap_error_and_env_override(monkeypatch):
@@ -373,7 +387,7 @@ def test_exact_route_agrees_with_float_route(n):
     if exact is None:
         assert not total.is_integral
     else:
-        dev = max_deviation(exact, total)
+        dev = max_deviation(exact, expand(total))
         assert dev is not None and dev <= 1e-8 * max(1.0, total.max_value)
 
 

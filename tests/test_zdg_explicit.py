@@ -56,6 +56,21 @@ def test_adjacency_matches_definition(n):
             assert bool(g.adjacency[i, j]) == expected
 
 
+# (n - 1)^2 bounds every product, and the narrowest unsigned type holding it
+# is uint16 up to n = 256, uint32 from 258 (257 is prime) and uint64 at
+# 67591 = 257 * 263, whose 518 vertices are checked on every 17th row
+@pytest.mark.parametrize("n, step", [(256, 1), (258, 1), (67591, 17)])
+def test_adjacency_exact_in_every_product_type(n, step):
+    g = build_zero_divisor_graph(n)
+    labels = [x for x in range(2, n - 1) if math.gcd(x, n) > 1]
+    assert g.vertex_labels == tuple(labels)
+    assert all(type(x) is int for x in g.vertex_labels)
+    for i in range(0, len(labels), step):
+        x = labels[i]
+        row = [j != i and x * y % n == 0 for j, y in enumerate(labels)]
+        assert g.adjacency[i].tolist() == row
+
+
 def _class_members(n: int) -> list[tuple[int, ...]]:
     oracle, cls, _ = expand_classes(n)
     labels = np.array(oracle.vertex_labels)
