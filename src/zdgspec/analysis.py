@@ -15,9 +15,7 @@ there and for n = p^2, where the graph is complete and mu = kappa + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .divisor_graph import require_composite
 from .eigen import check_order
@@ -27,8 +25,7 @@ from .numtheory import factorize
 EXTREME_MATCH_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     n: int
     vertex_count: int
     mu: float | None
@@ -48,8 +45,11 @@ def degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
     """Least and greatest vertex degree; every vertex of a gcd class has
     the same degree, M + (w - 1) on a clique of w and M otherwise."""
     g = assembly.graph
-    degs = g.neighbor_weights + (np.asarray(g.weights) - 1) * g.complete
-    return int(degs.min()), int(degs.max())
+    degs = [
+        m + (w - 1) * c
+        for w, m, c in zip(g.weights, g.neighbor_weights.tolist(), g.complete.tolist())
+    ]
+    return min(degs), max(degs)
 
 
 def vertex_connectivity(n: int) -> int:

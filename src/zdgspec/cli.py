@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: spectrum, analyze, divisor-graph, graph, verify, survey.
-Exit codes: 0 ok, 1 verification failure, 2 invalid n, 3 oracle cap
-exceeded, 4 I/O error, 5 n too large (Z_n has more zero divisors than int64
-can count, or the exact characteristic polynomial of its quotient is past
-its envelope: 2048 proper divisors or more, or a coefficient bound above
-2^44497). ZDG_ORACLE_CAP overrides the brute-force vertex cap.
+Exit codes: 0 ok, 1 verification failure, 2 invalid n or argument (a prime
+or n < 4, a method that does not apply, an oracle cap that is not a
+positive integer), 3 oracle cap exceeded, 4 I/O error, 5 n too large (Z_n
+has more zero divisors than int64 can count, or the exact characteristic
+polynomial of its quotient is past its envelope: 2048 proper divisors or
+more, or a coefficient bound above 2^44497). ZDG_ORACLE_CAP overrides the
+brute-force vertex cap, and --cap overrides both; a command that builds
+explicit graphs reads its cap once, before the first n.
 
 Output is deliberately canonical: fixed JSON key order, floats at 12
 significant digits, exact integers without a decimal point, so records
@@ -15,6 +18,7 @@ diff cleanly and re-serializing a parsed record is byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from typing import TextIO
@@ -27,6 +31,7 @@ from .join_spectrum import (
     brute_spectrum,
     check_oracle_cap,
     closed_form_spectrum,
+    oracle_cap,
     reduced_spectrum,
 )
 from .numtheory import factorize, is_prime
@@ -70,14 +75,14 @@ def fmt_bool(b: bool) -> str:
 def _spectrum_json(spectrum: SpectrumMultiset) -> str:
     items = ",".join(
         '{"value":%s,"multiplicity":%d,"exact":%s}'
-        % (fmt_number(e.value), e.multiplicity, fmt_bool(e.exact))
-        for e in spectrum.entries
+        % (fmt_number(value), multiplicity, fmt_bool(exact))
+        for value, multiplicity, exact in spectrum.entries
     )
     return "[" + items + "]"
 
 
 def _spectrum_compact(spectrum: SpectrumMultiset) -> list[str]:
-    return [f"{fmt_number(e.value)}:{e.multiplicity}" for e in spectrum.entries]
+    return [f"{fmt_number(v)}:{m}" for v, m, _ in spectrum.entries]
 
 
 def record_json(
@@ -173,9 +178,28 @@ def _composites(n_min: int, n_max: int) -> list[int]:
     return [n for n in range(max(n_min, 4), n_max + 1) if not is_prime(n)]
 
 
+def _read_cap(flag: int | None) -> int | None:
+    """The explicit-graph vertex cap of one command: ``flag`` (``--cap``),
+    else ZDG_ORACLE_CAP, else the default. None, after one line on stderr,
+    when it is not a positive integer."""
+    try:
+        cap = oracle_cap() if flag is None else flag
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    if cap < 1:
+        print(f"--cap must be positive, got {cap}", file=sys.stderr)
+        return None
+    return cap
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     require_composite(args.n)
     method = args.method
+    if method == "brute":
+        cap = _read_cap(args.cap)
+        if cap is None:
+            return EXIT_INVALID_N
     if method == "auto":
         method = "closed-form" if factorize(args.n).is_prime_power else "reduced"
     closed = closed_form_spectrum(args.n) if method == "closed-form" else None
@@ -191,7 +215,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spectrum = closed
         label = "closed_form"
     elif method == "brute":
-        spectrum = coalesce(brute_spectrum(args.n, cap=args.cap))
+        spectrum = coalesce(brute_spectrum(args.n, cap=cap))
         label = "brute"
     else:
         spectrum = assembly.total
@@ -223,7 +247,10 @@ def cmd_divisor_graph(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     require_composite(args.n)
-    check_oracle_cap(args.n)
+    cap = _read_cap(None)
+    if cap is None:
+        return EXIT_INVALID_N
+    check_oracle_cap(args.n, cap)
     g = build_zero_divisor_graph(args.n)
     if args.edges:
         for a, b in g.edges():
@@ -239,11 +266,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         print(f"invalid range [{args.n_min}, {args.n_max}]", file=sys.stderr)
         return EXIT_INVALID_N
+    cap = _read_cap(args.cap)
+    if cap is None:
+        return EXIT_INVALID_N
 
     passed = failed = skipped = 0
     for n in _composites(args.n_min, args.n_max):
         try:
-            brute = brute_spectrum(n, cap=args.cap)
+            brute = brute_spectrum(n, cap=cap)
         except OracleCapError:
             skipped += 1
             print(f"SKIP n={n} (oracle cap)")
@@ -266,21 +296,21 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         print(f"invalid range [{args.n_min}, {args.n_max}]", file=sys.stderr)
         return EXIT_INVALID_N
-    rows = [analyze_assembly(n) for n in _composites(args.n_min, args.n_max)]
-    lines: list[str] = []
-    if args.format == "csv":
-        lines.append(CSV_HEADER)
-        for report, assembly in rows:
-            lines.append(record_csv(report, assembly.total))
-    else:
-        for report, assembly in rows:
-            lines.append(record_json(report, assembly.total, "reduced", True))
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    # each row is written as soon as it is computed, to a file opened before
+    # the first n; rows written before a refusal (exit 5) stay written
+    csv = args.format == "csv"
+    with contextlib.ExitStack() as stack:
+        out = sys.stdout
+        if args.out is not None:
+            out = stack.enter_context(open(args.out, "w"))
+        if csv:
+            out.write(CSV_HEADER + "\n")
+        for n in _composites(args.n_min, args.n_max):
+            report, assembly = analyze_assembly(n)
+            if csv:
+                out.write(record_csv(report, assembly.total) + "\n")
+            else:
+                out.write(record_json(report, assembly.total, "reduced", True) + "\n")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ All arrays use ascending divisor order so fixtures are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .numtheory import euler_phi, factorize, is_prime
 INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class WeightedDivisorGraph:
+class WeightedDivisorGraph(NamedTuple):
     n: int
     vertices: tuple[int, ...]
     weights: tuple[int, ...]
@@ -43,10 +42,16 @@ class WeightedDivisorGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as ascending (d_i, d_j) divisor pairs."""
-        return [
-            (self.vertices[i], self.vertices[j])
-            for i, j in np.argwhere(np.triu(self.adjacency))
-        ]
+        i, j = upper_edges(self.adjacency)
+        v = self.vertices
+        return [(v[a], v[b]) for a, b in zip(i.tolist(), j.tolist())]
+
+
+def upper_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices i < j of the edges, in row-major order."""
+    i, j = np.nonzero(adjacency)
+    upper = i < j
+    return i[upper], j[upper]
 
 
 def require_composite(n: int) -> None:
@@ -68,13 +73,13 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis
-    a = np.array(exps, dtype=np.int16).T.copy()  # (r, k)
-    e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None]
-    adj = (a[:, :, None] + a[:, None] >= e[:, None]).all(axis=0)
+    a = np.array([*zip(*exps)], dtype=np.int16)  # (r, k)
+    e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None, None]
+    adj = (a[:, :, None] + a[:, None] >= e).all(axis=0)
     # the diagonal 2a_i >= e says n | d_i^2; the class of d_i holds the
     # d_i u with u prime to n / d_i, so n | xy within it exactly then
     complete = adj.diagonal().copy()
-    np.fill_diagonal(adj, False)
+    adj.flat[:: len(divs) + 1] = False
     w = np.array(weights, dtype=np.int64)
     return WeightedDivisorGraph(n, divs, weights, adj, adj @ w, complete)
 
@@ -82,8 +87,8 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
     """Vertex-weighted Laplacian: -m_j off the diagonal on edges, neighbor
     weight sums on the diagonal. Integer entries, zero row sums."""
-    lap = -(g.adjacency * np.asarray(g.weights, dtype=np.int64))
-    np.fill_diagonal(lap, g.neighbor_weights)
+    lap = -(g.adjacency * np.array(g.weights, dtype=np.int64))
+    lap.flat[:: len(lap) + 1] = g.neighbor_weights
     return lap
 
 
@@ -95,7 +100,8 @@ def symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:
     The product m_i * m_j is rounded once to float64 before the root, as
     for the exact integer product while the weights stay below 2^53.
     """
-    w = np.asarray(g.weights, dtype=np.float64)
-    c = np.where(g.adjacency, -np.sqrt(np.multiply.outer(w, w)), 0.0)
-    np.fill_diagonal(c, g.neighbor_weights)
+    w = np.array(g.weights, dtype=np.float64)
+    root = np.sqrt(np.multiply.outer(w, w))
+    c = np.where(g.adjacency, np.negative(root, out=root), 0.0)
+    c.flat[:: len(w) + 1] = g.neighbor_weights
     return c

@@ -14,7 +14,10 @@ Two routes to a spectrum live here and check each other:
   powers taken in baby and giant steps: O(sqrt(k)) matrix products in all,
   each a float64 BLAS product that is exact because the primes stay below
   2^21, holding (s + g) k^2 float64 numbers for s baby and g giant steps,
-  s g >= k + 1. The lifted coefficients are Python ints. Given one prime as
+  s g >= k + 1. Each stack fills by doubling, one stacked product per
+  doubling, so the steps cost O(log k) numpy calls; Newton's identities add
+  each finished block of coefficients into the later sums with one int64
+  convolution. The lifted coefficients are Python ints. Given one prime as
   the modulus, the same two functions work in F_p[x] instead: the
   polynomial modulo that prime alone, and its deflation modulo it. A
   polynomial that does not split over the candidates modulo p cannot split
@@ -27,29 +30,28 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_COALESCE_TOL = 1e-8
 INTEGER_SNAP_TOL = 1e-6
 SYMMETRY_RTOL = 1e-12
+EPS = 2.0**-52  # np.finfo(np.float64).eps, the float64 machine epsilon
 
 
 # ---------------------------------------------------------------------------
 # spectra as multisets
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     value: float
     multiplicity: int
     exact: bool
 
 
-@dataclass(frozen=True)
-class SpectrumMultiset:
+class SpectrumMultiset(NamedTuple):
     """Eigenvalues with multiplicities, ascending, with exactness flags."""
 
     entries: tuple[SpectrumEntry, ...]
@@ -60,7 +62,7 @@ class SpectrumMultiset:
         entry, and an inexact entry never merges, so no exact value is
         listed twice and no float joins an integer."""
         out: list[SpectrumEntry] = []
-        for e in sorted(entries, key=lambda e: e.value):
+        for e in sorted(entries, key=itemgetter(0)):
             if e.exact and out and out[-1].exact and out[-1].value == e.value:
                 m = e.multiplicity + out.pop().multiplicity
                 e = SpectrumEntry(e.value, m, True)
@@ -75,7 +77,7 @@ class SpectrumMultiset:
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return sum(map(itemgetter(1), self.entries))
 
     def pairs(self) -> list[tuple[float, int]]:
         return [(e.value, e.multiplicity) for e in self.entries]
@@ -113,7 +115,9 @@ def coalesce(
     entries: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
     for value in sorted(map(float, values)):
-        if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):
+        # prev <= value, so max(|prev|, |value|) is max(-prev, value), and
+        # for tol >= 0 rounding keeps max(tol, tol * x) = tol * max(1, x)
+        if count and value - prev > tol * max(1.0, -prev, value):
             entries.append(_group_entry(total, count))
             total, count = 0.0, 0
         total += value
@@ -158,7 +162,7 @@ def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
     scale = np.abs(a).max()  # NaN or inf anywhere carries through to here
-    if not np.isfinite(scale):
+    if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
@@ -184,6 +188,13 @@ PRIME_BITS = 21
 MAX_ORDER = 2048
 MAX_BOUND_BITS = 44497
 TRACE_CHUNK = 1 << (53 - 2 * (PRIME_BITS - 1))
+# coefficients whose Newton terms are summed one by one in Python before a
+# convolution adds them into every later sum (see _newton_char_poly)
+NEWTON_BLOCK = 16
+# float64 numbers in the stacked product of one doubling step: at 256 KB the
+# step's _centre still finds the fresh powers in cache, and past it one power
+# at a time is faster (from k = 130 on, one BLAS thread)
+STEP_SPAN = 1 << 15
 # the largest prime below 2^PRIME_BITS, the first of _word_primes(); a
 # constant, so that a verdict settled modulo it never sieves the table
 EXCLUSION_PRIME = (1 << PRIME_BITS) - 9
@@ -206,17 +217,22 @@ def _divide_linear(
     return acc[:-1], acc[-1]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+_Polynomial = NamedTuple(
+    "_Polynomial", [("coefficients", tuple[int, ...]), ("modulus", int | None)]
+)
+
+
+class IntPolynomial(_Polynomial):
     """Monic polynomial, highest degree first: exact integer coefficients,
-    or residues in [0, modulus) when a modulus is given."""
+    or residues in [0, modulus) when a modulus is given. A subclass, since a
+    NamedTuple class body cannot check its fields in __new__."""
 
-    coefficients: tuple[int, ...]
-    modulus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[0] != 1:
+    def __new__(cls, coefficients: tuple[int, ...], modulus: int | None = None):
+        if not coefficients or coefficients[0] != 1:
             raise ValueError("polynomial must be monic")
+        return super().__new__(cls, coefficients, modulus)
 
     @property
     def degree(self) -> int:
@@ -273,35 +289,46 @@ def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
 
     Baby steps R, R^2, ..., R^s and giant steps I, R^s, ..., R^((g-1)s), with
     s = isqrt(k) + 1 and s g >= k + 1 (Paterson and Stockmeyer, SIAM J.
-    Comput. 2, 1973): O(sqrt(k)) float64 BLAS products of symmetric
-    residues, each exact since its sums stay below k 2^40 < 2^51, and
-    reduced by _centre. The giant steps are stored transposed, so that
-    tr(R^(is) R^j) = sum_ab (R^(is))^T_ab (R^j)_ab, and one product of the
-    flattened giant stack with the flattened baby stack gives every
-    tr(R^(is + j)). That product is summed over chunks of TRACE_CHUNK
-    entries of the k^2 axis, whose sums stay below 2^53, each reduced modulo
-    p before they are added; one chunk up to k = 90. The two stacks hold
-    (s + g) k^2 float64 numbers, about 3 GB at k = 2047.
+    Comput. 2, 1973), each stack filled by doubling: the c powers after the
+    first m known ones come from one stacked product of c <= m known powers
+    with the m-th, R^(m+j) = R^j R^m, and one _centre, so that O(log s)
+    numpy calls make the O(sqrt(k)) float64 BLAS products of symmetric
+    residues, each exact since its sums stay below k 2^40 < 2^51. A step
+    holds at most STEP_SPAN numbers, so from k = 129 on the powers come one
+    at a time, as the cache favours there. The giant
+    steps are stored transposed, so that tr(R^(is) R^j) =
+    sum_ab (R^(is))^T_ab (R^j)_ab, and one product of the flattened giant
+    stack with the flattened baby stack gives every tr(R^(is + j)). That
+    product is summed over chunks of TRACE_CHUNK entries of the k^2 axis,
+    whose sums stay below 2^53, each reduced modulo p before they are added;
+    one chunk up to k = 90. The two stacks hold (s + g) k^2 float64 numbers,
+    about 3 GB at k = 2047.
     """
     k = r.shape[0]
     s = math.isqrt(k) + 1
     g = -(-(k + 1) // s)
+    most = max(1, STEP_SPAN // (k * k))  # powers per doubling step
     baby = np.empty((s, k, k))
     baby[0] = r
     _centre(baby[0], p)
-    for j in range(1, s):
-        _centre(np.matmul(baby[j - 1], baby[0], out=baby[j]), p)
-    step = baby[-1].T
+    m = 1
+    while m < s:  # baby[j] = R^(j+1)
+        c = min(m, s - m, most)
+        _centre(np.matmul(baby[:c], baby[m - 1], out=baby[m : m + c]), p)
+        m += c
     giant = np.zeros((g, k, k))
     giant[0].flat[:: k + 1] = 1
-    giant[1:2] = step  # a slice, empty when k <= 1 and g = 1
-    for i in range(2, g):
-        _centre(np.matmul(step, giant[i - 1], out=giant[i]), p)
+    giant[1:2] = baby[-1].T  # a slice, empty when k <= 1 and g = 1
+    m = 2
+    while m < g:  # giant[i] = (R^(is))^T
+        c = min(m - 1, g - m, most)
+        _centre(np.matmul(giant[m - 1], giant[1 : 1 + c], out=giant[m : m + c]), p)
+        m += c
     flat_giant, flat_baby = giant.reshape(g, k * k), baby.reshape(s, k * k).T
-    sums = np.zeros((g, s), dtype=np.int64)
+    sums = 0
     for lo in range(0, k * k, TRACE_CHUNK):
         chunk = slice(lo, lo + TRACE_CHUNK)
-        sums += (flat_giant[:, chunk] @ flat_baby[chunk]).astype(np.int64) % p
+        sums = (sums + (flat_giant[:, chunk] @ flat_baby[chunk]).astype(np.int64)) % p
     return _newton_char_poly(sums.ravel().tolist()[: k + 1], p)
 
 
@@ -323,26 +350,46 @@ def _centre(y: np.ndarray, p: int) -> np.ndarray:
 
 def _newton_char_poly(sums: list[int], p: int) -> list[int]:
     """Ascending coefficients, length k + 1, of the monic polynomial modulo
-    the prime p > k whose roots have the power sums p_j = sums[j - 1].
+    the prime p > k whose roots have the power sums p_j = sums[j - 1], each
+    in [0, p).
 
     Newton's identities give the descending coefficients c_0 = 1, ...,
     c_k from m c_m = -(c_0 p_m + c_1 p_(m-1) + ... + c_(m-1) p_1), which
-    divides by m <= k < p. The last sum, p_(k+1), is not needed for them:
-    by Cayley-Hamilton c_0 p_(k+1) + ... + c_k p_1 = 0, and ArithmeticError
-    is raised when it does not hold.
+    divides by m <= k < p; the inverses of 1, ..., k come from
+    1/m = -(p // m) / (p % m). The last sum, p_(k+1), is not needed for
+    them: by Cayley-Hamilton c_0 p_(k+1) + ... + c_k p_1 = 0, and
+    ArithmeticError is raised when it does not hold. The coefficients are
+    found in blocks of NEWTON_BLOCK, the last one up to k: within a block the
+    terms of its own coefficients are summed in Python, and once it is done
+    its terms in every later sum are added at once, by one int64
+    convolution with the power sums, exact since each sum holds at most
+    k + 1 < 2^11 terms below p^2 < 2^42.
     """
     k = len(sums) - 1
+    inv = [0, 1]
+    for m in range(2, k + 1):
+        inv.append((p - p // m) * inv[p % m] % p)
     c = [1]
-    for m in range(1, k + 1):
-        c.append(-sum(map(mul, c, sums[m - 1 :: -1])) * pow(m, -1, p) % p)
-    if sum(map(mul, c, sums[::-1])) % p:
+    known = [0] * (k + 2)  # for each order, the terms of the blocks before lo
+    lo = 0
+    for hi in (*range(NEWTON_BLOCK, k - NEWTON_BLOCK + 1, NEWTON_BLOCK), k + 1):
+        block = c[lo:]
+        for m in range(len(c), hi):
+            t = known[m] + sum(map(mul, block, sums[m - lo - 1 :: -1]))
+            block.append(-t * inv[m] % p)
+        c[lo:] = block
+        if hi <= k:
+            tail = np.convolve(block, sums)[hi - lo - 1 : k - lo + 1]
+            known[hi:] = (tail + known[hi:]).tolist()
+            lo = hi
+    if (known[k + 1] + sum(map(mul, c[lo:], sums[k - lo :: -1]))) % p:
         raise ArithmeticError("power sums violate Cayley-Hamilton")
     return c[::-1]
 
 
 def _residues(a: np.ndarray, p: int) -> np.ndarray:
     """The entries of an integer ndarray modulo p, in [0, p), as int64."""
-    wide = np.uint64 if a.dtype == np.uint64 else np.int64
+    wide = np.uint64 if a.dtype.kind == "u" else np.int64
     return (a.astype(wide, copy=False) % wide(p)).astype(np.int64, copy=False)
 
 
@@ -381,7 +428,7 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     arr = np.asarray(m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError("expected integer entries")
     k = arr.shape[0]
     check_order(k)

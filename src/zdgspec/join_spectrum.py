@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +40,11 @@ from .divisor_graph import (
     build_divisor_graph,
     require_composite,
     symmetric_form,
+    upper_edges,
     weighted_laplacian,
 )
 from .eigen import (
+    EPS,
     EXCLUSION_PRIME,
     SpectrumEntry,
     SpectrumMultiset,
@@ -74,8 +77,7 @@ def oracle_cap() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SpectrumAssembly:
+class SpectrumAssembly(NamedTuple):
     """Reduced-path spectrum together with the pieces it was built from."""
 
     n: int
@@ -119,13 +121,13 @@ def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
     """
     c = symmetric_form(g)
     values, vectors = symmetric_eigenvalues(c, vectors=True)
-    eps = np.finfo(np.float64).eps
-    if len(values) < 2 or eps * np.linalg.norm(c) <= QUOTIENT_RTOL * values[1]:
+    flat = c.ravel()  # ||C||_F as np.linalg.norm takes it
+    if len(values) < 2 or EPS * math.sqrt(flat.dot(flat)) <= QUOTIENT_RTOL * values[1]:
         return values
-    w = np.asarray(g.weights, dtype=np.float64)
+    w = np.array(g.weights, dtype=np.float64)
     x = vectors / np.sqrt(w)[:, None]
-    i, j = np.nonzero(np.triu(g.adjacency))
-    num = ((w[i] * w[j])[:, None] * (x[i] - x[j]) ** 2).sum(axis=0)
+    i, j = upper_edges(g.adjacency)
+    num = (np.multiply.outer(w, w)[i, j, None] * (x[i] - x[j]) ** 2).sum(axis=0)
     den = (w[:, None] * x**2).sum(axis=0)
     return sorted((num / den).tolist())
 
@@ -141,7 +143,7 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
     quotient = coalesce(quotient_values)
-    classes = (SpectrumEntry(float(v), m, True) for v, m in class_pairs(g))
+    classes = [SpectrumEntry(float(v), m, True) for v, m in class_pairs(g)]
     return SpectrumAssembly(
         n=n,
         graph=g,
@@ -185,8 +187,8 @@ def exact_total_spectrum(
     if assembly is None:
         assembly = reduced_spectrum(n)
     values = assembly.quotient_values
-    norm = math.sqrt(sum(v * v for v in values))
-    rho = 1e3 * len(values) * np.finfo(np.float64).eps * norm
+    norm = math.sqrt(sum(map(mul, values, values)))
+    rho = 1e3 * len(values) * EPS * norm
     candidates = {
         r
         for v in values

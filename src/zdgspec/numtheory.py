@@ -7,12 +7,12 @@ deterministic trial division, which is plenty for the desk-scale moduli
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime-power decomposition of a positive integer.
 
     ``factors`` is ordered by increasing prime; n == 1 has an empty list.
@@ -41,7 +41,7 @@ class Factorization:
 
     @property
     def is_product_of_two_distinct_primes(self) -> bool:
-        return len(self.factors) == 2 and all(e == 1 for _, e in self.factors)
+        return len(self.factors) == 2 and self.factors[0][1] == self.factors[1][1] == 1
 
     def divisor_count(self) -> int:
         out = 1
@@ -54,9 +54,10 @@ class Factorization:
         vector over ``primes`` and phi(n / d) = prod (p^j - p^j // p), p^j || n / d."""
         out: list[tuple[int, tuple[int, ...], int]] = [(1, (), 1)]
         for p, e in self.factors:
-            steps = [(i, p**i, p ** (e - i) - p ** (e - i) // p) for i in range(e + 1)]
-            out = [(d * q, a + (i,), f * g) for d, a, f in out for i, q, g in steps]
-        return sorted(out)
+            steps = [((i,), p**i, p ** (e - i) - p ** (e - i) // p) for i in range(e + 1)]
+            out = [(d * q, a + i, f * g) for d, a, f in out for i, q, g in steps]
+        out.sort(key=itemgetter(0))  # the divisors are distinct
+        return out
 
 
 @lru_cache(maxsize=None)

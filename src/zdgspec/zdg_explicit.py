@@ -15,7 +15,7 @@ checks that the expansion equals this adjacency entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .divisor_graph import require_composite
 from .numtheory import euler_phi
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     vertex_labels: tuple[int, ...]
     adjacency: np.ndarray  # (z, z) bool, symmetric, false diagonal
 

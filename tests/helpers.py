@@ -1,10 +1,21 @@
-"""Views of spectra, graphs and assemblies that only the tests read."""
+"""Views of spectra, graphs and assemblies that only the tests read, and
+reference copies of rewritten bodies."""
+
+import math
+from operator import mul
 
 import numpy as np
 
+from zdgspec import eigen
 from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
-from zdgspec.eigen import SpectrumMultiset
-from zdgspec.join_spectrum import SpectrumAssembly
+from zdgspec.eigen import (
+    DEFAULT_COALESCE_TOL,
+    INTEGER_SNAP_TOL,
+    SpectrumEntry,
+    SpectrumMultiset,
+)
+from zdgspec.join_spectrum import QUOTIENT_RTOL, SpectrumAssembly
+from zdgspec.numtheory import factorize
 from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
 
 
@@ -71,3 +82,133 @@ def edge_count_doubled(assembly: SpectrumAssembly) -> int:
     """Sum of all vertex degrees, i.e. twice the edge count."""
     g = assembly.graph
     return sum(w * d for w, d in zip(g.weights, class_degrees(g)))
+
+
+# ---------------------------------------------------------------------------
+# reference copies: the straightforward bodies that faster ones replaced,
+# kept so that tests can require bit-for-bit equal results from the shipped
+# versions
+
+
+def reference_divisors_with_exponents(n: int) -> list[tuple[int, tuple[int, ...], int]]:
+    out: list[tuple[int, tuple[int, ...], int]] = [(1, (), 1)]
+    for p, e in factorize(n).factors:
+        steps = [(i, p**i, p ** (e - i) - p ** (e - i) // p) for i in range(e + 1)]
+        out = [(d * q, a + (i,), f * g) for d, a, f in out for i, q, g in steps]
+    return sorted(out)
+
+
+def reference_build_divisor_graph(n: int) -> WeightedDivisorGraph:
+    fact = factorize(n)
+    divs, exps, weights = zip(*reference_divisors_with_exponents(n)[1:-1])
+    a = np.array(exps, dtype=np.int16).T.copy()  # (r, k)
+    e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None]
+    adj = (a[:, :, None] + a[:, None] >= e[:, None]).all(axis=0)
+    complete = adj.diagonal().copy()
+    np.fill_diagonal(adj, False)
+    w = np.array(weights, dtype=np.int64)
+    return WeightedDivisorGraph(n, divs, weights, adj, adj @ w, complete)
+
+
+def reference_weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
+    lap = -(g.adjacency * np.asarray(g.weights, dtype=np.int64))
+    np.fill_diagonal(lap, g.neighbor_weights)
+    return lap
+
+
+def reference_symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:
+    w = np.asarray(g.weights, dtype=np.float64)
+    c = np.where(g.adjacency, -np.sqrt(np.multiply.outer(w, w)), 0.0)
+    np.fill_diagonal(c, g.neighbor_weights)
+    return c
+
+
+def reference_quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
+    """The quotient eigenvalues, with the Rayleigh refinement of graded
+    quotients, upper edges taken from np.triu."""
+    c = reference_symmetric_form(g)
+    values, vectors = np.linalg.eigh(c)
+    values = values.tolist()
+    eps = np.finfo(np.float64).eps
+    if len(values) < 2 or eps * np.linalg.norm(c) <= QUOTIENT_RTOL * values[1]:
+        return values
+    w = np.asarray(g.weights, dtype=np.float64)
+    x = vectors / np.sqrt(w)[:, None]
+    i, j = np.nonzero(np.triu(g.adjacency))
+    num = ((w[i] * w[j])[:, None] * (x[i] - x[j]) ** 2).sum(axis=0)
+    den = (w[:, None] * x**2).sum(axis=0)
+    return sorted((num / den).tolist())
+
+
+def reference_merged(entries) -> SpectrumMultiset:
+    out: list[SpectrumEntry] = []
+    for e in sorted(entries, key=lambda e: e.value):
+        if e.exact and out and out[-1].exact and out[-1].value == e.value:
+            m = e.multiplicity + out.pop().multiplicity
+            e = SpectrumEntry(e.value, m, True)
+        out.append(e)
+    return SpectrumMultiset(tuple(out))
+
+
+def reference_coalesce(values, tol: float = DEFAULT_COALESCE_TOL) -> SpectrumMultiset:
+    def group_entry(total: float, count: int) -> SpectrumEntry:
+        mean = total / count
+        nearest = round(mean)
+        if abs(mean - nearest) > INTEGER_SNAP_TOL:
+            return SpectrumEntry(mean, count, False)
+        return SpectrumEntry(float(nearest), count, True)
+
+    entries: list[SpectrumEntry] = []
+    total, count, prev = 0.0, 0, 0.0
+    for value in sorted(map(float, values)):
+        if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):
+            entries.append(group_entry(total, count))
+            total, count = 0.0, 0
+        total += value
+        count += 1
+        prev = value
+    if count:
+        entries.append(group_entry(total, count))
+    return reference_merged(entries)
+
+
+def reference_degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
+    g = assembly.graph
+    degs = g.neighbor_weights + (np.asarray(g.weights) - 1) * g.complete
+    return int(degs.min()), int(degs.max())
+
+
+def reference_newton_char_poly(sums: list[int], p: int) -> list[int]:
+    """Newton's identities one coefficient at a time, every term in Python."""
+    k = len(sums) - 1
+    c = [1]
+    for m in range(1, k + 1):
+        c.append(-sum(map(mul, c, sums[m - 1 :: -1])) * pow(m, -1, p) % p)
+    if sum(map(mul, c, sums[::-1])) % p:
+        raise ArithmeticError("power sums violate Cayley-Hamilton")
+    return c[::-1]
+
+
+def reference_char_poly_mod(r: np.ndarray, p: int) -> list[int]:
+    """The power-sum kernel with its baby and giant steps taken one product
+    at a time."""
+    k = r.shape[0]
+    s = math.isqrt(k) + 1
+    g = -(-(k + 1) // s)
+    baby = np.empty((s, k, k))
+    baby[0] = r
+    eigen._centre(baby[0], p)
+    for j in range(1, s):
+        eigen._centre(np.matmul(baby[j - 1], baby[0], out=baby[j]), p)
+    step = baby[-1].T
+    giant = np.zeros((g, k, k))
+    giant[0].flat[:: k + 1] = 1
+    giant[1:2] = step
+    for i in range(2, g):
+        eigen._centre(np.matmul(step, giant[i - 1], out=giant[i]), p)
+    flat_giant, flat_baby = giant.reshape(g, k * k), baby.reshape(s, k * k).T
+    sums = np.zeros((g, s), dtype=np.int64)
+    for lo in range(0, k * k, eigen.TRACE_CHUNK):
+        chunk = slice(lo, lo + eigen.TRACE_CHUNK)
+        sums += (flat_giant[:, chunk] @ flat_baby[chunk]).astype(np.int64) % p
+    return reference_newton_char_poly(sums.ravel().tolist()[: k + 1], p)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+import zdgspec.cli
 import zdgspec.join_spectrum
 from zdgspec import eigen
-from zdgspec.cli import build_parser, main
+from zdgspec.cli import CSV_HEADER, build_parser, main
 
 EXPECTED_15 = (
     '{"n":15,"vertex_count":6,'
@@ -222,6 +223,50 @@ def test_verify_cap_skips(capsys):
     assert "skipped" in out
 
 
+CAP_COMMANDS = [
+    ("verify", "4", "20"),
+    ("graph", "12"),
+    ("spectrum", "12", "--method", "brute"),
+]
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+@pytest.mark.parametrize("argv", CAP_COMMANDS)
+def test_malformed_oracle_cap_exits_2(capsys, monkeypatch, raw, argv):
+    monkeypatch.setenv("ZDG_ORACLE_CAP", raw)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "ZDG_ORACLE_CAP" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [a for a in CAP_COMMANDS if a[0] != "graph"])
+def test_cap_below_one_exits_2(capsys, cap, argv):
+    # a cap of 0 used to skip every n and pass with nothing checked
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--cap" in err
+
+
+def test_oracle_cap_read_once_per_command(capsys, monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return 1200
+
+    def per_n():
+        raise AssertionError("the cap was read again for one n")
+
+    monkeypatch.setattr(zdgspec.cli, "oracle_cap", counted)
+    monkeypatch.setattr(zdgspec.join_spectrum, "oracle_cap", per_n)
+    code, out, _ = run(capsys, "verify", "4", "40")
+    assert code == 0 and "passed 27" in out
+    assert len(reads) == 1
+
+
 # ---------------------------------------------------------------------------
 # survey
 
@@ -259,10 +304,38 @@ def test_survey_out_file(tmp_path, capsys):
     assert target.read_text().count("\n") == 7  # header + 6 composites
 
 
-def test_survey_unwritable_path(capsys):
+def test_survey_unwritable_path(capsys, monkeypatch):
+    # the output is opened before the first n, so nothing is computed
+    def no_work(n):
+        raise AssertionError(f"n = {n} analysed for an output that cannot open")
+
+    monkeypatch.setattr(zdgspec.cli, "analyze_assembly", no_work)
     code, _, err = run(capsys, "survey", "4", "12", "--out", "/no-such-dir/rows.csv")
     assert code == 4
     assert err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_survey_rows_before_a_refusal_stay_written(
+    capsys, monkeypatch, tmp_path, to_file
+):
+    analyze_assembly = zdgspec.cli.analyze_assembly
+    seen = []
+
+    def refuse_second(n):
+        seen.append(n)
+        if len(seen) == 2:
+            raise OverflowError(f"n = {n} refused")
+        return analyze_assembly(n)
+
+    monkeypatch.setattr(zdgspec.cli, "analyze_assembly", refuse_second)
+    target = tmp_path / "rows.csv"
+    out_args = ("--out", str(target)) if to_file else ()
+    code, out, err = run(capsys, "survey", "4", "12", *out_args)
+    assert code == 5
+    assert err == "n = 6 refused\n"
+    written = target.read_text() if to_file else out
+    assert written == CSV_HEADER + "\n4,1,,0,0,0,0,true,false,false,false,0:1\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "survey"])

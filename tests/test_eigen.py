@@ -497,6 +497,10 @@ def sign_coherent(k: int) -> tuple[np.ndarray, int]:
     return np.full((k, k), pow(k, -1, q)), q
 
 
+def seeded_residues(k: int, q: int) -> np.ndarray:
+    return np.random.default_rng(k).integers(0, q, size=(k, k))
+
+
 def symmetric_residues(k: int, q: int) -> np.ndarray:
     """Random symmetric residues modulo q. Every power of R is symmetric, so
     the trace product's tr(R^s R^s) sums k^2 squares, of mean about
@@ -515,6 +519,8 @@ def symmetric_residues(k: int, q: int) -> np.ndarray:
 @example(*sign_coherent(90))
 @example(*sign_coherent(91))
 @example(symmetric_residues(160, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
+@example(seeded_residues(9, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
+@example(seeded_residues(30, eigen.EXCLUSION_PRIME), eigen.EXCLUSION_PRIME)
 @settings(max_examples=150, deadline=None)
 def test_power_sum_kernel_matches_hessenberg(m, q):
     # the power sums give the polynomial of the Hessenberg reference for
@@ -522,7 +528,12 @@ def test_power_sum_kernel_matches_hessenberg(m, q):
     # examples push the float64 products to the bound at k = 90, one chunk,
     # and at k = 91, two: every residue of every power at the largest
     # symmetric residue, and every sum of one chunk near 2^53; and at
-    # k = 160 a trace product that only its chunks keep exact
+    # k = 160 a trace product that only its chunks keep exact. The stacks
+    # fill by doubling: at k = 9 (s = 4 baby and g = 3 giant steps) every
+    # doubling is whole; at k = 30 (s = g = 6) the last baby doubling makes
+    # 2 of 4 powers and the last giant one 1 of 4; at k = 90 and 91 the
+    # last doublings are partial too, and at k = 160 STEP_SPAN makes every
+    # step one power
     r = m % q
     assert eigen._char_poly_mod(r, q) == hessenberg_char_poly(hessenberg(r, q), q)
 
@@ -568,6 +579,25 @@ def test_power_sums_check_cayley_hamilton():
     expected = [c % q for c in char_poly_integer(m).coefficients[::-1]]
     assert eigen._newton_char_poly(sums, q) == expected
     for j in range(6):
+        wrong = sums.copy()
+        wrong[j] = (wrong[j] + 1) % q
+        with pytest.raises(ArithmeticError):
+            eigen._newton_char_poly(wrong, q)
+
+
+@pytest.mark.parametrize("k", [eigen.NEWTON_BLOCK - 1, 40, 3 * eigen.NEWTON_BLOCK + 2])
+def test_newton_blocks_match_hessenberg(k):
+    # orders that fit one block of Newton's identities, that add one block
+    # into the later sums, and that add two; any power sum off by 1,
+    # p_(k+1) included, breaks Cayley-Hamilton
+    q = eigen.EXCLUSION_PRIME
+    r = seeded_residues(k, q)
+    power, sums = np.eye(k, dtype=object), []
+    for _ in range(k + 1):
+        power = power.dot(r.astype(object)) % q
+        sums.append(int(np.trace(power)) % q)
+    assert eigen._newton_char_poly(sums, q) == hessenberg_char_poly(hessenberg(r, q), q)
+    for j in (0, k // 2, k):
         wrong = sums.copy()
         wrong[j] = (wrong[j] + 1) % q
         with pytest.raises(ArithmeticError):

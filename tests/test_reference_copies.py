@@ -1,0 +1,111 @@
+"""The shipped per-n stages against the reference copies in helpers.
+
+Each stage must give bit-for-bit the result of its reference copy: every
+array with the same dtype, shape and bytes, every float with the same bits,
+and every multiplicity and exactness flag, on every composite n in
+[4, 2000] and on every n <= 10^4 with 28, 30, 34, 38 or 46 proper divisors.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from zdgspec import eigen
+from zdgspec.analysis import degree_extremes
+from zdgspec.divisor_graph import build_divisor_graph, symmetric_form, weighted_laplacian
+from zdgspec.eigen import SpectrumEntry, coalesce
+from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_spectrum
+from zdgspec.numtheory import is_prime
+
+from helpers import (
+    reference_build_divisor_graph,
+    reference_char_poly_mod,
+    reference_coalesce,
+    reference_degree_extremes,
+    reference_merged,
+    reference_quotient_eigenvalues,
+    reference_symmetric_form,
+    reference_weighted_laplacian,
+)
+
+DENSE_MAX = 10**4
+DENSE_K = (28, 30, 34, 38, 46)
+
+
+def _dense_pool() -> list[int]:
+    counts = [0] * (DENSE_MAX + 1)
+    for d in range(1, DENSE_MAX + 1):
+        for m in range(d, DENSE_MAX + 1, d):
+            counts[m] += 1
+    return [n for n in range(4, DENSE_MAX + 1) if counts[n] - 2 in DENSE_K]
+
+
+NS = [n for n in range(4, 2001) if not is_prime(n)] + _dense_pool()
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _entries(spectrum) -> list[tuple[str, int, bool]]:
+    return [(e.value.hex(), e.multiplicity, e.exact) for e in spectrum.entries]
+
+
+def test_dense_pool_covers_every_order():
+    assert {len(build_divisor_graph(n).vertices) for n in _dense_pool()} == set(DENSE_K)
+
+
+def test_divisor_graph_and_matrices_match_reference():
+    for n in NS:
+        g, ref = build_divisor_graph(n), reference_build_divisor_graph(n)
+        assert (g.n, g.vertices, g.weights) == (ref.n, ref.vertices, ref.weights), n
+        for field in ("adjacency", "neighbor_weights", "complete"):
+            assert _same_array(getattr(g, field), getattr(ref, field)), (n, field)
+        assert _same_array(symmetric_form(g), reference_symmetric_form(ref)), n
+        assert _same_array(weighted_laplacian(g), reference_weighted_laplacian(ref)), n
+        assert g.edges() == [
+            (g.vertices[i], g.vertices[j]) for i, j in np.argwhere(np.triu(g.adjacency))
+        ], n
+
+
+def test_quotient_eigenvalues_and_spectra_match_reference():
+    for n in NS:
+        g = build_divisor_graph(n)
+        values = _quotient_eigenvalues(g)
+        assert _bits(values) == _bits(reference_quotient_eigenvalues(g)), n
+        assembly = reduced_spectrum(n)
+        quotient = reference_coalesce(values)
+        assert _entries(assembly.quotient) == _entries(quotient), n
+        classes = [SpectrumEntry(float(v), m, True) for v, m in class_pairs(g)]
+        total = reference_merged([*quotient.entries, *classes])
+        assert _entries(assembly.total) == _entries(total), n
+        assert degree_extremes(assembly) == reference_degree_extremes(assembly), n
+
+
+def test_kernel_matches_reference():
+    q = eigen.EXCLUSION_PRIME
+    for n in NS:
+        r = eigen._residues(weighted_laplacian(build_divisor_graph(n)), q)
+        assert eigen._char_poly_mod(r, q) == reference_char_poly_mod(r, q), n
+
+
+def _chained(values: list[float], steps: list[float]) -> list[float]:
+    # runs of values whose relative gaps sit at the coalescing tolerance
+    out = []
+    for v, s in zip(values, steps):
+        out += [v, v * (1 + s), v * (1 + 2 * s)]
+    return out
+
+
+@given(
+    st.lists(st.floats(min_value=-1e9, max_value=1e9), max_size=12),
+    st.lists(st.sampled_from([0.0, 5e-9, 1e-8, 1.5e-8, 1e-7, 5e-7]), max_size=12),
+    st.sampled_from([eigen.DEFAULT_COALESCE_TOL, 0.0, 1e-6]),
+)
+@settings(max_examples=300, deadline=None)
+def test_coalesce_matches_reference(values, steps, tol):
+    for vals in (values, _chained(values, steps), [-0.0, 0.0, *values]):
+        assert _entries(coalesce(vals, tol)) == _entries(reference_coalesce(vals, tol))
