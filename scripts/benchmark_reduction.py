@@ -64,7 +64,7 @@ def main() -> int:
         t_red, assembly = time_once(reduced_spectrum, n)
         k = len(assembly.graph.vertices)
         if z <= args.oracle_cap:
-            t_brute, _ = time_once(brute_spectrum, n)
+            t_brute, _ = time_once(brute_spectrum, n, args.oracle_cap)
             ratio = t_brute / t_red if t_red > 0 else float("inf")
             print(
                 f"{n:>8} {z:>8} {k:>4} {t_red * 1e3:>10.2f}ms"

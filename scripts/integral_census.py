@@ -16,6 +16,8 @@ from collections import Counter
 from zdgspec.join_spectrum import exact_total_spectrum
 from zdgspec.numtheory import factorize, is_prime
 
+GUARANTEED = ("p^t", "pq")
+
 
 def shape(n: int) -> str:
     fact = factorize(n)
@@ -39,15 +41,17 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    # the spectra of the guaranteed families are kept only to be shown
     integral = []
     tally: Counter[tuple[str, bool]] = Counter()
     for n in range(args.n_min, args.n_max + 1):
         if is_prime(n):
             continue
         exact = exact_total_spectrum(n)
-        tally[(shape(n), exact is not None)] += 1
-        if exact is not None:
-            integral.append((n, exact))
+        label = shape(n)
+        tally[(label, exact is not None)] += 1
+        if exact is not None and (args.show_spectra or label not in GUARANTEED):
+            integral.append((n, label, exact))
 
     print(f"composite n in [{args.n_min}, {args.n_max}]")
     print(f"{'shape':>10} {'integral':>9} {'not':>6}")
@@ -57,9 +61,7 @@ def main() -> int:
         if yes or no:
             print(f"{label:>10} {yes:>9} {no:>6}")
 
-    exceptional = [
-        (n, s) for n, s in integral if shape(n) not in ("p^t", "pq")
-    ]
+    exceptional = [(n, s) for n, label, s in integral if label not in GUARANTEED]
     print(f"\nintegral outside the two guaranteed families: "
           f"{len(exceptional)}")
     for n, spectrum in exceptional:
@@ -69,9 +71,9 @@ def main() -> int:
         )
         print(f"  n={n}: {pairs}")
     if args.show_spectra:
-        for n, spectrum in integral:
+        for n, label, spectrum in integral:
             pairs = "; ".join(f"{int(v)}:{m}" for v, m in spectrum.pairs())
-            print(f"n={n} [{shape(n)}] {pairs}")
+            print(f"n={n} [{label}] {pairs}")
     return 0
 
 

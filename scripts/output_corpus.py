@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Canonical-output corpus: everything a change to the exact or the float
-route must leave byte-identical.
+route, or to the order of the checks on n, must leave byte-identical.
 
 Prints, for a fixed list of CLI commands run in process, the command, its
-stdout and its exit code; then `exact_total_spectrum(n).pairs()` (or None)
+stdout, its stderr (each line prefixed with "stderr: ") and its exit code;
+then `exact_total_spectrum(n).pairs()` (or None)
 for every composite n in [4, 3000]. The command list is `survey 4 1500`
 (CSV), `survey 4 300` (JSON), `verify 4 303`, `spectrum` and `analyze` of
 four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 `spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
 2, 6, 30, 210, `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
 8100243 (the last three each have a quotient value just above a class
-value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced)
-and `spectrum 15 --method closed-form` (the closed form of n = pq).
+value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced),
+`spectrum 15 --method closed-form` (the closed form of n = pq),
+`divisor-graph 18` and `graph 12 --edges`, and the refusals `spectrum 13`
+and `analyze 1` (exit 2), `spectrum 36893488147419103232` (2^65, more
+zero divisors than int64 counts) and `analyze 6983776800` (2302 proper
+divisors, past the exact char-poly's order), each exit 5.
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -81,14 +86,17 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["spectrum", str(n)] for n in FIXED_N]
     cmds += [["spectrum", "36", "--method", "brute"]]
     cmds += [["spectrum", "15", "--method", "closed-form"]]
+    cmds += [["divisor-graph", "18"], ["graph", "12", "--edges"]]
+    cmds += [["spectrum", "13"], ["analyze", "1"]]
+    cmds += [["spectrum", str(2**65)], ["analyze", "6983776800"]]
     return cmds
 
 
-def run(argv: list[str]) -> tuple[str, int]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def run(argv: list[str]) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
-    return out.getvalue(), code
+    return out.getvalue(), err.getvalue(), code
 
 
 def main() -> int:
@@ -96,9 +104,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the drawn n")
     args = parser.parse_args()
     for argv in commands(args.seed):
-        text, code = run(argv)
+        text, err, code = run(argv)
         print("$ zdgspec " + " ".join(argv))
         print(text, end="")
+        for line in err.splitlines():
+            print("stderr: " + line)
         print(f"exit {code}")
     lo, hi = EXACT_RANGE
     for n in range(lo, hi + 1):

@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .divisor_graph import require_composite
 from .eigen import check_order
 from .join_spectrum import SpectrumAssembly, exact_total_spectrum, reduced_spectrum
-from .numtheory import factorize
 
 EXTREME_MATCH_RTOL = 1e-8
 
@@ -54,8 +53,7 @@ def degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
 
 def vertex_connectivity(n: int) -> int:
     """Closed form: p - 1 in general, p - 2 for n = p^2 (complete graph)."""
-    require_composite(n)
-    fact = factorize(n)
+    fact = require_composite(n)
     p = fact.smallest_prime
     if len(fact.factors) == 1 and fact.factors[0][1] == 2:
         return p - 2
@@ -65,8 +63,7 @@ def vertex_connectivity(n: int) -> int:
 def complement_disconnected(n: int) -> bool:
     """The complement of the zero-divisor graph is disconnected exactly for
     n = p*q with distinct primes and for prime powers other than 4."""
-    require_composite(n)
-    fact = factorize(n)
+    fact = require_composite(n)
     if fact.is_product_of_two_distinct_primes:
         return True
     return fact.is_prime_power and n != 4
@@ -79,8 +76,7 @@ def mu_equals_kappa(n: int) -> bool:
     For n = p^2 the graph is complete, where mu = kappa + 1; for n = 4 mu
     is undefined on the single vertex. Both report False.
     """
-    require_composite(n)
-    fact = factorize(n)
+    fact = require_composite(n)
     if fact.is_product_of_two_distinct_primes:
         return True
     return fact.is_prime_power and fact.factors[0][1] >= 3
@@ -125,8 +121,7 @@ def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
     characteristic polynomial's envelope; the order is read off the
     factorization, before anything of size k is built.
     """
-    require_composite(n)
-    check_order(factorize(n).divisor_count() - 2)
+    check_order(require_composite(n).divisor_count() - 2)
     assembly = reduced_spectrum(n)
     delta_min, Delta_max = degree_extremes(assembly)
     mu_ok, lam_ok = _quotient_extremes(assembly)

@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from collections.abc import Iterator
 from typing import TextIO
 
 from .analysis import AnalysisReport, analyze_assembly
@@ -34,7 +35,7 @@ from .join_spectrum import (
     oracle_cap,
     reduced_spectrum,
 )
-from .numtheory import factorize, is_prime
+from .numtheory import is_prime
 from .zdg_explicit import build_zero_divisor_graph
 
 EXIT_OK = 0
@@ -174,8 +175,10 @@ def emit_record(
 # subcommands
 
 
-def _composites(n_min: int, n_max: int) -> list[int]:
-    return [n for n in range(max(n_min, 4), n_max + 1) if not is_prime(n)]
+def _composites(n_min: int, n_max: int) -> Iterator[int]:
+    """The composites in [n_min, n_max], each tested just before its turn,
+    so that its factorization is still cached when it is analyzed."""
+    return (n for n in range(max(n_min, 4), n_max + 1) if not is_prime(n))
 
 
 def _read_cap(flag: int | None) -> int | None:
@@ -194,14 +197,14 @@ def _read_cap(flag: int | None) -> int | None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    require_composite(args.n)
+    fact = require_composite(args.n)
     method = args.method
     if method == "brute":
         cap = _read_cap(args.cap)
         if cap is None:
             return EXIT_INVALID_N
     if method == "auto":
-        method = "closed-form" if factorize(args.n).is_prime_power else "reduced"
+        method = "closed-form" if fact.is_prime_power else "reduced"
     closed = closed_form_spectrum(args.n) if method == "closed-form" else None
     if method == "closed-form" and closed is None:
         print(

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyGraphError
-from .numtheory import euler_phi, factorize, is_prime
+from .numtheory import Factorization, factorize
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -54,9 +54,13 @@ def upper_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i[upper], j[upper]
 
 
-def require_composite(n: int) -> None:
-    if n < 4 or is_prime(n):
+def require_composite(n: int) -> Factorization:
+    """The factorization of n, once n is known to be composite: every entry
+    point validates n with it and reads n's shape off what it returns.
+    EmptyGraphError for a prime, and for n < 4 without factoring it."""
+    if n < 4 or (fact := factorize(n)).is_prime:
         raise EmptyGraphError(f"Z_{n} has no zero divisors")
+    return fact
 
 
 def build_divisor_graph(n: int) -> WeightedDivisorGraph:
@@ -66,10 +70,11 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     n - phi(n) - 1, which must fit in int64, the integer type of the
     quotient matrices.
     """
-    require_composite(n)
-    if n - euler_phi(n) - 1 > INT64_MAX:
+    fact = require_composite(n)
+    # from the factorization, before the divisors are enumerated: past 2^64
+    # a product of many small primes has millions of them
+    if n - fact.phi - 1 > INT64_MAX:
         raise OverflowError(f"Z_{n} has more zero divisors than int64 can count")
-    fact = factorize(n)
     divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis

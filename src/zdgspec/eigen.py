@@ -35,6 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numtheory import is_prime
+
 DEFAULT_COALESCE_TOL = 1e-8
 INTEGER_SNAP_TOL = 1e-6
 SYMMETRY_RTOL = 1e-12
@@ -94,10 +96,6 @@ class SpectrumMultiset(NamedTuple):
         if first.multiplicity >= 2:
             return first.value
         return self.entries[1].value
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.exact for e in self.entries)
 
 
 def coalesce(
@@ -234,13 +232,6 @@ class IntPolynomial(_Polynomial):
             raise ValueError("polynomial must be monic")
         return super().__new__(cls, coefficients, modulus)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def evaluate(self, x: int) -> int:
-        return _divide_linear(self.coefficients, x, self.modulus)[1]
-
 
 @functools.cache
 def _word_primes() -> tuple[int, ...]:
@@ -257,29 +248,6 @@ def _word_primes() -> tuple[int, ...]:
     for d in np.flatnonzero(small).tolist():
         window[-lo % d :: d] = False
     return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
-
-
-@functools.lru_cache(maxsize=16)
-def _is_word_prime(q: int) -> bool:
-    """Whether 1 < q < 2^PRIME_BITS is prime: deterministic Miller-Rabin to
-    the bases 2, 3, 5 and 7, whose least strong pseudoprime is 3215031751
-    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980). Cached, since
-    the one-prime exclusion asks it of the same modulus for every n."""
-    if q % 2 == 0 or q % 3 == 0 or q % 5 == 0 or q % 7 == 0:
-        return q in (2, 3, 5, 7)
-    s = ((q - 1) & (1 - q)).bit_length() - 1
-    d = (q - 1) >> s
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, q)
-        if x == 1 or x == q - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
@@ -433,7 +401,7 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     k = arr.shape[0]
     check_order(k)
     if modulus is not None and not (
-        max(k, 1) < modulus < 1 << PRIME_BITS and _is_word_prime(modulus)
+        max(k, 1) < modulus < 1 << PRIME_BITS and is_prime(modulus)
     ):
         raise ValueError(
             f"modulus {modulus} is not a prime above the order {k} "

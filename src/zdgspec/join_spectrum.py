@@ -54,7 +54,7 @@ from .eigen import (
     symmetric_eigenvalues,
 )
 from .errors import OracleCapError
-from .numtheory import euler_phi, factorize, is_prime
+from .numtheory import is_prime
 from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
 
 DEFAULT_ORACLE_CAP = 1200
@@ -139,7 +139,6 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     one k x k symmetric eigenproblem, one coalescing of its k values, and
     at most k class (value, multiplicity) pairs added as exact integers.
     """
-    require_composite(n)
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
     quotient = coalesce(quotient_values)
@@ -180,7 +179,6 @@ def exact_total_spectrum(
     """
     if assembly is not None and assembly.n != n:
         raise ValueError(f"assembly is for n={assembly.n}, not {n}")
-    require_composite(n)
     closed = closed_form_spectrum(n)
     if closed is not None:
         return closed
@@ -210,28 +208,29 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
     """Closed-form spectrum for n = p^t, t >= 2, as exact integers.
 
     0 once, and p^i - 1 for each i in [1, t - 1], phi(p^(t - i)) - 1 times
-    from the class of p^i plus once from the quotient unless i = t // 2;
-    the multiplicities total p^(t-1) - 1.
+    from the class of p^i plus once from the quotient unless i = t // 2,
+    phi(p^j) = p^j - p^(j - 1); the multiplicities total p^(t-1) - 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 2:
         raise ValueError("exponent must be at least 2")
     pairs = [(0, 1)] + [
-        (p**i - 1, euler_phi(p ** (t - i)) - 1 + (i != t // 2)) for i in range(1, t)
+        (p**i - 1, p ** (t - i) - p ** (t - i - 1) - 1 + (i != t // 2))
+        for i in range(1, t)
     ]
     return SpectrumMultiset.from_pairs(pairs)
 
 
 def closed_form_spectrum(n: int) -> SpectrumMultiset | None:
     """Closed-form spectrum of a composite n = p^t or n = pq, None for any
-    other n.
+    other composite n; EmptyGraphError for a prime or n < 4.
 
     p^t comes from ``prime_power_spectrum``. For p < q the graph of pq is
     the complete bipartite K_(p-1,q-1): 0 once, p - 1 with multiplicity
     q - 2, q - 1 with multiplicity p - 2, and p + q - 2 once.
     """
-    fact = factorize(n)
+    fact = require_composite(n)
     if fact.is_prime_power:
         return prime_power_spectrum(*fact.factors[0])
     if fact.is_product_of_two_distinct_primes:
@@ -243,13 +242,14 @@ def closed_form_spectrum(n: int) -> SpectrumMultiset | None:
 
 
 def check_oracle_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an explicit graph of n above the vertex cap.
+    """Refuse an explicit graph of n above the vertex cap, and a prime or
+    n < 4 (EmptyGraphError) before the cap is read.
 
     The cap is the argument, else ZDG_ORACLE_CAP, else 1200, because the
     dense eigenproblem is cubic in n - phi(n) - 1.
     """
-    limit = oracle_cap() if cap is None else cap
     z = expected_vertex_count(n)
+    limit = oracle_cap() if cap is None else cap
     if z > limit:
         raise OracleCapError(
             f"explicit graph for n={n} has {z} vertices, above the cap {limit}"
@@ -266,7 +266,6 @@ def brute_spectrum(n: int, cap: int | None = None) -> np.ndarray:
     The Laplacian is one float array: 0 - A, which keeps +0.0 off the
     edges, with the degrees written on its diagonal.
     """
-    require_composite(n)
     check_oracle_cap(n, cap)
     adj = build_zero_divisor_graph(n).adjacency
     lap = np.subtract(0.0, adj, dtype=np.float64)

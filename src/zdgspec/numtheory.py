@@ -1,8 +1,11 @@
-"""Integer arithmetic foundation: factorization, totient, divisors.
+"""Integer arithmetic foundation: factorization, primality, totient, divisors.
 
-Everything here is exact integer arithmetic on Python ints. Factorization is
-deterministic trial division, which is plenty for the desk-scale moduli
-(n up to ~10^7) this package targets.
+The one home of primality and factorization in the package. Everything here
+is exact integer arithmetic on Python ints. Factorization is deterministic
+trial division, which is plenty for the desk-scale moduli (n up to ~10^7)
+this package targets; its cache holds the last FACTORIZE_CACHE_SIZE n, so a
+sweep over a range keeps each n's repeated questions cheap without holding
+every n it has seen.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
+
+FACTORIZE_CACHE_SIZE = 1024
 
 
 class Factorization(NamedTuple):
@@ -43,6 +48,14 @@ class Factorization(NamedTuple):
     def is_product_of_two_distinct_primes(self) -> bool:
         return len(self.factors) == 2 and self.factors[0][1] == self.factors[1][1] == 1
 
+    @property
+    def phi(self) -> int:
+        """Euler's phi of n, the count of integers in [1, n] coprime to n."""
+        out = self.n
+        for p, _ in self.factors:
+            out = out // p * (p - 1)
+        return out
+
     def divisor_count(self) -> int:
         out = 1
         for _, e in self.factors:
@@ -60,7 +73,7 @@ class Factorization(NamedTuple):
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by trial division up to sqrt(n)."""
     if n < 1:
@@ -87,8 +100,5 @@ def is_prime(n: int) -> bool:
 
 def euler_phi(n: int) -> int:
     """Count of integers in [1, n] coprime to n; phi(1) == 1."""
-    out = n
-    for p, _ in factorize(n).factors:
-        out = out // p * (p - 1)
-    return out
+    return factorize(n).phi
 

@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .divisor_graph import require_composite
-from .numtheory import euler_phi
 
 
 class SimpleGraph(NamedTuple):
@@ -56,4 +55,5 @@ def build_zero_divisor_graph(n: int) -> SimpleGraph:
 
 
 def expected_vertex_count(n: int) -> int:
-    return n - euler_phi(n) - 1
+    """n - phi(n) - 1 for a composite n >= 4; EmptyGraphError otherwise."""
+    return n - require_composite(n).phi - 1

@@ -11,6 +11,7 @@ from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import (
     DEFAULT_COALESCE_TOL,
     INTEGER_SNAP_TOL,
+    IntPolynomial,
     SpectrumEntry,
     SpectrumMultiset,
 )
@@ -30,6 +31,19 @@ def value_sum(spectrum: SpectrumMultiset) -> float:
 
 def zero_multiplicity(spectrum: SpectrumMultiset) -> int:
     return sum(e.multiplicity for e in spectrum.entries if e.value == 0.0)
+
+
+def is_integral(spectrum: SpectrumMultiset) -> bool:
+    return all(e.exact for e in spectrum.entries)
+
+
+def degree(p: IntPolynomial) -> int:
+    return len(p.coefficients) - 1
+
+
+def evaluate(p: IntPolynomial, x: int) -> int:
+    """p(x), or its residue when p has a modulus."""
+    return eigen._divide_linear(p.coefficients, x, p.modulus)[1]
 
 
 def neighbors(graph: WeightedDivisorGraph, i: int) -> np.ndarray:

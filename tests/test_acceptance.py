@@ -30,6 +30,7 @@ from helpers import (
     degrees,
     edge_count_doubled,
     expand_classes,
+    is_integral,
     value_sum,
     zero_multiplicity,
 )
@@ -126,7 +127,7 @@ def test_criterion_3_prime_power_closed_forms():
         red = reduced_spectrum(n).total
         if closed.pairs() != red.pairs():
             failures.append(f"n={n}: closed form != reduced")
-        if not red.is_integral:
+        if not is_integral(red):
             failures.append(f"n={n}: reduced spectrum did not snap to integers")
         # the quotient part of the closed form, from the integer char-poly
         # with the closed-form shortcut bypassed: 0 and p^i - 1, i != t // 2

@@ -15,12 +15,22 @@ from zdgspec.analysis import (
 )
 from zdgspec.errors import EmptyGraphError
 from zdgspec.join_spectrum import class_pairs, reduced_spectrum
-from zdgspec.numtheory import euler_phi, is_prime
+from zdgspec.numtheory import euler_phi, factorize, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
 
 from helpers import class_degrees, degrees, edge_count_doubled
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
+
+
+@pytest.mark.parametrize("n", [3**5, 7 * 11, 2**2 * 7 * 11])
+def test_factorize_calls_per_analysis(n):
+    # n is validated once by each public entry on the path, which reads its
+    # shape off the factorization that validation returns
+    before = factorize.cache_info()
+    analyze_assembly(n)
+    after = factorize.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses <= 8
 
 
 def test_algebraic_connectivity_examples():

@@ -6,6 +6,7 @@ import zdgspec.cli
 import zdgspec.join_spectrum
 from zdgspec import eigen
 from zdgspec.cli import CSV_HEADER, build_parser, main
+from zdgspec.numtheory import factorize
 
 EXPECTED_15 = (
     '{"n":15,"vertex_count":6,'
@@ -336,6 +337,21 @@ def test_survey_rows_before_a_refusal_stay_written(
     assert err == "n = 6 refused\n"
     written = target.read_text() if to_file else out
     assert written == CSV_HEADER + "\n4,1,,0,0,0,0,true,false,false,false,0:1\n"
+
+
+def test_survey_keeps_the_factorize_cache_bounded(tmp_path, capsys):
+    # a range longer than the cache: every n is factored once when it is
+    # tested and hit while it is analyzed, and the exclusion prime of the
+    # one-prime integrality test stays cached throughout
+    cache = factorize.cache_info()
+    hi = cache.maxsize + 200
+    code, _, _ = run(capsys, "survey", "4", str(hi), "--out", str(tmp_path / "r"))
+    assert code == 0
+    after = factorize.cache_info()
+    assert after.currsize <= after.maxsize
+    assert after.misses - cache.misses <= hi
+    factorize(eigen.EXCLUSION_PRIME)
+    assert factorize.cache_info().hits == after.hits + 1
 
 
 @pytest.mark.parametrize("command", ["verify", "survey"])

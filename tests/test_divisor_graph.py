@@ -11,7 +11,7 @@ from zdgspec.divisor_graph import (
     weighted_laplacian,
 )
 from zdgspec.errors import EmptyGraphError
-from zdgspec.numtheory import euler_phi, is_prime
+from zdgspec.numtheory import euler_phi, factorize, is_prime
 
 from helpers import neighbors
 
@@ -19,12 +19,18 @@ composite = st.integers(min_value=4, max_value=2000).filter(lambda n: not is_pri
 
 
 def test_rejects_primes_and_small_n():
-    for n in (2, 3, 5, 7, 97):
+    for n in (2, 3, 5, 7, 13, 97):
         with pytest.raises(EmptyGraphError):
             require_composite(n)
-    for n in (0, 1, -4):
+    # never factorize's ValueError for n < 1: the refusal comes first
+    for n in (0, 1, -4, -6):
         with pytest.raises(EmptyGraphError):
             require_composite(n)
+
+
+def test_require_composite_returns_the_factorization():
+    assert require_composite(60) == factorize(60)
+    assert require_composite(2**65).factors == ((2, 65),)
 
 
 def test_vertex_count_bounded_by_int64():

@@ -21,6 +21,8 @@ from zdgspec.eigen import (
 )
 from zdgspec.numtheory import is_prime
 
+from helpers import degree, evaluate, is_integral
+
 small_dim = st.integers(min_value=1, max_value=6)
 
 
@@ -114,7 +116,7 @@ def test_coalesce_non_integer_representative_not_exact():
     ms = coalesce([0.5, 0.5])
     assert ms.pairs() == [(0.5, 2)]
     assert not ms.entries[0].exact
-    assert not ms.is_integral
+    assert not is_integral(ms)
 
 
 def test_coalesce_lists_each_exact_value_once():
@@ -229,7 +231,7 @@ def fraction_det_shifted(m, s: int) -> int:
 )
 @settings(max_examples=80, deadline=None)
 def test_char_poly_evaluates_to_determinant(m, s):
-    assert char_poly_integer(m).evaluate(s) == fraction_det_shifted(m, s)
+    assert evaluate(char_poly_integer(m), s) == fraction_det_shifted(m, s)
 
 
 def _spy_primes(monkeypatch) -> list[int]:
@@ -257,9 +259,9 @@ def test_char_poly_large_entries_prime_count(monkeypatch):
     assert twice_bound.bit_length() == 1225
     assert math.prod(seen[:-1]) < twice_bound < math.prod(seen)
     assert all(2**20 < p < 2**21 for p in seen)
-    assert poly.degree == 20
+    assert degree(poly) == 20
     for s in (0, 1, -2):
-        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+        assert evaluate(poly, s) == fraction_det_shifted(m, s)
 
 
 def test_char_poly_needs_more_than_100_primes(monkeypatch):
@@ -268,7 +270,7 @@ def test_char_poly_needs_more_than_100_primes(monkeypatch):
     poly = char_poly_integer(m)
     assert len(seen) > 100
     for s in (0, 3):
-        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+        assert evaluate(poly, s) == fraction_det_shifted(m, s)
 
 
 def test_char_poly_pivot_vanishing_modulo_one_prime():
@@ -280,7 +282,7 @@ def test_char_poly_pivot_vanishing_modulo_one_prime():
     )
     poly = char_poly_integer(m)
     for s in range(-2, 3):
-        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+        assert evaluate(poly, s) == fraction_det_shifted(m, s)
 
 
 def test_char_poly_attains_hadamard_bound():
@@ -304,7 +306,7 @@ def test_char_poly_attains_hadamard_bound():
     poly = char_poly_integer(m)
     assert poly.coefficients[-1] == det
     for s in (0, 1, -1):
-        assert poly.evaluate(s) == fraction_det_shifted(m, s)
+        assert evaluate(poly, s) == fraction_det_shifted(m, s)
 
 
 class _Eliminated(Exception):
@@ -624,10 +626,11 @@ def test_char_poly_rejects_modulus_out_of_range():
 
 def test_char_poly_refuses_composite_modulus(monkeypatch):
     # modulo 4 or 6 a pivot can lack an inverse, and modulo 9 or 15 the
-    # residues mean nothing; each is refused before any elimination
+    # residues mean nothing; each is refused before any elimination, and so
+    # are 2047 and 1373653, strong pseudoprimes to the bases 2 and to 2 and 3
     _forbid_elimination(monkeypatch)
     m = np.array([[1, 2, 3], [2, 5, 7], [4, 1, 6]])
-    for q in (4, 6, 9, 15, 2**25):
+    for q in (4, 6, 9, 15, 2047, 1373653, 2**25):
         with pytest.raises(ValueError):
             char_poly_integer(m, q)
     with pytest.raises(_Eliminated):
@@ -635,11 +638,12 @@ def test_char_poly_refuses_composite_modulus(monkeypatch):
 
 
 def test_word_primality_is_exact():
+    # the primality check char_poly_integer makes of its modulus refuses the
     # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
-    assert not any(eigen._is_word_prime(q) for q in (2047, 1373653, 25326001))
-    assert all(eigen._is_word_prime(q) for q in eigen._word_primes()[:50])
-    assert [q for q in range(2, 10**4) if eigen._is_word_prime(q)] == [
-        q for q in range(2, 10**4) if is_prime(q)
+    assert not any(eigen.is_prime(q) for q in (2047, 1373653, 25326001))
+    assert all(eigen.is_prime(q) for q in eigen._word_primes()[:50])
+    assert [q for q in range(2, 10**4) if eigen.is_prime(q)] == [
+        q for q in range(2, 10**4) if all(q % d for d in range(2, math.isqrt(q) + 1))
     ]
 
 
@@ -664,8 +668,8 @@ def test_char_poly_rejects_bad_input():
 
 def test_int_polynomial_basics():
     p = IntPolynomial((1, -3, 2))  # (x-1)(x-2)
-    assert p.degree == 2
-    assert p.evaluate(1) == 0 and p.evaluate(2) == 0 and p.evaluate(3) == 2
+    assert degree(p) == 2
+    assert evaluate(p, 1) == 0 and evaluate(p, 2) == 0 and evaluate(p, 3) == 2
     with pytest.raises(ValueError):
         IntPolynomial((2, 0))
 
@@ -725,7 +729,7 @@ def test_split_modulo_prime_but_not_over_integers():
     residues = char_poly_integer(m, q)
     assert exact.coefficients == (1, 0, -q)
     assert residues.coefficients == (1, 0, 0)
-    assert residues.evaluate(q + 3) == 9
+    assert evaluate(residues, q + 3) == 9
     assert integer_roots_complete(residues, {0}) == (Counter({0: 2}), True)
     assert integer_roots_complete(exact, {0}) == (Counter(), False)
 

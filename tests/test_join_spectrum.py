@@ -20,6 +20,7 @@ from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
     brute_spectrum,
     class_pairs,
+    closed_form_spectrum,
     exact_total_spectrum,
     oracle_cap,
     prime_power_spectrum,
@@ -28,7 +29,14 @@ from zdgspec.join_spectrum import (
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import degrees, expand, value_sum, zero_multiplicity
+from helpers import (
+    degrees,
+    evaluate,
+    expand,
+    is_integral,
+    value_sum,
+    zero_multiplicity,
+)
 from test_eigen import _spy_primes
 
 composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prime(n))
@@ -69,7 +77,7 @@ def test_class_contribution_pairs():
 def test_reduced_n15_paper_table():
     total = reduced_spectrum(15).total
     assert total.pairs() == [(0.0, 1), (2.0, 3), (4.0, 1), (6.0, 1)]
-    assert total.is_integral
+    assert is_integral(total)
 
 
 def test_reduced_n18_class_part_and_quotient():
@@ -90,6 +98,19 @@ def test_reduced_n4_single_vertex():
 def test_reduced_rejects_primes():
     with pytest.raises(EmptyGraphError):
         reduced_spectrum(11)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [reduced_spectrum, exact_total_spectrum, closed_form_spectrum, brute_spectrum],
+)
+def test_entries_refuse_a_prime_or_n_below_4(entry, monkeypatch):
+    # the refusal comes first: never factorize's ValueError for n < 1, nor
+    # the malformed oracle cap, which brute_spectrum reads after it
+    monkeypatch.setenv("ZDG_ORACLE_CAP", "abc")
+    for n in (0, -6, 1, 13):
+        with pytest.raises(EmptyGraphError):
+            entry(n)
 
 
 @given(composite)
@@ -182,7 +203,7 @@ def _assert_class_values_stand_apart(n):
     residues = char_poly_integer(weighted_laplacian(assembly.graph), EXCLUSION_PRIME)
     classes = Counter()
     for c, m in class_pairs(assembly.graph):
-        assert residues.evaluate(c) != 0
+        assert evaluate(residues, c) != 0
         classes[c] += m
     total = {e.value: e for e in assembly.total.entries}
     assert len(total) == len(assembly.total.entries)
@@ -385,7 +406,7 @@ def test_exact_route_agrees_with_float_route(n):
     exact = exact_total_spectrum(n)
     total = reduced_spectrum(n).total
     if exact is None:
-        assert not total.is_integral
+        assert not is_integral(total)
     else:
         dev = max_deviation(exact, expand(total))
         assert dev is not None and dev <= 1e-8 * max(1.0, total.max_value)

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/: each runs to completion (on a
-small range where it takes one) and prints its header."""
+small range where it takes one) and prints its header, and the timing
+script's own oracle cap holds above the library's."""
 
 import os
 import subprocess
@@ -20,15 +21,31 @@ SCRIPTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, header", SCRIPTS, ids=[a[0] for a, _ in SCRIPTS])
-def test_script_runs(argv, header):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
+def run_script(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", **env
+    )
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv, header", SCRIPTS, ids=[a[0] for a, _ in SCRIPTS])
+def test_script_runs(argv, header):
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_benchmark_oracle_cap_above_the_library_cap():
+    # n = 18 has 11 vertices: above ZDG_ORACLE_CAP, within --oracle-cap
+    argv = ["benchmark_reduction.py", "--min", "4", "--max", "40", "--oracle-cap", "30"]
+    proc = run_script([*argv, "--large"], ZDG_ORACLE_CAP="10")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    row = next(r for r in rows if r[:1] == ["18"])
+    assert row[:3] == ["18", "11", "4"] and row[4].endswith("ms")
