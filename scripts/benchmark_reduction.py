@@ -55,7 +55,9 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    composites = [n for n in range(args.n_min, args.n_max + 1) if not is_prime(n)]
+    # no composite lies below 4, and the library refuses n < 4
+    start = max(args.n_min, 4)
+    composites = [n for n in range(start, args.n_max + 1) if not is_prime(n)]
     composites = composites[:: args.stride]
 
     print(f"{'n':>8} {'|V|':>8} {'k':>4} {'reduced':>12} {'oracle':>12} {'ratio':>8}")

@@ -44,7 +44,8 @@ def main() -> int:
     # the spectra of the guaranteed families are kept only to be shown
     integral = []
     tally: Counter[tuple[str, bool]] = Counter()
-    for n in range(args.n_min, args.n_max + 1):
+    # no composite lies below 4, and the library refuses n < 4
+    for n in range(max(args.n_min, 4), args.n_max + 1):
         if is_prime(n):
             continue
         exact = exact_total_spectrum(n)

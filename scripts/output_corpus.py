@@ -12,11 +12,16 @@ four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 2, 6, 30, 210, `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
 8100243 (the last three each have a quotient value just above a class
 value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced),
-`spectrum 15 --method closed-form` (the closed form of n = pq),
+`spectrum 15 --method closed-form` (the closed form of n = pq), the
+closed-form families end to end: `analyze` of 1024 and 15, `spectrum` of
+8388608 (2^23), 4782969 (3^14) and 9997619 (3137 * 3187), and
+`spectrum 1024 --method reduced` (the reduced route on a prime power),
 `divisor-graph 18` and `graph 12 --edges`, and the refusals `spectrum 13`
-and `analyze 1` (exit 2), `spectrum 36893488147419103232` (2^65, more
-zero divisors than int64 counts) and `analyze 6983776800` (2302 proper
-divisors, past the exact char-poly's order), each exit 5.
+and `analyze 1` (exit 2), `spectrum`, `analyze` and
+`spectrum --method closed-form` of 36893488147419103232 (2^65, more zero
+divisors than int64 counts), and `analyze 6983776800` and
+`divisor-graph 6983776800` (2302 proper divisors, past the exact
+char-poly's order), each exit 5.
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -45,6 +50,8 @@ DENSE_K = (28, 30, 34, 38, 46)
 BULK_BASES = (2, 6, 30, 210)
 BULK_BAND = (1_000_000, 1_020_000)
 FIXED_N = (19996, 1024, 2310, 15, 32805, 81729, 8100243)
+CLOSED_ANALYZE_N = (1024, 15)
+CLOSED_SPECTRUM_N = (2**23, 3**14, 3137 * 3187)
 EXACT_RANGE = (4, 3000)
 
 
@@ -86,9 +93,15 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["spectrum", str(n)] for n in FIXED_N]
     cmds += [["spectrum", "36", "--method", "brute"]]
     cmds += [["spectrum", "15", "--method", "closed-form"]]
+    cmds += [["analyze", str(n)] for n in CLOSED_ANALYZE_N]
+    cmds += [["spectrum", str(n)] for n in CLOSED_SPECTRUM_N]
+    cmds += [["spectrum", "1024", "--method", "reduced"]]
     cmds += [["divisor-graph", "18"], ["graph", "12", "--edges"]]
     cmds += [["spectrum", "13"], ["analyze", "1"]]
-    cmds += [["spectrum", str(2**65)], ["analyze", "6983776800"]]
+    huge = str(2**65)
+    cmds += [["spectrum", huge], ["analyze", huge]]
+    cmds += [["spectrum", huge, "--method", "closed-form"]]
+    cmds += [["analyze", "6983776800"], ["divisor-graph", "6983776800"]]
     return cmds
 
 

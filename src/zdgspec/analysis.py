@@ -1,10 +1,12 @@
 """Derived graph quantities and the number-theoretic characterizations.
 
-Everything here rides on the reduced path: mu and lambda are read off the
-assembled spectrum, degree extremes come from the divisor graph (a vertex
-in class A_d sees the M_d vertices of the adjacent classes, plus the other
-|A_d| - 1 of its own when A_d is a clique), and kappa has a closed form in
-the factorization of n. The predicates (complement disconnectedness,
+n = p^t and n = pq are answered end to end from their closed-form quotient
+and total spectra (``closed_form_spectra``): no divisor graph, no
+eigensolver, no characteristic polynomial. Every other n rides on the
+reduced path: mu and lambda are read off the assembled spectrum, and the
+quotient flags off its coalesced quotient values. For every n the vertex
+count n - phi(n) - 1, the degree extremes and kappa have closed forms in the
+factorization of n, and the predicates (complement disconnectedness,
 lambda = |V|, mu = kappa) are exact number theory; the numeric spectrum
 only corroborates them in tests.
 
@@ -17,9 +19,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .divisor_graph import require_composite
-from .eigen import check_order
-from .join_spectrum import SpectrumAssembly, exact_total_spectrum, reduced_spectrum
+from .divisor_graph import require_composite, vertex_count
+from .eigen import SpectrumMultiset, check_order
+from .join_spectrum import (
+    SpectrumAssembly,
+    closed_form_spectra,
+    exact_total_spectrum,
+    reduced_spectrum,
+)
 
 EXTREME_MATCH_RTOL = 1e-8
 
@@ -40,15 +47,13 @@ class AnalysisReport(NamedTuple):
     lambda_from_quotient: bool
 
 
-def degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
-    """Least and greatest vertex degree; every vertex of a gcd class has
-    the same degree, M + (w - 1) on a clique of w and M otherwise."""
-    g = assembly.graph
-    degs = [
-        m + (w - 1) * c
-        for w, m, c in zip(g.weights, g.neighbor_weights.tolist(), g.complete.tolist())
-    ]
-    return min(degs), max(degs)
+def degree_extremes(n: int) -> tuple[int, int]:
+    """Least and greatest vertex degree, in closed form: a vertex x with
+    gcd(x, n) = d has degree d - 1 - [n | d^2], least at d = p and greatest
+    at d = n/p, for p the smallest prime of n. So delta = p - 1 - [n = p^2],
+    which is kappa, and Delta = n/p - 1 - [p^2 | n]."""
+    p = require_composite(n).smallest_prime
+    return p - 1 - (n == p * p), n // p - 1 - (n % (p * p) == 0)
 
 
 def vertex_connectivity(n: int) -> int:
@@ -94,17 +99,18 @@ def is_laplacian_integral(n: int, assembly: SpectrumAssembly | None = None) -> b
     return exact_total_spectrum(n, assembly) is not None
 
 
-def _quotient_extremes(assembly: SpectrumAssembly) -> tuple[bool, bool]:
+def _quotient_extremes(
+    quotient: SpectrumMultiset, total: SpectrumMultiset
+) -> tuple[bool, bool]:
     """Whether mu and lambda of the whole graph equal the second smallest
     and largest eigenvalue of the quotient matrix C, within 1e-8 relative.
 
     Always computed; the equalities are guaranteed only when n has at least
     two distinct prime factors (and n != pq for the mu half).
     """
-    lam = assembly.total.max_value
-    lam_ok = _close(lam, assembly.quotient.max_value)
-    mu = assembly.total.second_smallest()
-    q2 = assembly.quotient.second_smallest()
+    lam_ok = _close(total.max_value, quotient.max_value)
+    mu = total.second_smallest()
+    q2 = quotient.second_smallest()
     mu_ok = mu is not None and q2 is not None and _close(mu, q2)
     return mu_ok, lam_ok
 
@@ -113,28 +119,42 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
 
 
-def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
-    """Full report for one n plus the assembly it was read from.
+def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumMultiset, str]:
+    """Full report for one n, the total spectrum it was read from, and the
+    route that spectrum took: "closed_form" or "reduced".
 
-    Raises OverflowError, as ``char_poly_integer`` would, when the quotient
-    order (the number of proper divisors of n) is past the exact
-    characteristic polynomial's envelope; the order is read off the
-    factorization, before anything of size k is built.
+    Refusals come first, off the factorization, before anything of size k
+    is built: OverflowError, as ``char_poly_integer`` would, when the
+    quotient order (the number of proper divisors of n) is past the exact
+    characteristic polynomial's envelope, then when the vertex count is
+    past int64 (``vertex_count``). Then n = p^t and n = pq are answered by
+    arithmetic on the factorization (``closed_form_spectra``), integral by
+    theorem; every other n by ``reduced_spectrum`` and the exact
+    integrality test on its assembly.
     """
-    check_order(require_composite(n).divisor_count() - 2)
-    assembly = reduced_spectrum(n)
-    delta_min, Delta_max = degree_extremes(assembly)
-    mu_ok, lam_ok = _quotient_extremes(assembly)
+    fact = require_composite(n)
+    check_order(fact.divisor_count() - 2)
+    count = vertex_count(fact)
+    closed = closed_form_spectra(fact)
+    if closed is not None:
+        quotient, total = closed
+        integral, route = True, "closed_form"
+    else:
+        assembly = reduced_spectrum(n)
+        quotient, total = assembly.quotient, assembly.total
+        integral, route = is_laplacian_integral(n, assembly), "reduced"
+    delta_min, Delta_max = degree_extremes(n)
+    mu_ok, lam_ok = _quotient_extremes(quotient, total)
     disconnected = complement_disconnected(n)
     report = AnalysisReport(
         n=n,
-        vertex_count=assembly.vertex_count,
-        mu=assembly.total.second_smallest(),
-        lambda_=assembly.total.max_value,
+        vertex_count=count,
+        mu=total.second_smallest(),
+        lambda_=total.max_value,
         kappa=vertex_connectivity(n),
         delta_min=delta_min,
         Delta_max=Delta_max,
-        laplacian_integral=is_laplacian_integral(n, assembly),
+        laplacian_integral=integral,
         complement_disconnected=disconnected,
         # lambda = |V| for exactly the n whose complement disconnects
         lambda_equals_order=disconnected,
@@ -142,7 +162,7 @@ def analyze_assembly(n: int) -> tuple[AnalysisReport, SpectrumAssembly]:
         mu_from_quotient=mu_ok,
         lambda_from_quotient=lam_ok,
     )
-    return report, assembly
+    return report, total, route
 
 
 def analyze(n: int) -> AnalysisReport:

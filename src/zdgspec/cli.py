@@ -26,12 +26,12 @@ from typing import TextIO
 
 from .analysis import AnalysisReport, analyze_assembly
 from .divisor_graph import build_divisor_graph, require_composite, weighted_laplacian
-from .eigen import SpectrumMultiset, coalesce, max_deviation
+from .eigen import SpectrumMultiset, check_order, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
 from .join_spectrum import (
     brute_spectrum,
     check_oracle_cap,
-    closed_form_spectrum,
+    closed_form_spectra,
     oracle_cap,
     reduced_spectrum,
 )
@@ -203,37 +203,31 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         cap = _read_cap(args.cap)
         if cap is None:
             return EXIT_INVALID_N
-    if method == "auto":
-        method = "closed-form" if fact.is_prime_power else "reduced"
-    closed = closed_form_spectrum(args.n) if method == "closed-form" else None
-    if method == "closed-form" and closed is None:
+    if method == "closed-form" and closed_form_spectra(fact) is None:
         print(
             f"closed form needs a prime power p^t or a product pq of two "
             f"distinct primes, {args.n} is neither",
             file=sys.stderr,
         )
         return EXIT_INVALID_N
-    report, assembly = analyze_assembly(args.n)
-    if closed is not None:
-        spectrum = closed
-        label = "closed_form"
-    elif method == "brute":
-        spectrum = coalesce(brute_spectrum(args.n, cap=cap))
-        label = "brute"
-    else:
-        spectrum = assembly.total
-        label = "reduced"
+    report, spectrum, label = analyze_assembly(args.n)
+    if method == "brute":
+        spectrum, label = coalesce(brute_spectrum(args.n, cap=cap)), "brute"
+    elif method == "reduced" and label != "reduced":
+        spectrum, label = reduced_spectrum(args.n).total, "reduced"
     emit_record(report, spectrum, label, args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report, assembly = analyze_assembly(args.n)
-    emit_record(report, assembly.total, "reduced", args.format, sys.stdout)
+    emit_record(*analyze_assembly(args.n), args.format, sys.stdout)
     return EXIT_OK
 
 
 def cmd_divisor_graph(args: argparse.Namespace) -> int:
+    # the order is checked off the factorization, as analyze does, before the
+    # k x k arrays are built
+    check_order(require_composite(args.n).divisor_count() - 2)
     g = build_divisor_graph(args.n)
     out = sys.stdout
     out.write(f"n = {g.n}\n")
@@ -309,11 +303,11 @@ def cmd_survey(args: argparse.Namespace) -> int:
         if csv:
             out.write(CSV_HEADER + "\n")
         for n in _composites(args.n_min, args.n_max):
-            report, assembly = analyze_assembly(n)
+            report, spectrum, label = analyze_assembly(n)
             if csv:
-                out.write(record_csv(report, assembly.total) + "\n")
+                out.write(record_csv(report, spectrum) + "\n")
             else:
-                out.write(record_json(report, assembly.total, "reduced", True) + "\n")
+                out.write(record_json(report, spectrum, label, True) + "\n")
     return EXIT_OK
 
 
@@ -340,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["auto", "reduced", "brute", "closed-form"],
         default="auto",
-        help="auto picks the closed form for prime powers, reduced otherwise; "
-        "closed-form also takes n = pq",
+        help="auto picks the closed form for prime powers p^t and products pq "
+        "of two distinct primes, reduced otherwise",
     )
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     sp.add_argument("--cap", type=int, default=None, help="brute-force vertex cap")

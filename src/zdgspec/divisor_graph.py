@@ -63,18 +63,23 @@ def require_composite(n: int) -> Factorization:
     return fact
 
 
-def build_divisor_graph(n: int) -> WeightedDivisorGraph:
-    """Build the weighted divisor graph of a composite n >= 4.
+def vertex_count(fact: Factorization) -> int:
+    """n - phi(n) - 1, the number of zero divisors of n, read off its
+    factorization; OverflowError when it does not fit in int64, the integer
+    type of the quotient matrices, whose every weight and neighbor sum it
+    bounds. Past 2^64 a product of many small primes has millions of
+    divisors, so this is checked before any is enumerated."""
+    z = fact.n - fact.phi - 1
+    if z > INT64_MAX:
+        raise OverflowError(f"Z_{fact.n} has more zero divisors than int64 can count")
+    return z
 
-    Every weight and neighbor sum is at most the vertex count
-    n - phi(n) - 1, which must fit in int64, the integer type of the
-    quotient matrices.
-    """
+
+def build_divisor_graph(n: int) -> WeightedDivisorGraph:
+    """Build the weighted divisor graph of a composite n >= 4 whose vertex
+    count fits in int64 (see ``vertex_count``)."""
     fact = require_composite(n)
-    # from the factorization, before the divisors are enumerated: past 2^64
-    # a product of many small primes has millions of them
-    if n - fact.phi - 1 > INT64_MAX:
-        raise OverflowError(f"Z_{n} has more zero divisors than int64 can count")
+    vertex_count(fact)
     divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis

@@ -19,11 +19,13 @@ unmerged, so a check compares them eigenvalue by eigenvalue with the
 expanded reduced spectrum. It is capped because it scales with n rather
 than with the number of divisors.
 
-``prime_power_spectrum`` is the third route: for n = p^t the entire
-spectrum in closed form, exact integers, no linear algebra at all.
-``closed_form_spectrum`` adds n = pq, whose graph is K_(p-1,q-1), and
-``exact_total_spectrum`` answers from it for both families before it
-reaches for a characteristic polynomial.
+``closed_form_spectra`` is the third route, and the one home of its
+formulas: for n = p^t (the paper's theorem, also ``prime_power_spectrum``)
+and n = pq, whose graph is K_(p-1,q-1), the quotient and total spectra in
+closed form, exact integers, no linear algebra at all.
+``analysis.analyze_assembly`` answers both families from it end to end,
+and ``exact_total_spectrum`` before it reaches for a characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .eigen import (
     symmetric_eigenvalues,
 )
 from .errors import OracleCapError
-from .numtheory import is_prime
+from .numtheory import Factorization, is_prime
 from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
 
 DEFAULT_ORACLE_CAP = 1200
@@ -204,41 +206,66 @@ def exact_total_spectrum(
     return SpectrumMultiset.from_pairs(pairs)
 
 
+def _prime_power_pairs(
+    p: int, t: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Quotient and class (value, multiplicity) pairs of n = p^t, t >= 2.
+
+    The quotient adds 0 and p^i - 1 for each i in [1, t - 1] but t // 2;
+    the class of p^i adds p^i - 1 with multiplicity phi(p^(t - i)) - 1,
+    phi(p^j) = p^j - p^(j - 1).
+    """
+    quotient = [(0, 1)] + [(p**i - 1, 1) for i in range(1, t) if i != t // 2]
+    classes = [(p**i - 1, p ** (t - i) - p ** (t - i - 1) - 1) for i in range(1, t)]
+    return quotient, classes
+
+
 def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
     """Closed-form spectrum for n = p^t, t >= 2, as exact integers.
 
     0 once, and p^i - 1 for each i in [1, t - 1], phi(p^(t - i)) - 1 times
-    from the class of p^i plus once from the quotient unless i = t // 2,
-    phi(p^j) = p^j - p^(j - 1); the multiplicities total p^(t-1) - 1.
+    from the class of p^i plus once from the quotient unless i = t // 2;
+    the multiplicities total p^(t-1) - 1.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if t < 2:
         raise ValueError("exponent must be at least 2")
-    pairs = [(0, 1)] + [
-        (p**i - 1, p ** (t - i) - p ** (t - i - 1) - 1 + (i != t // 2))
-        for i in range(1, t)
-    ]
-    return SpectrumMultiset.from_pairs(pairs)
+    quotient, classes = _prime_power_pairs(p, t)
+    return SpectrumMultiset.from_pairs(quotient + classes)
+
+
+def closed_form_spectra(
+    fact: Factorization,
+) -> tuple[SpectrumMultiset, SpectrumMultiset] | None:
+    """Quotient and total spectra of a composite n = p^t or n = pq in closed
+    form, as exact integers; None for any other composite n.
+
+    p^t comes from the paper's theorem (see ``prime_power_spectrum``). For
+    p < q the graph of pq is the complete bipartite K_(p-1,q-1): the
+    quotient adds 0 and p + q - 2, the class of p adds p - 1 with
+    multiplicity q - 2 and the class of q adds q - 1 with multiplicity
+    p - 2.
+    """
+    if fact.is_prime_power:
+        quotient, classes = _prime_power_pairs(*fact.factors[0])
+    elif fact.is_product_of_two_distinct_primes:
+        p, q = fact.primes
+        quotient, classes = [(0, 1), (p + q - 2, 1)], [(p - 1, q - 2), (q - 1, p - 2)]
+    else:
+        return None
+    return (
+        SpectrumMultiset.from_pairs(quotient),
+        SpectrumMultiset.from_pairs(quotient + classes),
+    )
 
 
 def closed_form_spectrum(n: int) -> SpectrumMultiset | None:
-    """Closed-form spectrum of a composite n = p^t or n = pq, None for any
-    other composite n; EmptyGraphError for a prime or n < 4.
-
-    p^t comes from ``prime_power_spectrum``. For p < q the graph of pq is
-    the complete bipartite K_(p-1,q-1): 0 once, p - 1 with multiplicity
-    q - 2, q - 1 with multiplicity p - 2, and p + q - 2 once.
-    """
-    fact = require_composite(n)
-    if fact.is_prime_power:
-        return prime_power_spectrum(*fact.factors[0])
-    if fact.is_product_of_two_distinct_primes:
-        p, q = fact.primes
-        return SpectrumMultiset.from_pairs(
-            [(0, 1), (p - 1, q - 2), (q - 1, p - 2), (p + q - 2, 1)]
-        )
-    return None
+    """Closed-form total spectrum of a composite n = p^t or n = pq (see
+    ``closed_form_spectra``), None for any other composite n;
+    EmptyGraphError for a prime or n < 4."""
+    spectra = closed_form_spectra(require_composite(n))
+    return None if spectra is None else spectra[1]
 
 
 def check_oracle_cap(n: int, cap: int | None = None) -> None:

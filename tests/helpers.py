@@ -7,6 +7,13 @@ from operator import mul
 import numpy as np
 
 from zdgspec import eigen
+from zdgspec.analysis import (
+    EXTREME_MATCH_RTOL,
+    AnalysisReport,
+    complement_disconnected,
+    mu_equals_kappa,
+    vertex_connectivity,
+)
 from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import (
     DEFAULT_COALESCE_TOL,
@@ -15,7 +22,7 @@ from zdgspec.eigen import (
     SpectrumEntry,
     SpectrumMultiset,
 )
-from zdgspec.join_spectrum import QUOTIENT_RTOL, SpectrumAssembly
+from zdgspec.join_spectrum import QUOTIENT_RTOL, SpectrumAssembly, reduced_spectrum
 from zdgspec.numtheory import factorize
 from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
 
@@ -96,6 +103,39 @@ def edge_count_doubled(assembly: SpectrumAssembly) -> int:
     """Sum of all vertex degrees, i.e. twice the edge count."""
     g = assembly.graph
     return sum(w * d for w, d in zip(g.weights, class_degrees(g)))
+
+
+def reduced_report(n: int) -> tuple[AnalysisReport, SpectrumMultiset]:
+    """The report and total spectrum of n read off ``reduced_spectrum(n)``
+    alone: the vertex count and degrees from the divisor graph's classes, mu,
+    lambda and the quotient flags from the coalesced float spectra, and
+    integrality from their exact flags. For p^t and pq the closed route must
+    give exactly this."""
+    assembly = reduced_spectrum(n)
+    total, quotient = assembly.total, assembly.quotient
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
+
+    mu, q2 = total.second_smallest(), quotient.second_smallest()
+    delta, Delta = reference_degree_extremes(assembly)
+    disconnected = complement_disconnected(n)
+    report = AnalysisReport(
+        n=n,
+        vertex_count=assembly.vertex_count,
+        mu=mu,
+        lambda_=total.max_value,
+        kappa=vertex_connectivity(n),
+        delta_min=delta,
+        Delta_max=Delta,
+        laplacian_integral=is_integral(total),
+        complement_disconnected=disconnected,
+        lambda_equals_order=disconnected,
+        mu_equals_kappa=mu_equals_kappa(n),
+        mu_from_quotient=mu is not None and q2 is not None and close(mu, q2),
+        lambda_from_quotient=close(total.max_value, quotient.max_value),
+    )
+    return report, total
 
 
 # ---------------------------------------------------------------------------

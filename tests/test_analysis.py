@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,13 @@ from zdgspec.analysis import (
     mu_equals_kappa,
     vertex_connectivity,
 )
+from zdgspec.divisor_graph import vertex_count
 from zdgspec.errors import EmptyGraphError
 from zdgspec.join_spectrum import class_pairs, reduced_spectrum
 from zdgspec.numtheory import euler_phi, factorize, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import class_degrees, degrees, edge_count_doubled
+from helpers import class_degrees, degrees, edge_count_doubled, reduced_report
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
 
@@ -146,12 +148,23 @@ def test_lambda_bounds(n):
 @given(composite)
 @settings(max_examples=40, deadline=None)
 def test_degrees_match_oracle(n):
-    report, assembly = analyze_assembly(n)
+    report = analyze(n)
     oracle = degrees(build_zero_divisor_graph(n))
     assert report.delta_min == min(oracle)
     assert report.Delta_max == max(oracle)
     assert report.kappa == min(oracle)
-    assert edge_count_doubled(assembly) == sum(oracle)
+    assert edge_count_doubled(reduced_spectrum(n)) == sum(oracle)
+
+
+def test_closed_form_degrees_and_order_match_oracle():
+    # delta = kappa, Delta = n/p - 1 - [p^2 | n] and |V| = n - phi(n) - 1,
+    # against the degrees of the explicit graph itself
+    for n in range(4, 1001):
+        if is_prime(n):
+            continue
+        oracle = degrees(build_zero_divisor_graph(n))
+        assert degree_extremes(n) == (min(oracle), max(oracle)), n
+        assert vertex_count(factorize(n)) == len(oracle), n
 
 
 @given(composite)
@@ -177,7 +190,7 @@ def test_extremes_avoid_class_values(n):
     fact = factorize(n)
     if fact.is_prime_power or fact.is_product_of_two_distinct_primes:
         return
-    report, assembly = analyze_assembly(n)
+    report, assembly = analyze(n), reduced_spectrum(n)
     class_values = {v for v, _ in class_pairs(assembly.graph)}
     for value in (report.mu, report.lambda_):
         for cv in class_values:
@@ -198,9 +211,61 @@ def test_report_fields_n15():
 
 
 def test_class_degree_helper():
-    _, assembly = analyze_assembly(18)
-    degs = class_degrees(assembly.graph)
+    degs = class_degrees(reduced_spectrum(18).graph)
     # A_2 sees A_9 (1); A_3 sees A_6 (2); A_6 is complete of size 2 (3+1);
     # A_9 is a complete singleton seeing A_2 and A_6 (8)
     assert degs == [1, 2, 4, 8]
-    assert degree_extremes(assembly) == (1, 8)
+    assert degree_extremes(18) == (1, 8)
+
+
+def _closed_family_sample() -> list[int]:
+    """Every p^t and pq in [4, 20000], every p^t <= 10^7, and 400 seeded
+    pq <= 10^7."""
+    ns = set()
+    for n in range(4, 20001):
+        fact = factorize(n)
+        if fact.is_prime_power and not fact.is_prime:
+            ns.add(n)
+        elif fact.is_product_of_two_distinct_primes:
+            ns.add(n)
+    for p in range(2, math.isqrt(10**7) + 1):
+        if is_prime(p):
+            ns.update(p**t for t in range(2, 24) if p**t <= 10**7)
+    rng = random.Random(2101)
+    pq = set()
+    while len(pq) < 400:
+        p = rng.randrange(2, math.isqrt(10**7))  # p < q <= 10^7 / p
+        q = rng.randrange(p + 1, 10**7 // p + 1)
+        if is_prime(p) and is_prime(q):
+            pq.add(p * q)
+    return sorted(ns | pq)
+
+
+def test_closed_route_equals_reduced_route():
+    # the closed-form report and spectrum of p^t and pq, byte for byte what
+    # the reduced route gives: every field of the report, and every entry's
+    # value bits, multiplicity and exact flag
+    ns = _closed_family_sample()
+    assert 10**7 > max(ns) > 9 * 10**6 and 2**23 in ns and 3**14 in ns
+    for n in ns:
+        report, total, route = analyze_assembly(n)
+        reference, reference_total = reduced_report(n)
+        assert route == "closed_form", n
+        assert report == reference, n
+        assert _entries(total) == _entries(reference_total), n
+
+
+def _entries(spectrum):
+    return [(e.value.hex(), e.multiplicity, e.exact) for e in spectrum.entries]
+
+
+@pytest.mark.parametrize("n", [4, 9, 2**23, 15, 3137 * 3187])
+def test_closed_route_builds_nothing_of_size_k(n, monkeypatch):
+    def refused(*args):
+        raise AssertionError("the closed route reached the divisor graph")
+
+    for name in ("build_divisor_graph", "symmetric_eigenvalues", "char_poly_integer"):
+        monkeypatch.setattr(zdgspec.join_spectrum, name, refused)
+    report, _, route = analyze_assembly(n)
+    assert route == "closed_form" and report.laplacian_integral
+

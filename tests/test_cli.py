@@ -89,9 +89,26 @@ def test_spectrum_closed_form_takes_pq(capsys):
     assert closed["method"] == "closed_form"
     _, out, _ = run(capsys, "spectrum", "15", "--method", "reduced")
     assert {**closed, "method": "reduced"} == json.loads(out)
-    # auto keeps the reduced path for pq
+    # auto takes the closed form for pq as for p^t
     _, out, _ = run(capsys, "spectrum", "15")
-    assert json.loads(out)["method"] == "reduced"
+    assert json.loads(out) == closed
+
+
+@pytest.mark.parametrize("n", ["1024", "15"])
+def test_reduced_method_on_a_closed_family(capsys, n):
+    # --method reduced still runs the reduced route on p^t and pq, and
+    # prints the same record under its own label
+    _, closed, _ = run(capsys, "spectrum", n)
+    code, out, _ = run(capsys, "spectrum", n, "--method", "reduced")
+    assert code == 0
+    assert out == closed.replace('"method":"closed_form"', '"method":"reduced"')
+
+
+def test_analyze_labels_its_route(capsys):
+    _, out, _ = run(capsys, "analyze", "1024")
+    assert out.endswith("method = closed_form\n")
+    _, out, _ = run(capsys, "analyze", "12")
+    assert out.endswith("method = reduced\n")
 
 
 def test_spectrum_brute_method_and_cap(capsys):
@@ -293,6 +310,8 @@ def test_survey_json_rows_carry_quotient_flags(capsys):
     rows = [json.loads(line) for line in out.strip().split("\n")]
     assert [r["n"] for r in rows] == [4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20]
     assert all("mu_from_quotient" in r and "lambda_from_quotient" in r for r in rows)
+    reduced = {r["n"] for r in rows if r["method"] == "reduced"}
+    assert reduced == {12, 18, 20}  # every other n is p^t or pq
     for line in out.strip().split("\n"):
         assert reemit(json.loads(line)) == line
 
@@ -367,9 +386,14 @@ def test_parser_built_once_per_process(capsys):
     assert run(capsys, "analyze", "15") == run(capsys, "analyze", "15")
 
 
-@pytest.mark.parametrize("command", ["spectrum", "analyze"])
-def test_vertex_count_beyond_int64_exits_5(capsys, command):
-    code, out, err = run(capsys, command, str(2**65))
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["analyze"], ["spectrum", "--method", "closed-form"]],
+    ids=["spectrum", "analyze", "spectrum-closed-form"],
+)
+def test_vertex_count_beyond_int64_exits_5(capsys, argv):
+    # 2^65 has a closed form, but the refusal comes before any route
+    code, out, err = run(capsys, *argv, str(2**65))
     assert code == 5
     assert out == ""
     assert "int64" in err and "Traceback" not in err
@@ -389,3 +413,16 @@ def test_order_beyond_char_poly_envelope_exits_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "order 46" in err and "Traceback" not in err
+
+
+def test_divisor_graph_beyond_the_order_envelope_exits_5(capsys, monkeypatch):
+    # 6983776800 has 2302 proper divisors; the order is refused off the
+    # factorization, before the divisor graph is built
+    def no_graph(n):
+        raise AssertionError("divisor graph built for a refused order")
+
+    monkeypatch.setattr(zdgspec.cli, "build_divisor_graph", no_graph)
+    code, out, err = run(capsys, "divisor-graph", "6983776800")
+    assert code == 5
+    assert out == ""
+    assert "order 2302" in err and "Traceback" not in err

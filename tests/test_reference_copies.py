@@ -82,7 +82,7 @@ def test_quotient_eigenvalues_and_spectra_match_reference():
         classes = [SpectrumEntry(float(v), m, True) for v, m in class_pairs(g)]
         total = reference_merged([*quotient.entries, *classes])
         assert _entries(assembly.total) == _entries(total), n
-        assert degree_extremes(assembly) == reference_degree_extremes(assembly), n
+        assert degree_extremes(n) == reference_degree_extremes(assembly), n
 
 
 def test_kernel_matches_reference():

@@ -41,6 +41,20 @@ def test_script_runs(argv, header):
     assert proc.stdout.splitlines()[0] == header
 
 
+def test_scripts_start_at_4():
+    # below 4 there is no composite: each script starts at 4, as the CLI does
+    proc = run_script(["benchmark_reduction.py", "--min", "1", "--max", "10", "--large"])
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()[1:]] == [
+        "4", "6", "8", "9", "10"
+    ]
+    low, four = (
+        run_script(["integral_census.py", "--min", m, "--max", "10"]) for m in "14"
+    )
+    assert low.returncode == 0, low.stderr
+    assert low.stdout.splitlines()[1:] == four.stdout.splitlines()[1:]
+
+
 def test_benchmark_oracle_cap_above_the_library_cap():
     # n = 18 has 11 vertices: above ZDG_ORACLE_CAP, within --oracle-cap
     argv = ["benchmark_reduction.py", "--min", "4", "--max", "40", "--oracle-cap", "30"]
