@@ -16,8 +16,11 @@ value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced),
 closed-form families end to end: `analyze` of 1024 and 15, `spectrum` of
 8388608 (2^23), 4782969 (3^14) and 9997619 (3137 * 3187), and
 `spectrum 1024 --method reduced` (the reduced route on a prime power),
-`divisor-graph 18` and `graph 12 --edges`, and the refusals `spectrum 13`
-and `analyze 1` (exit 2), `spectrum`, `analyze` and
+`divisor-graph` of 18, 72 and 720 (4, 10 and 28 proper divisors, each
+with clique and edgeless classes of more than one vertex, so their `L:`
+rows pin the diagonal d - 1 - [n | d^2] phi(n/d)) and `graph 12 --edges`,
+and the refusals `spectrum 13` and `analyze 1` (exit 2), `spectrum`,
+`analyze` and
 `spectrum --method closed-form` of 36893488147419103232 (2^65, more zero
 divisors than int64 counts), and `analyze 6983776800` and
 `divisor-graph 6983776800` (2302 proper divisors, past the exact
@@ -52,6 +55,7 @@ BULK_BAND = (1_000_000, 1_020_000)
 FIXED_N = (19996, 1024, 2310, 15, 32805, 81729, 8100243)
 CLOSED_ANALYZE_N = (1024, 15)
 CLOSED_SPECTRUM_N = (2**23, 3**14, 3137 * 3187)
+DIVISOR_GRAPH_N = (18, 72, 720)
 EXACT_RANGE = (4, 3000)
 
 
@@ -96,7 +100,8 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["analyze", str(n)] for n in CLOSED_ANALYZE_N]
     cmds += [["spectrum", str(n)] for n in CLOSED_SPECTRUM_N]
     cmds += [["spectrum", "1024", "--method", "reduced"]]
-    cmds += [["divisor-graph", "18"], ["graph", "12", "--edges"]]
+    cmds += [["divisor-graph", str(n)] for n in DIVISOR_GRAPH_N]
+    cmds += [["graph", "12", "--edges"]]
     cmds += [["spectrum", "13"], ["analyze", "1"]]
     huge = str(2**65)
     cmds += [["spectrum", huge], ["analyze", huge]]

@@ -2,17 +2,19 @@
 
 Vertices are the proper divisors d_1 < ... < d_k of n; d_i and d_j are
 adjacent iff n divides d_i * d_j. Vertex d_i carries the weight
-phi(n / d_i), the size of the residue class {x : gcd(x, n) = d_i}, and
-that class induces a clique when n divides d_i^2, else no edge. This
-graph is the quotient of the zero-divisor graph of Z_n under its class
-partition, and two k x k matrices built from it carry the quotient part of
-the Laplacian spectrum:
+phi(n / d_i), the size of the residue class {x : gcd(x, n) = d_i}. The
+adjacency B = [n | d_i * d_j] keeps its diagonal: the class of d_i induces
+a clique when n divides d_i^2, else no edge. This graph is the quotient of
+the zero-divisor graph of Z_n under its class partition. By the Chinese
+remainder theorem x in the class of d annihilates the d - 1 nonzero
+multiples of n / d, itself among them when n | d^2. So two closed-form
+k x k matrices carry the quotient part of the Laplacian spectrum:
 
-* the vertex-weighted Laplacian (integer entries, zero row sums, generally
-  nonsymmetric), and
-* its symmetric similar form with -sqrt(m_i * m_j) off the diagonal.
+* the vertex-weighted Laplacian L = diag(d - 1) - B W, W = diag(weights)
+  (integer entries, zero row sums, generally nonsymmetric), and
+* its symmetric similar form W^(1/2) L W^(-1/2).
 
-Everything is read off the exponent vectors a_i of the divisors over the
+B is read off the exponent vectors a_i of the divisors over the
 factorization n = prod p^e: n | d_i * d_j iff a_i + a_j >= e in every
 coordinate; phi(n / d_i) = prod phi(p^(e - a_i)) comes from the pass that
 generates d_i. So the graph is one k x k broadcast and multiplies no divisors.
@@ -36,9 +38,7 @@ class WeightedDivisorGraph(NamedTuple):
     n: int
     vertices: tuple[int, ...]
     weights: tuple[int, ...]
-    adjacency: np.ndarray  # (k, k) bool, symmetric, false diagonal
-    neighbor_weights: np.ndarray  # (k,) int64, M_i = sum of neighbor weights
-    complete: np.ndarray  # (k,) bool, whether the class of d_i is a clique
+    adjacency: np.ndarray  # (k, k) bool, symmetric, true diagonal at cliques
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as ascending (d_i, d_j) divisor pairs."""
@@ -48,7 +48,8 @@ class WeightedDivisorGraph(NamedTuple):
 
 
 def upper_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices i < j of the edges, in row-major order."""
+    """Row and column indices i < j of the edges, in row-major order: the
+    diagonal, where a clique class meets itself, holds no edge."""
     i, j = np.nonzero(adjacency)
     upper = i < j
     return i[upper], j[upper]
@@ -85,20 +86,25 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis
     a = np.array([*zip(*exps)], dtype=np.int16)  # (r, k)
     e = np.array([x for _, x in fact.factors], dtype=np.int16)[:, None, None]
-    adj = (a[:, :, None] + a[:, None] >= e).all(axis=0)
     # the diagonal 2a_i >= e says n | d_i^2; the class of d_i holds the
     # d_i u with u prime to n / d_i, so n | xy within it exactly then
-    complete = adj.diagonal().copy()
-    adj.flat[:: len(divs) + 1] = False
-    w = np.array(weights, dtype=np.int64)
-    return WeightedDivisorGraph(n, divs, weights, adj, adj @ w, complete)
+    adj = (a[:, :, None] + a[:, None] >= e).all(axis=0)
+    return WeightedDivisorGraph(n, divs, weights, adj)
+
+
+def _diagonal(g: WeightedDivisorGraph) -> list[int]:
+    """d - 1 - [n | d^2] m for each vertex d of weight m, in exact integers:
+    the diagonal of diag(d - 1) - B W, the neighbour weight of the class."""
+    clique = g.adjacency.diagonal().tolist()
+    return [d - 1 - m * c for d, m, c in zip(g.vertices, g.weights, clique)]
 
 
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
-    """Vertex-weighted Laplacian: -m_j off the diagonal on edges, neighbor
-    weight sums on the diagonal. Integer entries, zero row sums."""
+    """Vertex-weighted Laplacian diag(d - 1) - B W: -m_j off the diagonal on
+    edges, neighbour weight sums on the diagonal. Integer entries, zero row
+    sums."""
     lap = -(g.adjacency * np.array(g.weights, dtype=np.int64))
-    lap.flat[:: len(lap) + 1] = g.neighbor_weights
+    lap.flat[:: len(lap) + 1] = _diagonal(g)
     return lap
 
 
@@ -108,10 +114,11 @@ def symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:
     Equal to W^{1/2} L W^{-1/2} for W = diag(weights): same diagonal,
     -sqrt(m_i * m_j) on edges. This is the matrix the eigensolver sees.
     The product m_i * m_j is rounded once to float64 before the root, as
-    for the exact integer product while the weights stay below 2^53.
+    for the exact integer product while the weights stay below 2^53, and
+    so is each diagonal entry, from its exact integer.
     """
     w = np.array(g.weights, dtype=np.float64)
     root = np.sqrt(np.multiply.outer(w, w))
     c = np.where(g.adjacency, np.negative(root, out=root), 0.0)
-    c.flat[:: len(w) + 1] = g.neighbor_weights
+    c.flat[:: len(w) + 1] = _diagonal(g)
     return c

@@ -365,9 +365,8 @@ def check_order(k: int) -> None:
     """Refuse an order past the char-poly's envelope: OverflowError for
     k >= MAX_ORDER."""
     if k >= MAX_ORDER:
-        raise OverflowError(
-            f"order {k} is too large, the exact char-poly needs order < {MAX_ORDER}"
-        )
+        limit = f"n may have at most {MAX_ORDER - 1} proper divisors"
+        raise OverflowError(f"order {k} is too large: {limit}")
 
 
 def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:

@@ -5,10 +5,9 @@ classes partition them equitably, each class induces a complete or empty
 graph, and the whole graph is the generalized join of those pieces over the
 proper-divisor quotient. The spectrum then splits into
 
-* one (value, multiplicity) pair per class of w > 1 vertices, read off the
-  divisor graph (``class_pairs``): M + w with multiplicity w - 1 for a
-  clique, M with multiplicity w - 1 for an edgeless class, M the class's
-  neighbor weight, added as an exact integer entry;
+* one (value, multiplicity) pair per class of w > 1 vertices
+  (``class_pairs``): d - 1 with multiplicity w - 1 for the class of d,
+  clique or not, added as an exact integer entry;
 * the k eigenvalues of the vertex-weighted quotient Laplacian, exactly one
   of which is 0, from one LAPACK call and coalesced once. A class integer
   joins one of their entries only when that entry is exact and equal to it.
@@ -88,25 +87,17 @@ class SpectrumAssembly(NamedTuple):
     quotient: SpectrumMultiset
     total: SpectrumMultiset
 
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.graph.weights)
-
 
 def class_pairs(g: WeightedDivisorGraph) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs the gcd classes add to the spectrum.
 
     A class of w vertices induces K_w (spectrum 0, w with multiplicity
     w - 1) or its complement (0 with multiplicity w); the join removes one
-    zero and shifts the rest by the neighbor weight M. So a complete class
-    adds M + w and an empty class M, each w - 1 times, and a singleton
-    adds nothing.
+    zero and shifts the rest by the class's neighbour weight, d - 1 - w for
+    a clique and d - 1 otherwise (see ``divisor_graph``). So the class of d
+    adds d - 1, w - 1 times, and a singleton adds nothing.
     """
-    return [
-        (m + w if c else m, w - 1)
-        for w, m, c in zip(g.weights, g.neighbor_weights.tolist(), g.complete.tolist())
-        if w > 1
-    ]
+    return [(d - 1, w - 1) for d, w in zip(g.vertices, g.weights) if w > 1]
 
 
 def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:

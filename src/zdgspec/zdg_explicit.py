@@ -8,9 +8,10 @@ the narrowest unsigned integer type that holds (n - 1)^2, which bounds every
 one of them, so the scan is exact and moves no more bytes than it must.
 
 The graph knows nothing of the gcd classes. The test suite groups its
-vertices by gcd with n, expands the divisor graph over those classes (each
-class a clique or edgeless, two classes joined whole or not at all) and
-checks that the expansion equals this adjacency entry for entry.
+vertices by gcd with n, expands the divisor graph's adjacency, diagonal
+included, over those classes (two classes joined whole or not at all, a
+class a clique where the diagonal holds) and checks that the expansion
+equals this adjacency entry for entry.
 """
 
 from __future__ import annotations

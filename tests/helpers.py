@@ -3,6 +3,7 @@ reference copies of rewritten bodies."""
 
 import math
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,7 +55,9 @@ def evaluate(p: IntPolynomial, x: int) -> int:
 
 
 def neighbors(graph: WeightedDivisorGraph, i: int) -> np.ndarray:
-    return np.flatnonzero(graph.adjacency[i])
+    """The other vertices adjacent to vertex i: the diagonal is no edge."""
+    j = np.flatnonzero(graph.adjacency[i])
+    return j[j != i]
 
 
 def degrees(g: SimpleGraph) -> list[int]:
@@ -64,17 +67,17 @@ def degrees(g: SimpleGraph) -> list[int]:
 
 def expand_classes(n: int) -> tuple[SimpleGraph, np.ndarray, np.ndarray]:
     """The oracle graph of n, each vertex's gcd class (an index into the
-    divisor graph's vertices), and the divisor graph expanded over those
-    classes: x ~ y iff their classes are adjacent, or are one clique class.
+    divisor graph's vertices), and the divisor graph's adjacency B expanded
+    over those classes: x ~ y iff B holds for their classes, x != y.
 
     The expansion equals the oracle adjacency exactly when the graph is the
-    generalized join of its gcd classes, each a clique where ``complete``
-    says and edgeless elsewhere, over the divisor graph.
+    generalized join of its gcd classes, each a clique where the diagonal
+    of B holds and edgeless elsewhere, over the divisor graph.
     """
     oracle = build_zero_divisor_graph(n)
     g = build_divisor_graph(n)
     cls = np.searchsorted(g.vertices, np.gcd(oracle.vertex_labels, n))
-    expanded = (g.adjacency | np.diag(g.complete))[np.ix_(cls, cls)]
+    expanded = g.adjacency[np.ix_(cls, cls)]
     np.fill_diagonal(expanded, False)
     return oracle, cls, expanded
 
@@ -84,19 +87,16 @@ def class_names(graph: WeightedDivisorGraph) -> list[str]:
     for a singleton of either kind (the two coincide on one vertex)."""
     return [
         "K_1" if w == 1 else f"K_{w}" if c else f"K̄_{w}"
-        for w, c in zip(graph.weights, graph.complete.tolist())
+        for w, c in zip(graph.weights, graph.adjacency.diagonal().tolist())
     ]
 
 
 def class_degrees(graph: WeightedDivisorGraph) -> list[int]:
-    """Degree of the vertices of each gcd class, in divisor order: the
-    neighbor weight M, plus w - 1 inside a clique of w vertices."""
-    return [
-        m + (w - 1) * c
-        for w, m, c in zip(
-            graph.weights, graph.neighbor_weights.tolist(), graph.complete.tolist()
-        )
-    ]
+    """Degree of the vertices of each gcd class, in divisor order, counted
+    off the adjacency: the weights of the classes B joins the class to, its
+    own included when it is a clique, less the vertex itself."""
+    b = graph.adjacency
+    return (b @ np.array(graph.weights, dtype=np.int64) - b.diagonal()).tolist()
 
 
 def edge_count_doubled(assembly: SpectrumAssembly) -> int:
@@ -118,16 +118,16 @@ def reduced_report(n: int) -> tuple[AnalysisReport, SpectrumMultiset]:
         return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
 
     mu, q2 = total.second_smallest(), quotient.second_smallest()
-    delta, Delta = reference_degree_extremes(assembly)
+    degs = class_degrees(assembly.graph)
     disconnected = complement_disconnected(n)
     report = AnalysisReport(
         n=n,
-        vertex_count=assembly.vertex_count,
+        vertex_count=sum(assembly.graph.weights),
         mu=mu,
         lambda_=total.max_value,
         kappa=vertex_connectivity(n),
-        delta_min=delta,
-        Delta_max=Delta,
+        delta_min=min(degs),
+        Delta_max=max(degs),
         laplacian_integral=is_integral(total),
         complement_disconnected=disconnected,
         lambda_equals_order=disconnected,
@@ -144,6 +144,19 @@ def reduced_report(n: int) -> tuple[AnalysisReport, SpectrumMultiset]:
 # versions
 
 
+class ReferenceDivisorGraph(NamedTuple):
+    """The divisor graph as ``reference_build_divisor_graph`` returns it:
+    the adjacency with a false diagonal, the neighbor weight sums M and the
+    clique flags."""
+
+    n: int
+    vertices: tuple[int, ...]
+    weights: tuple[int, ...]
+    adjacency: np.ndarray
+    neighbor_weights: np.ndarray
+    complete: np.ndarray
+
+
 def reference_divisors_with_exponents(n: int) -> list[tuple[int, tuple[int, ...], int]]:
     out: list[tuple[int, tuple[int, ...], int]] = [(1, (), 1)]
     for p, e in factorize(n).factors:
@@ -152,7 +165,7 @@ def reference_divisors_with_exponents(n: int) -> list[tuple[int, tuple[int, ...]
     return sorted(out)
 
 
-def reference_build_divisor_graph(n: int) -> WeightedDivisorGraph:
+def reference_build_divisor_graph(n: int) -> ReferenceDivisorGraph:
     fact = factorize(n)
     divs, exps, weights = zip(*reference_divisors_with_exponents(n)[1:-1])
     a = np.array(exps, dtype=np.int16).T.copy()  # (r, k)
@@ -161,23 +174,23 @@ def reference_build_divisor_graph(n: int) -> WeightedDivisorGraph:
     complete = adj.diagonal().copy()
     np.fill_diagonal(adj, False)
     w = np.array(weights, dtype=np.int64)
-    return WeightedDivisorGraph(n, divs, weights, adj, adj @ w, complete)
+    return ReferenceDivisorGraph(n, divs, weights, adj, adj @ w, complete)
 
 
-def reference_weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
+def reference_weighted_laplacian(g: ReferenceDivisorGraph) -> np.ndarray:
     lap = -(g.adjacency * np.asarray(g.weights, dtype=np.int64))
     np.fill_diagonal(lap, g.neighbor_weights)
     return lap
 
 
-def reference_symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:
+def reference_symmetric_form(g: ReferenceDivisorGraph) -> np.ndarray:
     w = np.asarray(g.weights, dtype=np.float64)
     c = np.where(g.adjacency, -np.sqrt(np.multiply.outer(w, w)), 0.0)
     np.fill_diagonal(c, g.neighbor_weights)
     return c
 
 
-def reference_quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
+def reference_quotient_eigenvalues(g: ReferenceDivisorGraph) -> list[float]:
     """The quotient eigenvalues, with the Rayleigh refinement of graded
     quotients, upper edges taken from np.triu."""
     c = reference_symmetric_form(g)
@@ -226,8 +239,7 @@ def reference_coalesce(values, tol: float = DEFAULT_COALESCE_TOL) -> SpectrumMul
     return reference_merged(entries)
 
 
-def reference_degree_extremes(assembly: SpectrumAssembly) -> tuple[int, int]:
-    g = assembly.graph
+def reference_degree_extremes(g: ReferenceDivisorGraph) -> tuple[int, int]:
     degs = g.neighbor_weights + (np.asarray(g.weights) - 1) * g.complete
     return int(degs.min()), int(degs.max())
 

@@ -426,3 +426,5 @@ def test_divisor_graph_beyond_the_order_envelope_exits_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "order 2302" in err and "Traceback" not in err
+    # the limit is on proper divisors; this command computes no char-poly
+    assert "2047 proper divisors" in err and "char-poly" not in err

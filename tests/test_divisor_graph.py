@@ -37,7 +37,11 @@ def test_vertex_count_bounded_by_int64():
     # 2^64 has 2^63 - 1 zero divisors, the most int64 can count
     g = build_divisor_graph(2**64)
     assert sum(g.weights) == 2**63 - 1
-    assert max(g.neighbor_weights.tolist()) <= 2**63 - 1
+    # the Laplacian diagonal adds d - 1, up to 2^63 - 1, onto -[n | d^2] w:
+    # 2^63 - 2 at 2^63, a clique of one vertex
+    lap = weighted_laplacian(g)
+    assert lap[-1, -1] == 2**63 - 2
+    assert lap.sum(axis=1).tolist() == [0] * len(g.vertices)
     with pytest.raises(OverflowError):
         build_divisor_graph(2**65)
     with pytest.raises(OverflowError):
@@ -63,19 +67,19 @@ def test_n9_single_vertex():
     assert g.vertices == (3,)
     assert g.weights == (2,)
     assert g.edges() == []
-    assert g.neighbor_weights.tolist() == [0]
+    # one clique class, K_2: a true diagonal, and no neighbour weight
+    assert g.adjacency.tolist() == [[True]]
+    assert weighted_laplacian(g).tolist() == [[0]]
 
 
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_adjacency_equivalent_predicate(n):
-    # n | d_i*d_j is the same relation as (n/d_j) | d_i
+    # n | d_i*d_j is the same relation as (n/d_j) | d_i, on the diagonal too
     g = build_divisor_graph(n)
     k = len(g.vertices)
     for i in range(k):
         for j in range(k):
-            if i == j:
-                continue
             di, dj = g.vertices[i], g.vertices[j]
             assert g.adjacency[i, j] == ((di % (n // dj)) == 0)
 
@@ -108,13 +112,15 @@ def test_divisor_graph_connected(n):
 @settings(max_examples=60, deadline=None)
 def test_complete_matches_oracle_class_kinds(n):
     g = build_divisor_graph(n)
-    assert g.complete.tolist() == [d * d % n == 0 for d in g.vertices]
+    assert g.adjacency.diagonal().tolist() == [d * d % n == 0 for d in g.vertices]
 
 
 def test_class_degrees_examples():
-    assert build_divisor_graph(18).neighbor_weights.tolist() == [1, 2, 3, 8]
+    # the neighbour weights M = d - 1 - [n | d^2] phi(n/d) on the diagonal
+    lap = weighted_laplacian(build_divisor_graph(18))
+    assert lap.diagonal().tolist() == [1, 2, 3, 8]
     # n = pq: M values are phi(p), phi(q) at vertices p, q
-    assert build_divisor_graph(15).neighbor_weights.tolist() == [2, 4]
+    assert weighted_laplacian(build_divisor_graph(15)).diagonal().tolist() == [2, 4]
 
 
 def test_weighted_laplacian_n18_matrix():
@@ -173,8 +179,9 @@ def _scan_divisors(n):
 
 def test_build_matches_pairwise_definition():
     # the exponent-vector broadcast against the definition, pair by pair:
-    # n | d_i * d_j, weight phi(n / d), M_i the sum of neighbor weights,
-    # and C with -sqrt(m_i * m_j) from the exact integer product, bit for bit
+    # n | d_i * d_j (the diagonal included), weight phi(n / d), M_i the sum
+    # of neighbor weights, and C with -sqrt(m_i * m_j) from the exact
+    # integer product, bit for bit
     cases = [(n, _scan_divisors(n)) for n in range(4, 3001) if not is_prime(n)]
     cases.append((8648640, _scan_divisors(8648640)))
     cases.append((2**62, [2**i for i in range(1, 62)]))  # k = 61
@@ -188,8 +195,8 @@ def test_build_matches_pairwise_definition():
         m = [0] * k
         for i in range(k):
             for j in range(k):
-                if i != j and (divs[i] * divs[j]) % n == 0:
-                    adj[i, j] = True
+                adj[i, j] = (divs[i] * divs[j]) % n == 0
+                if i != j and adj[i, j]:
                     m[i] += w[j]
                     lap[i, j] = -w[j]
                     c[i, j] = -math.sqrt(w[i] * w[j])
@@ -198,7 +205,5 @@ def test_build_matches_pairwise_definition():
         assert g.vertices == tuple(divs)
         assert g.weights == tuple(w)
         assert np.array_equal(g.adjacency, adj)
-        assert g.neighbor_weights.tolist() == m
-        assert g.complete.tolist() == [d * d % n == 0 for d in divs]
         assert np.array_equal(weighted_laplacian(g), lap)
         assert np.array_equal(symmetric_form(g).view(np.int64), c.view(np.int64))

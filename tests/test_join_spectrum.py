@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import zdgspec.join_spectrum
 from zdgspec import eigen
 from zdgspec.analysis import analyze
-from zdgspec.divisor_graph import WeightedDivisorGraph, weighted_laplacian
+from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
 from zdgspec.eigen import (
     EXCLUSION_PRIME,
     SpectrumMultiset,
@@ -46,28 +46,29 @@ composite = st.integers(min_value=4, max_value=400).filter(lambda n: not is_prim
 # class spectra
 
 
-def _one_class(divisor, complete, size, neighbor_weight):
-    """A graph holding one class; class_pairs reads only its size, its
-    neighbor weight and whether it is a clique."""
-    return WeightedDivisorGraph(
-        n=0,
-        vertices=(divisor,),
-        weights=(size,),
-        adjacency=np.zeros((1, 1), dtype=bool),
-        neighbor_weights=np.array([neighbor_weight], dtype=np.int64),
-        complete=np.array([complete]),
-    )
-
-
 def test_class_contribution_pairs():
-    # K_4 (spectrum 0, 4^3), a null class of 6 (0^6) and a singleton, each
-    # losing one zero and shifted by its neighbor weight
-    assert class_pairs(_one_class(2, True, 4, 10)) == [(14, 3)]
-    assert class_pairs(_one_class(2, True, 4, 0)) == [(4, 3)]
-    assert class_pairs(_one_class(3, False, 6, 5)) == [(5, 5)]
-    assert class_pairs(_one_class(3, False, 6, 0)) == [(0, 5)]
-    assert class_pairs(_one_class(6, True, 1, 7)) == []
-    assert class_pairs(_one_class(6, False, 1, 7)) == []
+    # the class of d adds d - 1, phi(n/d) - 1 times, clique or not: at 18
+    # the edgeless classes of 2 (6 vertices) and 3 (2) and the clique of 6
+    # (2), while the singleton 9 adds nothing; 25 is the clique K_4, whose
+    # value 4 is both d - 1 and the class size
+    assert class_pairs(build_divisor_graph(18)) == [(1, 5), (2, 1), (5, 1)]
+    assert class_pairs(build_divisor_graph(27)) == [(2, 5), (8, 1)]
+    assert class_pairs(build_divisor_graph(25)) == [(4, 3)]
+    assert class_pairs(build_divisor_graph(16)) == [(1, 3), (3, 1)]
+
+
+def test_class_values_in_the_oracle_spectrum():
+    # every class of w = phi(n/d) > 1 vertices adds d - 1 at least w - 1
+    # times to the raw spectrum of the explicit graph, clique or not
+    for n in range(4, 301):
+        if is_prime(n):
+            continue
+        raw = brute_spectrum(n)
+        for d in [d for d in range(2, n) if n % d == 0]:
+            w = euler_phi(n // d)
+            if w > 1:
+                hits = np.count_nonzero(np.abs(raw - (d - 1)) <= 1e-9 * n)
+                assert hits >= w - 1, (n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_entries_refuse_a_prime_or_n_below_4(entry, monkeypatch):
 def test_count_identity(n):
     assembly = reduced_spectrum(n)
     assert assembly.total.total_multiplicity == n - euler_phi(n) - 1
-    assert assembly.vertex_count == n - euler_phi(n) - 1
+    assert sum(assembly.graph.weights) == n - euler_phi(n) - 1
 
 
 @given(composite)

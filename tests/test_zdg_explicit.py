@@ -110,6 +110,18 @@ def test_join_reconstruction_matches_oracle(n):
     assert np.array_equal(expanded, oracle.adjacency)
 
 
+def test_degree_closed_form_matches_oracle():
+    # the Chinese remainder count behind L = diag(d - 1) - B W: x with
+    # gcd(x, n) = d is adjacent to the d - 1 nonzero multiples of n/d, less
+    # x itself when n | d^2
+    for n in range(4, 1001):
+        if is_prime(n):
+            continue
+        oracle = build_zero_divisor_graph(n)
+        d = np.gcd(oracle.vertex_labels, n)
+        assert degrees(oracle) == (d - 1 - (d * d % n == 0)).tolist(), n
+
+
 @given(composite)
 @settings(max_examples=60, deadline=None)
 def test_complete_iff_p_squared(n):
