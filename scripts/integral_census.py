@@ -8,11 +8,15 @@ primes are integral by theorem, and `exact_total_spectrum` returns their
 closed forms without a characteristic polynomial, so their rows count
 shapes, not tests. Every other n is decided through the exact integer
 characteristic polynomial of the quotient; that is the interesting column.
+The range is walked a chunk at a time by `assemble_range`, as `survey` walks
+it, so the polynomials modulo the exclusion prime of a chunk take one kernel
+call per group of orders.
 """
 
 import argparse
 from collections import Counter
 
+from zdgspec.analysis import assemble_range
 from zdgspec.join_spectrum import exact_total_spectrum
 from zdgspec.numtheory import factorize, is_prime
 
@@ -45,10 +49,10 @@ def main() -> int:
     integral = []
     tally: Counter[tuple[str, bool]] = Counter()
     # no composite lies below 4, and the library refuses n < 4
-    for n in range(max(args.n_min, 4), args.n_max + 1):
-        if is_prime(n):
-            continue
-        exact = exact_total_spectrum(n)
+    lo = max(args.n_min, 4)
+    composites = (n for n in range(lo, args.n_max + 1) if not is_prime(n))
+    for n, assembly, residues in assemble_range(composites):
+        exact = exact_total_spectrum(n, assembly, residues)
         label = shape(n)
         tally[(label, exact is not None)] += 1
         if exact is not None and (args.show_spectra or label not in GUARANTEED):

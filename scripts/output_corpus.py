@@ -6,7 +6,10 @@ Prints, for a fixed list of CLI commands run in process, the command, its
 stdout, its stderr (each line prefixed with "stderr: ") and its exit code;
 then `exact_total_spectrum(n).pairs()` (or None)
 for every composite n in [4, 3000]. The command list is `survey 4 1500`
-(CSV), `survey 4 300` (JSON), `verify 4 303`, `spectrum` and `analyze` of
+(CSV), `survey 4 300` (JSON), `survey 700 760` as CSV and as JSON (it
+crosses n = 720, k = 28, and its quotients fall in four isqrt(k) groups, so
+it pins rows whose residue polynomials came from zero-padded stacks),
+`verify 4 303`, `spectrum` and `analyze` of
 four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 `spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
 2, 6, 30, 210, `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
@@ -83,6 +86,8 @@ def commands(seed: int) -> list[list[str]]:
     cmds = [
         ["survey", "4", "1500", "--format", "csv"],
         ["survey", "4", "300", "--format", "json"],
+        ["survey", "700", "760", "--format", "csv"],
+        ["survey", "700", "760", "--format", "json"],
         ["verify", "4", "303"],
     ]
     counts = divisor_counts(DENSE_MAX)

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterator
 from typing import TextIO
 
-from .analysis import AnalysisReport, analyze_assembly
+from .analysis import AnalysisReport, analyze_assembly, analyze_range
 from .divisor_graph import build_divisor_graph, require_composite, weighted_laplacian
 from .eigen import SpectrumMultiset, check_order, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
@@ -293,8 +293,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         print(f"invalid range [{args.n_min}, {args.n_max}]", file=sys.stderr)
         return EXIT_INVALID_N
-    # each row is written as soon as it is computed, to a file opened before
-    # the first n; rows written before a refusal (exit 5) stay written
+    # rows are written a chunk at a time, in ascending n, as soon as the
+    # chunk's residue polynomials are done, to a file opened before the
+    # first n; rows written before a refusal (exit 5) stay written
     csv = args.format == "csv"
     with contextlib.ExitStack() as stack:
         out = sys.stdout
@@ -302,8 +303,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
             out = stack.enter_context(open(args.out, "w"))
         if csv:
             out.write(CSV_HEADER + "\n")
-        for n in _composites(args.n_min, args.n_max):
-            report, spectrum, label = analyze_assembly(n)
+        for report, spectrum, label in analyze_range(
+            _composites(args.n_min, args.n_max)
+        ):
             if csv:
                 out.write(record_csv(report, spectrum) + "\n")
             else:

@@ -22,6 +22,16 @@ Two routes to a spectrum live here and check each other:
   polynomial modulo that prime alone, and its deflation modulo it. A
   polynomial that does not split over the candidates modulo p cannot split
   over them over the integers, so one prime settles most verdicts.
+
+Modulo one prime the kernel also takes a (b, K, K) stack of matrices of
+orders k_i <= K, each zero-padded to K, with one leading batch axis through
+every product: one set of numpy calls for the whole stack. The result is
+exact member by member, not approximately so: the zero block adds nothing
+to any power, tr((R + 0)^j) = tr(R^j) for j >= 1, so each member's first
+k_i + 1 power sums, and the coefficients, Cayley-Hamilton check and trace
+check made from them, are the integers it gets alone; the bounds that keep
+the float64 products exact hold for K as for k. A lone matrix is a stack of
+one, so there is one kernel.
 """
 
 from __future__ import annotations
@@ -250,33 +260,45 @@ def _word_primes() -> tuple[int, ...]:
     return tuple((lo + np.flatnonzero(window)[::-1]).tolist())
 
 
-def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
+def _char_poly_mod(
+    r: np.ndarray, p: int, orders: Sequence[int] | None = None
+) -> list[list[int]] | list[int]:
     """Ascending coefficients of det(xI - R) modulo the prime p > k, length
-    k + 1, for the k x k int64 residues R in [0, p) of ``_residues``, which
-    it leaves as they are, from the power sums tr(R^j), j <= k + 1.
+    k + 1, for each member R of a (b, K, K) stack of int64 residues in
+    [0, p) of ``_residues``, which it leaves as they are: member i is the
+    leading orders[i] x orders[i] block, zero beyond it (every order K when
+    ``orders`` is not given). A lone K x K matrix is a batch of one, whose
+    one list is returned. The coefficients come from the power sums
+    tr(R^j), j <= k + 1, taken for the whole stack at once: the zero
+    padding changes no tr((R + 0)^j) for j >= 1, so each member gets
+    exactly the sums, and the coefficients, that it gets alone.
 
     Baby steps R, R^2, ..., R^s and giant steps I, R^s, ..., R^((g-1)s), with
-    s = isqrt(k) + 1 and s g >= k + 1 (Paterson and Stockmeyer, SIAM J.
+    s = isqrt(K) + 1 and s g >= K + 1 (Paterson and Stockmeyer, SIAM J.
     Comput. 2, 1973), each stack filled by doubling: the c powers after the
     first m known ones come from one stacked product of c <= m known powers
     with the m-th, R^(m+j) = R^j R^m, and one _centre, so that O(log s)
-    numpy calls make the O(sqrt(k)) float64 BLAS products of symmetric
-    residues, each exact since its sums stay below k 2^40 < 2^51. A step
-    holds at most STEP_SPAN numbers, so from k = 129 on the powers come one
-    at a time, as the cache favours there. The giant
+    numpy calls make the O(sqrt(K)) float64 BLAS products of symmetric
+    residues, each exact since its sums stay below K 2^40 < 2^51. A step
+    holds at most STEP_SPAN numbers, so from b K^2 > STEP_SPAN / 2 on the
+    powers come one at a time, as the cache favours there. The giant
     steps are stored transposed, so that tr(R^(is) R^j) =
-    sum_ab (R^(is))^T_ab (R^j)_ab, and one product of the flattened giant
-    stack with the flattened baby stack gives every tr(R^(is + j)). That
-    product is summed over chunks of TRACE_CHUNK entries of the k^2 axis,
-    whose sums stay below 2^53, each reduced modulo p before they are added;
-    one chunk up to k = 90. The two stacks hold (s + g) k^2 float64 numbers,
-    about 3 GB at k = 2047.
+    sum_ab (R^(is))^T_ab (R^j)_ab, and one product of each member's
+    flattened giant stack with its flattened baby stack gives every
+    tr(R^(is + j)). That product is summed over chunks of TRACE_CHUNK
+    entries of the K^2 axis, whose sums stay below 2^53, each reduced
+    modulo p before they are added; one chunk up to K = 90. The two stacks
+    hold (s + g) b K^2 float64 numbers, about 3 GB for one member at
+    K = 2047.
     """
-    k = r.shape[0]
+    lone = r.ndim == 2
+    if lone:
+        r = r[None]
+    b, k = r.shape[:2]
     s = math.isqrt(k) + 1
     g = -(-(k + 1) // s)
-    most = max(1, STEP_SPAN // (k * k))  # powers per doubling step
-    baby = np.empty((s, k, k))
+    most = max(1, STEP_SPAN // (b * k * k))  # powers per doubling step
+    baby = np.empty((s, b, k, k))
     baby[0] = r
     _centre(baby[0], p)
     m = 1
@@ -284,20 +306,27 @@ def _char_poly_mod(r: np.ndarray, p: int) -> list[int]:
         c = min(m, s - m, most)
         _centre(np.matmul(baby[:c], baby[m - 1], out=baby[m : m + c]), p)
         m += c
-    giant = np.zeros((g, k, k))
-    giant[0].flat[:: k + 1] = 1
-    giant[1:2] = baby[-1].T  # a slice, empty when k <= 1 and g = 1
+    giant = np.zeros((g, b, k, k))
+    giant[0].reshape(b, k * k)[:, :: k + 1] = 1
+    giant[1:2] = baby[-1].transpose(0, 2, 1)  # empty when k <= 1 and g = 1
     m = 2
     while m < g:  # giant[i] = (R^(is))^T
         c = min(m - 1, g - m, most)
         _centre(np.matmul(giant[m - 1], giant[1 : 1 + c], out=giant[m : m + c]), p)
         m += c
-    flat_giant, flat_baby = giant.reshape(g, k * k), baby.reshape(s, k * k).T
+    flat_giant = giant.reshape(g, b, k * k).transpose(1, 0, 2)  # (b, g, K^2)
+    flat_baby = baby.reshape(s, b, k * k).transpose(1, 2, 0)  # (b, K^2, s)
     sums = 0
     for lo in range(0, k * k, TRACE_CHUNK):
         chunk = slice(lo, lo + TRACE_CHUNK)
-        sums = (sums + (flat_giant[:, chunk] @ flat_baby[chunk]).astype(np.int64)) % p
-    return _newton_char_poly(sums.ravel().tolist()[: k + 1], p)
+        product = flat_giant[..., chunk] @ flat_baby[:, chunk]
+        sums = (sums + product.astype(np.int64)) % p
+    rows = sums.reshape(b, g * s).tolist()
+    polys = [
+        _newton_char_poly(row[: n + 1], p)
+        for row, n in zip(rows, [k] * b if orders is None else orders)
+    ]
+    return polys[0] if lone else polys
 
 
 def _centre(y: np.ndarray, p: int) -> np.ndarray:
@@ -369,8 +398,11 @@ def check_order(k: int) -> None:
         raise OverflowError(f"order {k} is too large: {limit}")
 
 
-def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - M) of an integer matrix.
+def char_poly_integer(
+    m, modulus: int | None = None, orders: Sequence[int] | None = None
+) -> IntPolynomial | list[IntPolynomial]:
+    """Exact characteristic polynomial det(xI - M) of an integer matrix, or,
+    given a modulus, of each matrix of a stack.
 
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): the coefficients are
     computed modulo as many primes below 2^21 as it takes for their product
@@ -382,22 +414,32 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
     products of O(k^3) operations each, exact since every sum stays below
     2^53, checked against Cayley-Hamilton; it holds (s + g) k^2 float64
     numbers, s g >= k + 1 and s = isqrt(k) + 1, about 3 GB at k = 2047.
-    Given a modulus, which must be a prime above the order k, since Newton
-    divides by every m <= k, and below 2^21, the polynomial is computed
-    modulo it alone: one reduction, no bound and no lift, coefficients in
-    [0, modulus). The top two coefficients are checked against the traces
-    of M and M^2: over the integers for the lift, on the same int64 residues
-    as the kernel for a modulus. Before any elimination, raises
-    OverflowError for an order of 2048 or more or, without a modulus, a
-    bound above 2^44497, the envelope of the word primes, and ValueError
-    for a modulus that is not a prime in (k, 2^21).
+    Given a modulus, which must be a prime above the order and below 2^21,
+    since Newton divides by every m <= k, the polynomial is computed modulo
+    it alone: one reduction, no bound and no lift, coefficients in
+    [0, modulus). Then ``m`` may also be a (b, K, K) stack of integer
+    matrices, member i the leading orders[i] x orders[i] block of m[i] and
+    zero beyond it (every order K when ``orders`` is not given), and a list
+    of b polynomials is returned, each of its member's own order: one
+    kernel call takes the whole stack, since the zero padding changes no
+    power sum tr((M + 0)^j), j >= 1, so each member's sums, coefficients and
+    checks are exactly those it gets alone. A lone matrix is a stack of one.
+    The top two coefficients are checked against the traces of M and M^2:
+    over the integers for the lift, on the same int64 residues as the
+    kernel for a modulus. Before any elimination, raises OverflowError for
+    an order of 2048 or more or, without a modulus, a bound above 2^44497,
+    the envelope of the word primes, and ValueError for a modulus that is
+    not a prime in (K, 2^21), for a stack without one, or for orders that
+    do not fit the stack.
     """
     arr = np.asarray(m)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a square matrix")
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if arr.ndim == 3 and modulus is None:
+        raise ValueError("a stack of matrices needs a modulus")
     if arr.dtype.kind not in "iu":
         raise ValueError("expected integer entries")
-    k = arr.shape[0]
+    k = arr.shape[-1]
     check_order(k)
     if modulus is not None and not (
         max(k, 1) < modulus < 1 << PRIME_BITS and is_prime(modulus)
@@ -406,43 +448,64 @@ def char_poly_integer(m, modulus: int | None = None) -> IntPolynomial:
             f"modulus {modulus} is not a prime above the order {k} "
             f"and below 2^{PRIME_BITS}"
         )
-    if modulus is None:
-        rows = arr.tolist()
-        norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
-        twice_bound = 2 * math.prod(2 + r for r in norms)
-        if twice_bound.bit_length() > MAX_BOUND_BITS:
-            raise OverflowError(
-                f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
-                f"beyond 2^{MAX_BOUND_BITS}"
-            )
-        chosen, product = [], 1
-        for p in _word_primes():
-            if product > twice_bound:
-                break
-            chosen.append(p)
-            product *= p
-        residues = [_char_poly_mod(_residues(arr, p), p) for p in chosen]
-        weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
-        lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
-        coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
-        # over the integers, where tr^2 - tr(M^2) is even
-        trace = sum(rows[i][i] for i in range(k))
-        trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
-        top = (1, -trace, (trace * trace - trace_sq) // 2)
-    else:
-        # twice e2 is tr(R)^2 - tr(R^2) for the residues r modulo q, an even
-        # number, so it is reduced modulo 2q and only then halved, since
-        # modulo 2 there is no inverse of 2; each r_ij r_ji is reduced before
-        # it is summed, so that no int64 sum overflows
-        q = modulus
-        r = _residues(arr, q)
-        coeffs = tuple(_char_poly_mod(r, q))[::-1]
-        trace = int(r.trace())
-        twice_e2 = (trace * trace - int((r * r.T % (2 * q)).sum())) % (2 * q)
-        top = (1, -trace % q, twice_e2 // 2)
-    if coeffs[:3] != top[: k + 1]:
+    if modulus is not None:
+        return _char_poly_residues(arr, modulus, orders)
+    rows = arr.tolist()
+    norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
+    twice_bound = 2 * math.prod(2 + r for r in norms)
+    if twice_bound.bit_length() > MAX_BOUND_BITS:
+        raise OverflowError(
+            f"coefficients need a modulus above 2^{twice_bound.bit_length() - 1}, "
+            f"beyond 2^{MAX_BOUND_BITS}"
+        )
+    chosen, product = [], 1
+    for p in _word_primes():
+        if product > twice_bound:
+            break
+        chosen.append(p)
+        product *= p
+    residues = [_char_poly_mod(_residues(arr, p), p) for p in chosen]
+    weights = [product // p * pow(product // p % p, -1, p) for p in chosen]
+    lifted = (sum(map(mul, weights, c)) % product for c in zip(*residues))
+    coeffs = tuple(x - product if x > product // 2 else x for x in lifted)[::-1]
+    # over the integers, where tr^2 - tr(M^2) is even
+    trace = sum(rows[i][i] for i in range(k))
+    trace_sq = sum(rows[i][j] * rows[j][i] for i in range(k) for j in range(k))
+    if coeffs[:3] != (1, -trace, (trace * trace - trace_sq) // 2)[: k + 1]:
         raise ArithmeticError("characteristic polynomial disagrees with the traces")
-    return IntPolynomial(coeffs, modulus)
+    return IntPolynomial(coeffs)
+
+
+def _char_poly_residues(
+    arr: np.ndarray, q: int, orders: Sequence[int] | None
+) -> IntPolynomial | list[IntPolynomial]:
+    """``char_poly_integer`` modulo the prime q of a checked matrix, or of
+    each member of a checked stack, of the given orders."""
+    r = _residues(arr, q)
+    stack = r.ndim == 3
+    if not stack:
+        polys = [_char_poly_mod(r, q)]
+        r = r[None]
+    else:
+        k = r.shape[-1]
+        orders = [k] * len(r) if orders is None else list(orders)
+        if len(orders) != len(r) or not all(0 <= n <= k for n in orders):
+            raise ValueError(f"orders {orders} do not fit a stack of shape {r.shape}")
+        polys = _char_poly_mod(r, q, orders)
+    # twice e2 is tr(R)^2 - tr(R^2) for the residues r modulo q, an even
+    # number, so it is reduced modulo 2q and only then halved, since modulo
+    # 2 there is no inverse of 2; each r_ij r_ji is reduced before it is
+    # summed, so that no int64 sum overflows
+    traces = r.trace(axis1=1, axis2=2).tolist()
+    squares = (r * r.transpose(0, 2, 1) % (2 * q)).sum(axis=(1, 2)).tolist()
+    out = []
+    for c, t, t2 in zip(polys, traces, squares):
+        coeffs = tuple(c)[::-1]
+        twice_e2 = (t * t - t2) % (2 * q)
+        if coeffs[:3] != (1, -t % q, twice_e2 // 2)[: len(c)]:
+            raise ArithmeticError("characteristic polynomial disagrees with the traces")
+        out.append(IntPolynomial(coeffs, q))
+    return out if stack else out[0]
 
 
 def integer_roots_complete(

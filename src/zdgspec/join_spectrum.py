@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from operator import mul
 from typing import NamedTuple
 
@@ -43,10 +44,13 @@ from .divisor_graph import (
     symmetric_form,
     upper_edges,
     weighted_laplacian,
+    weighted_laplacians,
 )
 from .eigen import (
     EPS,
     EXCLUSION_PRIME,
+    STEP_SPAN,
+    IntPolynomial,
     SpectrumEntry,
     SpectrumMultiset,
     char_poly_integer,
@@ -145,8 +149,37 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     )
 
 
+def residue_polynomials(graphs: Sequence[WeightedDivisorGraph]) -> list[IntPolynomial]:
+    """The characteristic polynomial modulo EXCLUSION_PRIME of each graph's
+    weighted Laplacian, the residue polynomial ``exact_total_spectrum``
+    deflates, from one ``char_poly_integer`` call per group.
+
+    The graphs are grouped by isqrt(k), which fixes the kernel's baby-step
+    count, and each group is zero-padded to its largest order K only, since
+    padding across groups would give small orders the giant steps of large
+    ones. A group holds at most max(1, STEP_SPAN // K^2) graphs, so that one
+    call holds no more numbers than one graph of order near sqrt(STEP_SPAN)
+    alone, and every order above 181 is a group of one.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(math.isqrt(len(g.vertices)), []).append(i)
+    out: dict[int, IntPolynomial] = {}
+    for members in groups.values():
+        top = max(len(graphs[i].vertices) for i in members)
+        size = max(1, STEP_SPAN // (top * top))
+        for lo in range(0, len(members), size):
+            part = members[lo : lo + size]
+            stack = weighted_laplacians([graphs[i] for i in part])
+            orders = [len(graphs[i].vertices) for i in part]
+            out.update(zip(part, char_poly_integer(stack, EXCLUSION_PRIME, orders)))
+    return [out[i] for i in range(len(graphs))]
+
+
 def exact_total_spectrum(
-    n: int, assembly: SpectrumAssembly | None = None
+    n: int,
+    assembly: SpectrumAssembly | None = None,
+    residues: IntPolynomial | None = None,
 ) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
@@ -168,7 +201,9 @@ def exact_total_spectrum(
     lift. Only a polynomial that splits modulo that prime pays for the
     integer polynomial and the exact deflation. The divisor graph and the
     quotient eigenvalues come from ``assembly``, the ``reduced_spectrum(n)``
-    of the caller, and are computed here when it is not given.
+    of the caller, and the polynomial modulo that prime from ``residues``,
+    that graph's entry of ``residue_polynomials``; each is computed here
+    when it is not given, the polynomial as a batch of one.
     """
     if assembly is not None and assembly.n != n:
         raise ValueError(f"assembly is for n={assembly.n}, not {n}")
@@ -178,18 +213,22 @@ def exact_total_spectrum(
     if assembly is None:
         assembly = reduced_spectrum(n)
     values = assembly.quotient_values
+    k = len(values)
     norm = math.sqrt(sum(map(mul, values, values)))
-    rho = 1e3 * len(values) * EPS * norm
+    rho = 1e3 * k * EPS * norm
     candidates = {
         r
         for v in values
         for r in range(max(0, math.ceil(v - rho)), math.floor(v + rho) + 1)
     }
-    laplacian = weighted_laplacian(assembly.graph)
-    residues = char_poly_integer(laplacian, EXCLUSION_PRIME)
+    if residues is None:
+        laplacian = weighted_laplacian(assembly.graph)
+        residues = char_poly_integer(laplacian, EXCLUSION_PRIME)
+    elif (residues.modulus, len(residues.coefficients)) != (EXCLUSION_PRIME, k + 1):
+        raise ValueError(f"residues are not of order {k} modulo {EXCLUSION_PRIME}")
     if not integer_roots_complete(residues, candidates)[1]:
         return None
-    poly = char_poly_integer(laplacian)
+    poly = char_poly_integer(weighted_laplacian(assembly.graph))
     roots, complete = integer_roots_complete(poly, candidates)
     if not complete:
         return None

@@ -5,8 +5,9 @@ import pytest
 import zdgspec.cli
 import zdgspec.join_spectrum
 from zdgspec import eigen
-from zdgspec.cli import CSV_HEADER, build_parser, main
-from zdgspec.numtheory import factorize
+from zdgspec.analysis import analyze_assembly
+from zdgspec.cli import CSV_HEADER, build_parser, main, record_csv, record_json
+from zdgspec.numtheory import factorize, is_prime
 
 EXPECTED_15 = (
     '{"n":15,"vertex_count":6,'
@@ -316,6 +317,19 @@ def test_survey_json_rows_carry_quotient_flags(capsys):
         assert reemit(json.loads(line)) == line
 
 
+def test_survey_rows_equal_per_n_analysis(capsys):
+    # the rows of a chunked survey are byte for byte those of each n analyzed
+    # alone, with its own residue polynomial
+    composites = [n for n in range(4, 2001) if not is_prime(n)]
+    alone = [analyze_assembly(n) for n in composites]
+    code, out, _ = run(capsys, "survey", "4", "2000")
+    assert code == 0
+    assert out.splitlines() == [CSV_HEADER] + [record_csv(r, s) for r, s, _ in alone]
+    code, out, _ = run(capsys, "survey", "4", "2000", "--format", "json")
+    assert code == 0
+    assert out.splitlines() == [record_json(*row, True) for row in alone]
+
+
 def test_survey_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(capsys, "survey", "4", "12", "--out", str(target))
@@ -326,10 +340,10 @@ def test_survey_out_file(tmp_path, capsys):
 
 def test_survey_unwritable_path(capsys, monkeypatch):
     # the output is opened before the first n, so nothing is computed
-    def no_work(n):
-        raise AssertionError(f"n = {n} analysed for an output that cannot open")
+    def no_work(ns):
+        raise AssertionError("n analysed for an output that cannot open")
 
-    monkeypatch.setattr(zdgspec.cli, "analyze_assembly", no_work)
+    monkeypatch.setattr(zdgspec.cli, "analyze_range", no_work)
     code, _, err = run(capsys, "survey", "4", "12", "--out", "/no-such-dir/rows.csv")
     assert code == 4
     assert err
@@ -339,23 +353,27 @@ def test_survey_unwritable_path(capsys, monkeypatch):
 def test_survey_rows_before_a_refusal_stay_written(
     capsys, monkeypatch, tmp_path, to_file
 ):
-    analyze_assembly = zdgspec.cli.analyze_assembly
-    seen = []
+    # with the order envelope lowered to 4, survey 4 12 writes the rows of
+    # 4, 6, 8, 9 and 10 (at most 2 proper divisors each) and then refuses
+    # 12 (4 proper divisors) off its factorization: exit 5, and the divisor
+    # graph of 12 is never built
+    _, rows, _ = run(capsys, "survey", "4", "10")
 
-    def refuse_second(n):
-        seen.append(n)
-        if len(seen) == 2:
-            raise OverflowError(f"n = {n} refused")
-        return analyze_assembly(n)
+    def no_graph(n):
+        raise AssertionError(f"divisor graph of {n} built for a refused order")
 
-    monkeypatch.setattr(zdgspec.cli, "analyze_assembly", refuse_second)
+    monkeypatch.setattr(eigen, "MAX_ORDER", 4)
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", no_graph)
     target = tmp_path / "rows.csv"
     out_args = ("--out", str(target)) if to_file else ()
     code, out, err = run(capsys, "survey", "4", "12", *out_args)
     assert code == 5
-    assert err == "n = 6 refused\n"
+    assert "order 4 is too large" in err and "Traceback" not in err
     written = target.read_text() if to_file else out
-    assert written == CSV_HEADER + "\n4,1,,0,0,0,0,true,false,false,false,0:1\n"
+    assert written == rows
+    assert [row.split(",")[0] for row in rows.splitlines()[1:]] == [
+        "4", "6", "8", "9", "10"
+    ]
 
 
 def test_survey_keeps_the_factorize_cache_bounded(tmp_path, capsys):

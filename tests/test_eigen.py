@@ -392,6 +392,43 @@ def test_char_poly_modulo_prime_is_exact_reduced(mq):
     )
 
 
+@given(
+    st.lists(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda k: int_matrix(k, 2**40)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.sampled_from([13, 101, eigen._word_primes()[-1], eigen.EXCLUSION_PRIME]),
+)
+@settings(max_examples=100, deadline=None)
+def test_char_poly_stack_equals_each_lone_matrix(mats, q):
+    # matrices of mixed orders up to 12, zero-padded into one stack, give
+    # each member the polynomial it has alone, of its own order; the stack
+    # mixes kernel step counts, which only makes each member's padding wider
+    orders = [len(m) for m in mats]
+    top = max(orders)
+    stack = np.stack([np.pad(m, (0, top - len(m))) for m in mats])
+    polys = char_poly_integer(stack, q, orders)
+    assert polys == [char_poly_integer(m, q) for m in mats]
+
+
+def test_char_poly_stack_argument_checks():
+    stack = np.zeros((2, 3, 3), dtype=np.int64)
+    q = eigen.EXCLUSION_PRIME
+    assert [p.coefficients for p in char_poly_integer(stack, q)] == [(1, 0, 0, 0)] * 2
+    assert [p.coefficients for p in char_poly_integer(stack, q, [1, 3])] == [
+        (1, 0),
+        (1, 0, 0, 0),
+    ]
+    with pytest.raises(ValueError):
+        char_poly_integer(stack)  # a stack needs a modulus
+    for orders in ([3], [1, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            char_poly_integer(stack, q, orders)
+
+
 @pytest.mark.parametrize("modulus", [None, eigen.EXCLUSION_PRIME])
 def test_char_poly_trace_check(monkeypatch, modulus):
     real = eigen._char_poly_mod

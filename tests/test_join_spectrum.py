@@ -25,6 +25,7 @@ from zdgspec.join_spectrum import (
     oracle_cap,
     prime_power_spectrum,
     reduced_spectrum,
+    residue_polynomials,
 )
 from zdgspec.numtheory import euler_phi, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
@@ -420,6 +421,36 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
     seen = _spy_primes(monkeypatch)
     assert exact_total_spectrum(n) is None
     assert seen == [eigen.EXCLUSION_PRIME]
+
+
+def test_residue_polynomials_group_by_step_count(monkeypatch):
+    # orders 4, 6 and 7 share isqrt(k) = 2, orders 10, 14 and 10 share 3,
+    # and 16 is alone; with STEP_SPAN at 2 * 14^2 a group padded to order 14
+    # holds two graphs, and one of order 16 a single one
+    graphs = [build_divisor_graph(n) for n in (12, 72, 30, 120, 60, 180, 36)]
+    calls = []
+    real = zdgspec.join_spectrum.char_poly_integer
+
+    def spy(stack, modulus, orders):
+        calls.append((stack.shape, orders))
+        return real(stack, modulus, orders)
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "char_poly_integer", spy)
+    monkeypatch.setattr(zdgspec.join_spectrum, "STEP_SPAN", 2 * 14**2)
+    polys = residue_polynomials(graphs)
+    assert calls == [
+        ((3, 7, 7), [4, 6, 7]),
+        ((2, 14, 14), [10, 14]),
+        ((1, 10, 10), [10]),
+        ((1, 16, 16), [16]),
+    ]
+    q = EXCLUSION_PRIME
+    assert polys == [char_poly_integer(weighted_laplacian(g), q) for g in graphs]
+    # the residues of one graph are checked against its order and modulus
+    assembly = reduced_spectrum(72)
+    assert exact_total_spectrum(72, assembly, polys[1]) is None
+    with pytest.raises(ValueError):
+        exact_total_spectrum(72, assembly, polys[0])
 
 
 INTEGRAL_FAMILIES = [

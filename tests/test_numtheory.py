@@ -1,9 +1,12 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from zdgspec.numtheory import euler_phi, factorize, is_prime
+from zdgspec.divisor_graph import build_divisor_graph
+from zdgspec.numtheory import TRIAL_BOUND, euler_phi, factorize, is_prime
 
 
 def test_factorize_small_values():
@@ -71,3 +74,68 @@ def test_divisor_count_matches_formula():
     assert factorize(30030).divisor_count() == 64
     assert factorize(12).divisor_count() == 6
     assert factorize(4096).divisor_count() == 13
+
+
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    factors, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+def _sieve(limit: int) -> list[int]:
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for d in range(2, math.isqrt(limit) + 1):
+        if flags[d]:
+            flags[d * d :: d] = bytearray(len(range(d * d, limit + 1, d)))
+    return [p for p in range(limit + 1) if flags[p]]
+
+
+def test_factorize_matches_trial_division():
+    # every n <= 10^5 is factored by trial division below 2^12 alone; the
+    # seeded n up to 10^10 and the products of primes of 2^12 to 10^5, up to
+    # 10^10 too, leave cofactors above 2^24 for Miller-Rabin and rho
+    for n in range(1, 10**5 + 1):
+        assert factorize(n).factors == _trial_division(n), n
+    rng = random.Random(2310)
+    primes = [p for p in _sieve(10**5) if p >= TRIAL_BOUND]
+    sample = [rng.randrange(10**5, 10**10) for _ in range(150)]
+    sample += [rng.choice(primes) * rng.choice(primes) for _ in range(100)]
+    sample += [math.prod(rng.choices(primes[:200], k=2)) * rng.randrange(1, 100)]
+    sample += [TRIAL_BOUND**2 - 3, TRIAL_BOUND**2 + 1, 4099**2, 4099**2 * 4111]
+    for n in sample:
+        assert factorize(n).factors == _trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "p, q", [(99999971, 99999989), (999999929, 999999937), (2, 2**61 - 1)]
+)
+def test_factorize_word_size_semiprimes_in_a_second(p, q):
+    # trial division took 5.8 s on the first and did not finish the last in
+    # 2 minutes: it ran to the square root of the cofactor
+    start = time.perf_counter()
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_past_the_trial_bound():
+    m61, m31, m89 = 2**61 - 1, 2**31 - 1, 2**89 - 1
+    assert factorize(m61**2).factors == ((m61, 2),)
+    assert factorize(4099**2 * m61**3).factors == ((4099, 2), (m61, 3))
+    assert factorize(m31 * m61).factors == ((m31, 1), (m61, 1))
+    assert factorize(m89).factors == ((m89, 1),)
+    assert factorize(2**64 + 1).factors == ((274177, 1), (67280421310721, 1))
+    # strong pseudoprimes to the bases up to 37 and to the bases 2 and 3
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(1373653) and not is_prime(3215031751)
+    g = build_divisor_graph(2 * m61)
+    assert (g.vertices, g.weights) == ((2, m61), (m61 - 1, 1))

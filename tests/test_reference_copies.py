@@ -5,16 +5,20 @@ array with the same dtype, shape and bytes, every float with the same bits,
 and every multiplicity and exactness flag, on every composite n in
 [4, 2000] and on every n <= 10^4 with 28, 30, 34, 38 or 46 proper divisors;
 the divisor graph and its matrices also on five n past 2^54 (``HUGE``).
+The residue polynomials that ``assemble_range`` takes a zero-padded group at
+a time must each equal the reference kernel's on its own lone residues.
 The shipped adjacency keeps the clique diagonal that the reference build
 split off into ``complete``, and the shipped matrices come from closed forms
 rather than the reference's neighbor weight sums ``adj @ w``.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from zdgspec import eigen
-from zdgspec.analysis import degree_extremes
+from zdgspec import eigen, join_spectrum
+from zdgspec.analysis import assemble_range, degree_extremes
 from zdgspec.divisor_graph import build_divisor_graph, symmetric_form, weighted_laplacian
 from zdgspec.eigen import SpectrumEntry, coalesce
 from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_spectrum
@@ -96,6 +100,36 @@ def test_kernel_matches_reference():
     for n in NS:
         r = eigen._residues(weighted_laplacian(build_divisor_graph(n)), q)
         assert eigen._char_poly_mod(r, q) == reference_char_poly_mod(r, q), n
+
+
+def test_chunk_groups_match_reference(monkeypatch):
+    # every group of residue polynomials that ``assemble_range`` forms over
+    # [4, 2000] and the dense pool is one zero-padded stack of a single
+    # isqrt(k); each member's polynomial is the reference kernel's on its
+    # lone residues
+    q = eigen.EXCLUSION_PRIME
+    stacks = []
+    real = join_spectrum.char_poly_integer
+
+    def spy(stack, modulus, orders):
+        stacks.append((stack, orders))
+        return real(stack, modulus, orders)
+
+    monkeypatch.setattr(join_spectrum, "char_poly_integer", spy)
+    checked = 0
+    for n, _, residues in assemble_range(NS):
+        if residues is None:
+            continue
+        r = eigen._residues(weighted_laplacian(build_divisor_graph(n)), q)
+        assert list(residues.coefficients[::-1]) == reference_char_poly_mod(r, q), n
+        checked += 1
+    assert checked == sum(len(orders) for _, orders in stacks)
+    assert max(len(orders) for _, orders in stacks) > 1
+    for stack, orders in stacks:
+        assert len({math.isqrt(k) for k in orders}) == 1
+        assert stack.shape[1] == max(orders)
+        for member, k in zip(stack, orders):
+            assert not member[k:].any() and not member[:, k:].any()
 
 
 def _chained(values: list[float], steps: list[float]) -> list[float]:
