@@ -10,14 +10,13 @@ shapes, not tests. Every other n is decided through the exact integer
 characteristic polynomial of the quotient; that is the interesting column.
 The range is walked a chunk at a time by `assemble_range`, as `survey` walks
 it, so the polynomials modulo the exclusion prime of a chunk take one kernel
-call per group of orders.
+call per group of orders; a closed-family n is passed on as n alone.
 """
 
 import argparse
 from collections import Counter
 
-from zdgspec.analysis import assemble_range
-from zdgspec.join_spectrum import exact_total_spectrum
+from zdgspec.join_spectrum import assemble_range, exact_total_spectrum
 from zdgspec.numtheory import factorize, is_prime
 
 GUARANTEED = ("p^t", "pq")
@@ -51,7 +50,8 @@ def main() -> int:
     # no composite lies below 4, and the library refuses n < 4
     lo = max(args.n_min, 4)
     composites = (n for n in range(lo, args.n_max + 1) if not is_prime(n))
-    for n, assembly, residues in assemble_range(composites):
+    for fact, assembly, residues in assemble_range(composites):
+        n = fact.n
         exact = exact_total_spectrum(n, assembly, residues)
         label = shape(n)
         tally[(label, exact is not None)] += 1

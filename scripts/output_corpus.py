@@ -27,7 +27,10 @@ and the refusals `spectrum 13` and `analyze 1` (exit 2), `spectrum`,
 `spectrum --method closed-form` of 36893488147419103232 (2^65, more zero
 divisors than int64 counts), and `analyze 6983776800` and
 `divisor-graph 6983776800` (2302 proper divisors, past the exact
-char-poly's order), each exit 5.
+char-poly's order), and `analyze 3317044064679887385961981` (psi_13, a
+strong pseudoprime to every Miller-Rabin base) and
+`spectrum 618970019642690137449562111` (2^89 - 1, prime), both past the
+bound below which that test proves primality, each exit 5.
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -112,6 +115,8 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["spectrum", huge], ["analyze", huge]]
     cmds += [["spectrum", huge, "--method", "closed-form"]]
     cmds += [["analyze", "6983776800"], ["divisor-graph", "6983776800"]]
+    cmds += [["analyze", "3317044064679887385961981"]]
+    cmds += [["spectrum", "618970019642690137449562111"]]
     return cmds
 
 

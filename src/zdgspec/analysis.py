@@ -1,5 +1,7 @@
 """Derived graph quantities and the number-theoretic characterizations.
 
+Every n, alone or in a range, takes the one route of
+``join_spectrum.assemble_range``, which refuses and classifies it once.
 n = p^t and n = pq are answered end to end from their closed-form quotient
 and total spectra (``closed_form_spectra``): no divisor graph, no
 eigensolver, no characteristic polynomial. Every other n rides on the
@@ -12,8 +14,8 @@ only corroborates them in tests.
 
 A range of n is analyzed a chunk at a time (``analyze_range``): the float
 route stays per n, and the residue polynomials of the exact integrality
-test come from one kernel call per group of the chunk's quotients, with
-every row byte for byte that of ``analyze_assembly`` of its n alone.
+test come from one kernel call per group of the chunk's quotients. A lone n
+is a range of one (``analyze``).
 
 Conventions at the degenerate end: Gamma(Z_4) is a single vertex, so mu is
 reported as undefined (None) rather than 0, and mu_equals_kappa is False
@@ -23,28 +25,19 @@ there and for n = p^2, where the graph is complete and mu = kappa + 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import islice
 from typing import NamedTuple
 
-from .divisor_graph import require_composite, vertex_count
-from .eigen import IntPolynomial, SpectrumMultiset, check_order
-from .errors import EmptyGraphError
+from .divisor_graph import require_composite
+from .eigen import IntPolynomial, SpectrumMultiset
 from .join_spectrum import (
     SpectrumAssembly,
+    assemble_range,
     closed_form_spectra,
     exact_total_spectrum,
-    reduced_spectrum,
-    residue_polynomials,
 )
 from .numtheory import Factorization
 
 EXTREME_MATCH_RTOL = 1e-8
-# n per chunk of assemble_range, whose rows are held until the chunk's
-# residue polynomials are done: in process, `survey 4 3000` took 0.60 s at
-# 1, 0.48 at 16, 0.40 at 64, 0.38 at 128 and 256 and 0.41 at 1024 (one BLAS
-# thread); and a chunk stays well inside the factorize cache, so each n
-# tested for primality is still cached when it is analyzed
-RANGE_CHUNK = 128
 
 
 class AnalysisReport(NamedTuple):
@@ -103,21 +96,17 @@ def mu_equals_kappa(n: int) -> bool:
     return fact.is_prime_power and fact.factors[0][1] >= 3
 
 
-def is_laplacian_integral(
-    n: int,
-    assembly: SpectrumAssembly | None = None,
-    residues: IntPolynomial | None = None,
-) -> bool:
+def is_laplacian_integral(assembly: SpectrumAssembly, residues: IntPolynomial) -> bool:
     """Exact test through the integer characteristic polynomial.
 
     Class values are integers by construction, so the spectrum is
     integral iff the quotient polynomial factors completely over Z. Every
     root is verified exactly; the candidates come from the quotient
-    eigenvalues of ``assembly``, the reduced path's result for n, and the
+    eigenvalues of ``assembly``, the reduced spectrum of its n, and the
     first test from ``residues``, its polynomial modulo EXCLUSION_PRIME,
-    each computed when not given (see ``exact_total_spectrum``).
+    both as ``assemble_range`` yields them (see ``exact_total_spectrum``).
     """
-    return exact_total_spectrum(n, assembly, residues) is not None
+    return exact_total_spectrum(assembly.n, assembly, residues) is not None
 
 
 def _quotient_extremes(
@@ -140,50 +129,34 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
 
 
-def _refusals(n: int) -> tuple[Factorization, int]:
-    """The factorization and vertex count of n, once n passes the refusals
-    that come before anything of size k is built: EmptyGraphError for a
-    prime or n < 4, then OverflowError, as ``char_poly_integer`` would, when
-    the quotient order (the number of proper divisors of n) is past the
-    exact characteristic polynomial's envelope, then when the vertex count
-    is past int64 (``vertex_count``)."""
-    fact = require_composite(n)
-    check_order(fact.divisor_count() - 2)
-    return fact, vertex_count(fact)
-
-
 def analyze_assembly(
-    n: int,
-    assembly: SpectrumAssembly | None = None,
-    residues: IntPolynomial | None = None,
+    fact: Factorization,
+    assembly: SpectrumAssembly | None,
+    residues: IntPolynomial | None,
 ) -> tuple[AnalysisReport, SpectrumMultiset, str]:
     """Full report for one n, the total spectrum it was read from, and the
-    route that spectrum took: "closed_form" or "reduced".
+    route that spectrum took: "closed_form" or "reduced", from what
+    ``assemble_range`` yields for n, which has refused and classified it.
 
-    Refusals come first, off the factorization (``_refusals``). Then
-    n = p^t and n = pq are answered by arithmetic on the factorization
-    (``closed_form_spectra``), integral by theorem; every other n by its
-    ``reduced_spectrum`` and the exact integrality test on that assembly.
-    ``assembly`` and ``residues``, when given, are that reduced spectrum
-    and its residue polynomial (see ``exact_total_spectrum``), as
-    ``assemble_range`` computes them a chunk at a time.
+    n = p^t and n = pq, for which the assembly is None, are answered by
+    arithmetic on the factorization (``closed_form_spectra``), integral by
+    theorem; every other n by its reduced spectrum and the exact
+    integrality test on that assembly and its residue polynomial.
     """
-    fact, count = _refusals(n)
-    closed = closed_form_spectra(fact)
-    if closed is not None:
-        quotient, total = closed
+    n = fact.n
+    if assembly is None:
+        quotient, total = closed_form_spectra(fact)
         integral, route = True, "closed_form"
     else:
-        if assembly is None:
-            assembly = reduced_spectrum(n)
         quotient, total = assembly.quotient, assembly.total
-        integral, route = is_laplacian_integral(n, assembly, residues), "reduced"
+        integral, route = is_laplacian_integral(assembly, residues), "reduced"
     delta_min, Delta_max = degree_extremes(n)
     mu_ok, lam_ok = _quotient_extremes(quotient, total)
     disconnected = complement_disconnected(n)
     report = AnalysisReport(
         n=n,
-        vertex_count=count,
+        # fits in int64: assemble_range checked it (``vertex_count``)
+        vertex_count=n - fact.phi - 1,
         mu=total.second_smallest(),
         lambda_=total.max_value,
         kappa=vertex_connectivity(n),
@@ -201,50 +174,17 @@ def analyze_assembly(
 
 
 def analyze(n: int) -> AnalysisReport:
-    return analyze_assembly(n)[0]
-
-
-def assemble_range(
-    ns: Iterable[int],
-) -> Iterator[tuple[int, SpectrumAssembly | None, IntPolynomial | None]]:
-    """(n, reduced spectrum, residue polynomial) for each n of ``ns`` in
-    turn, both None for n = p^t and n = pq, which need neither, a chunk of
-    at most RANGE_CHUNK n at a time.
-
-    Each n passes its refusals (``_refusals``) before its divisor graph is
-    built; then ``reduced_spectrum(n)`` is computed for each n of the chunk
-    outside the closed families, and their residue polynomials by one
-    ``char_poly_integer`` call per group of orders (``residue_polynomials``).
-    A refused n ends the chunk before it: the n before it are yielded, and
-    then its refusal is raised, so its divisor graph is never built.
-    """
-    it = iter(ns)
-    while chunk := list(islice(it, RANGE_CHUNK)):
-        assemblies: dict[int, SpectrumAssembly | None] = {}
-        refusal = None
-        for n in chunk:
-            try:
-                fact, _ = _refusals(n)
-            except (EmptyGraphError, OverflowError) as exc:
-                refusal = exc
-                break
-            closed = fact.is_prime_power or fact.is_product_of_two_distinct_primes
-            assemblies[n] = None if closed else reduced_spectrum(n)
-        reduced = [a for a in assemblies.values() if a is not None]
-        polys = residue_polynomials([a.graph for a in reduced])
-        residues = {a.n: poly for a, poly in zip(reduced, polys)}
-        for n, assembly in assemblies.items():
-            yield n, assembly, residues.get(n)
-        if refusal is not None:
-            raise refusal
+    """The report of n, as a range of one (``analyze_range``)."""
+    return next(analyze_range([n]))[0]
 
 
 def analyze_range(
     ns: Iterable[int],
 ) -> Iterator[tuple[AnalysisReport, SpectrumMultiset, str]]:
-    """``analyze_assembly(n)`` for each n of ``ns`` in turn, computed a
-    chunk at a time (``assemble_range``), so that the residue polynomials of
-    a chunk take one kernel call per group; the rows of the n before a
-    refused one are yielded before its refusal is raised."""
-    for n, assembly, residues in assemble_range(ns):
-        yield analyze_assembly(n, assembly, residues)
+    """Report, total spectrum and route for each n of ``ns`` in turn
+    (``analyze_assembly``), computed a chunk at a time (``assemble_range``),
+    so that the residue polynomials of a chunk take one kernel call per
+    group; the rows of the n before a refused one are yielded before its
+    refusal is raised."""
+    for fact, assembly, residues in assemble_range(ns):
+        yield analyze_assembly(fact, assembly, residues)

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Iterator
 from typing import TextIO
 
-from .analysis import AnalysisReport, analyze_assembly, analyze_range
+from .analysis import AnalysisReport, analyze_range
 from .divisor_graph import build_divisor_graph, require_composite, weighted_laplacian
 from .eigen import SpectrumMultiset, check_order, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
@@ -210,7 +210,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID_N
-    report, spectrum, label = analyze_assembly(args.n)
+    report, spectrum, label = next(analyze_range([args.n]))
     if method == "brute":
         spectrum, label = coalesce(brute_spectrum(args.n, cap=cap)), "brute"
     elif method == "reduced" and label != "reduced":
@@ -220,7 +220,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    emit_record(*analyze_assembly(args.n), args.format, sys.stdout)
+    emit_record(*next(analyze_range([args.n])), args.format, sys.stdout)
     return EXIT_OK
 
 

@@ -22,16 +22,20 @@ than with the number of divisors.
 formulas: for n = p^t (the paper's theorem, also ``prime_power_spectrum``)
 and n = pq, whose graph is K_(p-1,q-1), the quotient and total spectra in
 closed form, exact integers, no linear algebra at all.
-``analysis.analyze_assembly`` answers both families from it end to end,
-and ``exact_total_spectrum`` before it reaches for a characteristic
-polynomial.
+
+``assemble_range`` is the one route from n to its spectra: it refuses and
+classifies each n once, off its factorization, and hands on the reduced
+spectrum and residue polynomial of each n outside the closed families, a
+chunk at a time. A lone n is a range of one, for ``exact_total_spectrum``
+as for ``analysis.analyze``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 from operator import mul
 from typing import NamedTuple
 
@@ -43,6 +47,7 @@ from .divisor_graph import (
     require_composite,
     symmetric_form,
     upper_edges,
+    vertex_count,
     weighted_laplacian,
     weighted_laplacians,
 )
@@ -54,11 +59,12 @@ from .eigen import (
     SpectrumEntry,
     SpectrumMultiset,
     char_poly_integer,
+    check_order,
     coalesce,
     integer_roots_complete,
     symmetric_eigenvalues,
 )
-from .errors import OracleCapError
+from .errors import EmptyGraphError, OracleCapError
 from .numtheory import Factorization, is_prime
 from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
 
@@ -67,6 +73,12 @@ ORACLE_CAP_ENV = "ZDG_ORACLE_CAP"
 # relative error a quotient eigenvalue may carry; the CLI prints 12
 # significant digits
 QUOTIENT_RTOL = 1e-14
+# n per chunk of assemble_range, whose rows are held until the chunk's
+# residue polynomials are done: in process, `survey 4 3000` took 0.60 s at
+# 1, 0.48 at 16, 0.40 at 64, 0.38 at 128 and 256 and 0.41 at 1024 (one BLAS
+# thread); and a chunk stays well inside the factorize cache, so each n
+# tested for primality is still cached when it is analyzed
+RANGE_CHUNK = 128
 
 
 def oracle_cap() -> int:
@@ -176,6 +188,44 @@ def residue_polynomials(graphs: Sequence[WeightedDivisorGraph]) -> list[IntPolyn
     return [out[i] for i in range(len(graphs))]
 
 
+def assemble_range(
+    ns: Iterable[int],
+) -> Iterator[tuple[Factorization, SpectrumAssembly | None, IntPolynomial | None]]:
+    """(factorization, reduced spectrum, residue polynomial) for each n of
+    ``ns`` in turn, both None for n = p^t and n = pq (``closed_form_spectra``),
+    a chunk of at most RANGE_CHUNK n at a time: the one route from n to its
+    spectra, a lone n being a range of one.
+
+    Each n is refused once, off its factorization and before its divisor
+    graph is built: ``require_composite``, then ``check_order`` on its number
+    of proper divisors, then ``vertex_count``. The reduced spectra of the
+    chunk's other n get their residue polynomials from one
+    ``char_poly_integer`` call per group of orders (``residue_polynomials``).
+    A refused n ends the chunk: the n before it are yielded, then its refusal
+    is raised, so its divisor graph is never built.
+    """
+    it = iter(ns)
+    while chunk := list(islice(it, RANGE_CHUNK)):
+        rows: list[tuple[Factorization, SpectrumAssembly | None]] = []
+        refusal = None
+        for n in chunk:
+            try:
+                fact = require_composite(n)
+                check_order(fact.divisor_count() - 2)
+                vertex_count(fact)
+            except (EmptyGraphError, OverflowError) as exc:
+                refusal = exc
+                break
+            closed = fact.is_prime_power or fact.is_product_of_two_distinct_primes
+            rows.append((fact, None if closed else reduced_spectrum(n)))
+        reduced = [a for _, a in rows if a is not None]
+        polys = iter(residue_polynomials([a.graph for a in reduced]))
+        for fact, assembly in rows:
+            yield fact, assembly, None if assembly is None else next(polys)
+        if refusal is not None:
+            raise refusal
+
+
 def exact_total_spectrum(
     n: int,
     assembly: SpectrumAssembly | None = None,
@@ -183,8 +233,9 @@ def exact_total_spectrum(
 ) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
-    The two integral families come in closed form, with no polynomial
-    (``closed_form_spectrum``): n = p^t, the paper's theorem, and n = pq,
+    Given n alone, it is a range of one (``assemble_range``), and the two
+    integral families come in closed form, with no polynomial
+    (``closed_form_spectra``): n = p^t, the paper's theorem, and n = pq,
     whose graph is the complete bipartite K_(p-1,q-1). For every other n,
     class values are integers by construction, so the spectrum is
     integral precisely when the quotient characteristic polynomial factors
@@ -199,21 +250,22 @@ def exact_total_spectrum(
     reduce to a split over their residues, so when deflation stops short
     there the answer is None, certified, without Hadamard's bound or the
     lift. Only a polynomial that splits modulo that prime pays for the
-    integer polynomial and the exact deflation. The divisor graph and the
-    quotient eigenvalues come from ``assembly``, the ``reduced_spectrum(n)``
-    of the caller, and the polynomial modulo that prime from ``residues``,
-    that graph's entry of ``residue_polynomials``; each is computed here
-    when it is not given, the polynomial as a batch of one.
+    integer polynomial and the exact deflation. ``assembly`` and
+    ``residues``, given together, are what ``assemble_range`` yields for n;
+    ValueError for one without the other or for those of another n.
     """
-    if assembly is not None and assembly.n != n:
-        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
-    closed = closed_form_spectrum(n)
-    if closed is not None:
-        return closed
+    if (assembly is None) != (residues is None):
+        raise ValueError("an assembly and its residues come together")
     if assembly is None:
-        assembly = reduced_spectrum(n)
+        fact, assembly, residues = next(assemble_range([n]))
+        if assembly is None:
+            return closed_form_spectra(fact)[1]
+    if assembly.n != n:
+        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
     values = assembly.quotient_values
     k = len(values)
+    if (residues.modulus, len(residues.coefficients)) != (EXCLUSION_PRIME, k + 1):
+        raise ValueError(f"residues are not of order {k} modulo {EXCLUSION_PRIME}")
     norm = math.sqrt(sum(map(mul, values, values)))
     rho = 1e3 * k * EPS * norm
     candidates = {
@@ -221,11 +273,6 @@ def exact_total_spectrum(
         for v in values
         for r in range(max(0, math.ceil(v - rho)), math.floor(v + rho) + 1)
     }
-    if residues is None:
-        laplacian = weighted_laplacian(assembly.graph)
-        residues = char_poly_integer(laplacian, EXCLUSION_PRIME)
-    elif (residues.modulus, len(residues.coefficients)) != (EXCLUSION_PRIME, k + 1):
-        raise ValueError(f"residues are not of order {k} modulo {EXCLUSION_PRIME}")
     if not integer_roots_complete(residues, candidates)[1]:
         return None
     poly = char_poly_integer(weighted_laplacian(assembly.graph))
@@ -288,14 +335,6 @@ def closed_form_spectra(
         SpectrumMultiset.from_pairs(quotient),
         SpectrumMultiset.from_pairs(quotient + classes),
     )
-
-
-def closed_form_spectrum(n: int) -> SpectrumMultiset | None:
-    """Closed-form total spectrum of a composite n = p^t or n = pq (see
-    ``closed_form_spectra``), None for any other composite n;
-    EmptyGraphError for a prime or n < 4."""
-    spectra = closed_form_spectra(require_composite(n))
-    return None if spectra is None else spectra[1]
 
 
 def check_oracle_cap(n: int, cap: int | None = None) -> None:

@@ -6,8 +6,9 @@ by the primes below TRIAL_BOUND = 2^12, which alone factors every
 n < 2^24, the desk-scale moduli (n up to ~10^7) this package targets. A
 cofactor left above 2^24 has no prime factor below 2^12: it is tested with
 Miller-Rabin to the first 13 prime bases and split by Pollard-Brent rho
-until every part passes. That test is exact below 3.3 * 10^24; a part above
-it that passes is taken as prime. Its cache holds the last FACTORIZE_CACHE_SIZE n, so
+until every part passes. That test is exact below 3.3 * 10^24; a part at or
+above that bound that passes is not proven prime, and is refused with
+OverflowError. Its cache holds the last FACTORIZE_CACHE_SIZE n, so
 a sweep over a range keeps each n's repeated questions cheap without holding
 every n it has seen.
 """
@@ -27,9 +28,12 @@ FACTORIZE_CACHE_SIZE = 1024
 # 2^14, and per n of [10^9, 10^12] 94 us against 85 at 2^10 and 123 at 2^14
 TRIAL_BOUND = 1 << 12
 # the first 13 primes: a strong probable prime to all of them is prime below
-# 3317044064679887385961981 > 3.3 * 10^24 (Sorenson and Webster, Math. Comp.
+# MILLER_RABIN_EXACT_BELOW > 3.3 * 10^24 (Sorenson and Webster, Math. Comp.
 # 86, 2017); the first 12, up to 37, suffice only below 3.2 * 10^23
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# every base of MILLER_RABIN_BASES
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
 
 
 class Factorization(NamedTuple):
@@ -130,7 +134,8 @@ def factorize(n: int) -> Factorization:
 
 def _is_strong_probable_prime(m: int) -> bool:
     """Miller-Rabin of an odd m > 41 to every base in MILLER_RABIN_BASES;
-    exact below 3.3 * 10^24, a strong probable-prime test above."""
+    exact below MILLER_RABIN_EXACT_BELOW, a strong probable-prime test
+    from it on."""
     d, r = m - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -151,8 +156,15 @@ def _is_strong_probable_prime(m: int) -> bool:
 def _split(m: int) -> list[int]:
     """The primes of m, with repetition, for an m without a prime factor
     below TRIAL_BOUND: m itself when Miller-Rabin passes it, else the primes
-    of a factor that ``_rho`` finds and of its cofactor."""
+    of a factor that ``_rho`` finds and of its cofactor. OverflowError for
+    a part at or above MILLER_RABIN_EXACT_BELOW that passes, which the test
+    does not prove prime."""
     if _is_strong_probable_prime(m):
+        if m >= MILLER_RABIN_EXACT_BELOW:
+            raise OverflowError(
+                f"cannot prove {m} prime: Miller-Rabin to the first 13 prime "
+                f"bases is exact only below {MILLER_RABIN_EXACT_BELOW}"
+            )
         return [m]
     # rho finds a prime p in about sqrt(p) steps, too many for m = p^e with
     # a large p, so perfect powers are taken apart first; every prime of m

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 import zdgspec.join_spectrum
 from zdgspec.analysis import (
     analyze,
-    analyze_assembly,
+    analyze_range,
     complement_disconnected,
     degree_extremes,
-    is_laplacian_integral,
     mu_equals_kappa,
     vertex_connectivity,
 )
@@ -27,12 +26,14 @@ composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prim
 
 @pytest.mark.parametrize("n", [3**5, 7 * 11, 2**2 * 7 * 11])
 def test_factorize_calls_per_analysis(n):
-    # n is validated once by each public entry on the path, which reads its
-    # shape off the factorization that validation returns
+    # n is refused once, by the driver, and then read by each closed-form
+    # invariant (degree extremes, kappa and the two predicates); 308 adds its
+    # divisor graph and the exclusion prime's check in the residue kernel
+    calls = {3**5: 5, 7 * 11: 5, 2**2 * 7 * 11: 7}
     before = factorize.cache_info()
-    analyze_assembly(n)
+    next(analyze_range([n]))
     after = factorize.cache_info()
-    assert after.hits + after.misses - before.hits - before.misses <= 8
+    assert after.hits + after.misses - before.hits - before.misses == calls[n]
 
 
 def test_algebraic_connectivity_examples():
@@ -58,9 +59,9 @@ def test_vertex_connectivity_examples():
 
 
 def test_laplacian_integral_examples():
-    assert is_laplacian_integral(15)
-    assert is_laplacian_integral(16)
-    assert not is_laplacian_integral(12)
+    assert analyze(15).laplacian_integral
+    assert analyze(16).laplacian_integral
+    assert not analyze(12).laplacian_integral
 
 
 def test_analyze_builds_divisor_graph_once(monkeypatch):
@@ -248,7 +249,7 @@ def test_closed_route_equals_reduced_route():
     ns = _closed_family_sample()
     assert 10**7 > max(ns) > 9 * 10**6 and 2**23 in ns and 3**14 in ns
     for n in ns:
-        report, total, route = analyze_assembly(n)
+        report, total, route = next(analyze_range([n]))
         reference, reference_total = reduced_report(n)
         assert route == "closed_form", n
         assert report == reference, n
@@ -266,6 +267,6 @@ def test_closed_route_builds_nothing_of_size_k(n, monkeypatch):
 
     for name in ("build_divisor_graph", "symmetric_eigenvalues", "char_poly_integer"):
         monkeypatch.setattr(zdgspec.join_spectrum, name, refused)
-    report, _, route = analyze_assembly(n)
+    report, _, route = next(analyze_range([n]))
     assert route == "closed_form" and report.laplacian_integral
 

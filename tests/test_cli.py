@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+import zdgspec.analysis
 import zdgspec.cli
 import zdgspec.join_spectrum
 from zdgspec import eigen
-from zdgspec.analysis import analyze_assembly
+from zdgspec.analysis import analyze_range
 from zdgspec.cli import CSV_HEADER, build_parser, main, record_csv, record_json
+from zdgspec.join_spectrum import exact_total_spectrum
 from zdgspec.numtheory import factorize, is_prime
 
 EXPECTED_15 = (
@@ -319,15 +321,90 @@ def test_survey_json_rows_carry_quotient_flags(capsys):
 
 def test_survey_rows_equal_per_n_analysis(capsys):
     # the rows of a chunked survey are byte for byte those of each n analyzed
-    # alone, with its own residue polynomial
+    # alone, as a range of one with its own residue polynomial
     composites = [n for n in range(4, 2001) if not is_prime(n)]
-    alone = [analyze_assembly(n) for n in composites]
+    alone = [next(analyze_range([n])) for n in composites]
     code, out, _ = run(capsys, "survey", "4", "2000")
     assert code == 0
     assert out.splitlines() == [CSV_HEADER] + [record_csv(r, s) for r, s, _ in alone]
     code, out, _ = run(capsys, "survey", "4", "2000", "--format", "json")
     assert code == 0
     assert out.splitlines() == [record_json(*row, True) for row in alone]
+
+
+# the modules that take n from the command line to its spectra; divisor_graph
+# keeps its own guard for direct callers of build_divisor_graph, and eigen
+# its own for direct callers of char_poly_integer
+_DRIVER_MODULES = (zdgspec.analysis, zdgspec.join_spectrum, zdgspec.cli)
+
+
+def _spy(monkeypatch, name, record):
+    """Have ``record`` see every call of ``name`` from the driver modules."""
+    for module in _DRIVER_MODULES:
+        real = getattr(module, name, None)
+        if real is not None:
+
+            def spy(*args, real=real, **kwargs):
+                record(*args, **kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+
+def test_survey_refuses_each_n_once(capsys, monkeypatch):
+    # one check_order and one vertex_count call per n of the range
+    orders, counted = [], []
+    _spy(monkeypatch, "check_order", orders.append)
+    _spy(monkeypatch, "vertex_count", lambda f: counted.append(f.n))
+    code, _, _ = run(capsys, "survey", "4", "2000")
+    assert code == 0
+    composites = [n for n in range(4, 2001) if not is_prime(n)]
+    assert counted == composites
+    assert orders == [factorize(n).divisor_count() - 2 for n in composites]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: main(["spectrum", "72"]),
+        lambda: main(["analyze", "72"]),
+        lambda: exact_total_spectrum(72),
+    ],
+    ids=["spectrum", "analyze", "exact_total_spectrum"],
+)
+def test_single_n_is_a_range_of_one(capsys, monkeypatch, entry):
+    # a lone n takes the driver's route: one residue_polynomials call, with
+    # the one divisor graph of n
+    seen = []
+    real = zdgspec.join_spectrum.residue_polynomials
+
+    def spy(graphs):
+        seen.append([g.n for g in graphs])
+        return real(graphs)
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "residue_polynomials", spy)
+    entry()
+    capsys.readouterr()
+    assert seen == [[72]]
+
+
+def test_no_lone_matrix_with_a_modulus(capsys, monkeypatch):
+    # residues modulo a prime come only from stacks: char_poly_integer's
+    # lone-matrix form is the integer lift's, without a modulus
+    calls = []
+
+    def record(m, modulus=None, orders=None):
+        calls.append((m.ndim, modulus is None))
+
+    _spy(monkeypatch, "char_poly_integer", record)
+    for argv in (["survey", "4", "300"], ["spectrum", "72"], ["analyze", "720"]):
+        assert run(capsys, *argv)[0] == 0
+    exact_total_spectrum(72)
+    # the reduced route on pq splits modulo the prime and reaches the lift
+    assembly = zdgspec.join_spectrum.reduced_spectrum(15)
+    (residues,) = zdgspec.join_spectrum.residue_polynomials([assembly.graph])
+    assert exact_total_spectrum(15, assembly, residues) is not None
+    assert set(calls) == {(3, False), (2, True)}
 
 
 def test_survey_out_file(tmp_path, capsys):
@@ -415,6 +492,20 @@ def test_vertex_count_beyond_int64_exits_5(capsys, argv):
     assert code == 5
     assert out == ""
     assert "int64" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["analyze"]], ids=["spectrum", "analyze"])
+@pytest.mark.parametrize(
+    "n", [3317044064679887385961981, 2**89 - 1], ids=["psi13", "2^89-1"]
+)
+def test_unproven_probable_prime_exits_5(capsys, argv, n):
+    # psi_13 = 1287836182261 * 2575672364521 has |V| inside int64, yet passes
+    # Miller-Rabin to all 13 bases, as the prime 2^89 - 1 does; from psi_13
+    # on a pass proves nothing, so neither is refused as a prime (exit 2)
+    code, out, err = run(capsys, *argv, str(n))
+    assert code == 5
+    assert out == ""
+    assert "cannot prove" in err and "Traceback" not in err
 
 
 def test_order_beyond_char_poly_envelope_exits_5(capsys, monkeypatch):

@@ -239,9 +239,9 @@ def _spy_primes(monkeypatch) -> list[int]:
     seen: list[int] = []
     real = eigen._char_poly_mod
 
-    def spy(a, p):
+    def spy(a, p, orders=None):
         seen.append(p)
-        return real(a, p)
+        return real(a, p, orders)
 
     monkeypatch.setattr(eigen, "_char_poly_mod", spy)
     return seen

@@ -20,7 +20,6 @@ from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.join_spectrum import (
     brute_spectrum,
     class_pairs,
-    closed_form_spectrum,
     exact_total_spectrum,
     oracle_cap,
     prime_power_spectrum,
@@ -104,7 +103,7 @@ def test_reduced_rejects_primes():
 
 @pytest.mark.parametrize(
     "entry",
-    [reduced_spectrum, exact_total_spectrum, closed_form_spectrum, brute_spectrum],
+    [reduced_spectrum, exact_total_spectrum, brute_spectrum],
 )
 def test_entries_refuse_a_prime_or_n_below_4(entry, monkeypatch):
     # the refusal comes first: never factorize's ValueError for n < 1, nor
@@ -386,20 +385,27 @@ def test_exact_total_spectrum_integral_cases():
 
 def test_exact_total_spectrum_reuses_assembly(monkeypatch):
     assemblies = {n: reduced_spectrum(n) for n in (12, 15)}
+    graphs = [assemblies[n].graph for n in (12, 15)]
+    residues = dict(zip((12, 15), residue_polynomials(graphs)))
 
     def no_build(n):
         raise AssertionError("divisor graph built again")
 
     monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", no_build)
-    assert exact_total_spectrum(12, assemblies[12]) is None
-    assert exact_total_spectrum(15, assemblies[15]).pairs() == [
+    assert exact_total_spectrum(12, assemblies[12], residues[12]) is None
+    assert exact_total_spectrum(15, assemblies[15], residues[15]).pairs() == [
         (0.0, 1),
         (2.0, 3),
         (4.0, 1),
         (6.0, 1),
     ]
     with pytest.raises(ValueError):
-        exact_total_spectrum(15, assemblies[12])
+        exact_total_spectrum(15, assemblies[12], residues[12])
+    # an assembly comes with its residues, and residues with their assembly
+    with pytest.raises(ValueError):
+        exact_total_spectrum(12, assemblies[12])
+    with pytest.raises(ValueError):
+        exact_total_spectrum(12, None, residues[12])
 
 
 @given(composite)

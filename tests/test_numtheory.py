@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from zdgspec import numtheory
 from zdgspec.divisor_graph import build_divisor_graph
 from zdgspec.numtheory import TRIAL_BOUND, euler_phi, factorize, is_prime
 
@@ -128,14 +129,30 @@ def test_factorize_word_size_semiprimes_in_a_second(p, q):
 
 
 def test_factorize_past_the_trial_bound():
-    m61, m31, m89 = 2**61 - 1, 2**31 - 1, 2**89 - 1
+    m61, m31 = 2**61 - 1, 2**31 - 1
     assert factorize(m61**2).factors == ((m61, 2),)
     assert factorize(4099**2 * m61**3).factors == ((4099, 2), (m61, 3))
     assert factorize(m31 * m61).factors == ((m31, 1), (m61, 1))
-    assert factorize(m89).factors == ((m89, 1),)
     assert factorize(2**64 + 1).factors == ((274177, 1), (67280421310721, 1))
     # strong pseudoprimes to the bases up to 37 and to the bases 2 and 3
     assert not is_prime(318665857834031151167461)
     assert not is_prime(1373653) and not is_prime(3215031751)
     g = build_divisor_graph(2 * m61)
     assert (g.vertices, g.weights) == ((2, m61), (m61 - 1, 1))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1287836182261 * 2575672364521, 2**89 - 1, 3 * (2**89 - 1)],
+    ids=["psi13", "2^89-1", "3*(2^89-1)"],
+)
+def test_factorize_refuses_unproven_probable_primes(n):
+    # psi_13, the least strong pseudoprime to all 13 bases, and the prime
+    # 2^89 - 1 both pass them; from psi_13 on that proves nothing, so a part
+    # that passes there is refused rather than taken as prime
+    bound = numtheory.MILLER_RABIN_EXACT_BELOW
+    assert bound == 1287836182261 * 2575672364521
+    with pytest.raises(OverflowError, match="cannot prove"):
+        factorize(n)
+    # below the bound the test is exact, and a composite is still split
+    assert math.prod(p**e for p, e in factorize(bound - 2).factors) == bound - 2

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from zdgspec import eigen, join_spectrum
-from zdgspec.analysis import assemble_range, degree_extremes
+from zdgspec.analysis import degree_extremes
 from zdgspec.divisor_graph import build_divisor_graph, symmetric_form, weighted_laplacian
 from zdgspec.eigen import SpectrumEntry, coalesce
 from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_spectrum
@@ -117,11 +117,12 @@ def test_chunk_groups_match_reference(monkeypatch):
 
     monkeypatch.setattr(join_spectrum, "char_poly_integer", spy)
     checked = 0
-    for n, _, residues in assemble_range(NS):
+    for fact, _, residues in join_spectrum.assemble_range(NS):
         if residues is None:
             continue
-        r = eigen._residues(weighted_laplacian(build_divisor_graph(n)), q)
-        assert list(residues.coefficients[::-1]) == reference_char_poly_mod(r, q), n
+        r = eigen._residues(weighted_laplacian(build_divisor_graph(fact.n)), q)
+        expected = reference_char_poly_mod(r, q)
+        assert list(residues.coefficients[::-1]) == expected, fact.n
         checked += 1
     assert checked == sum(len(orders) for _, orders in stacks)
     assert max(len(orders) for _, orders in stacks) > 1
