@@ -7,10 +7,12 @@ and total spectra (``closed_form_spectra``): no divisor graph, no
 eigensolver, no characteristic polynomial. Every other n rides on the
 reduced path: mu and lambda are read off the assembled spectrum, and the
 quotient flags off its coalesced quotient values. For every n the vertex
-count n - phi(n) - 1, the degree extremes and kappa have closed forms in the
-factorization of n, and the predicates (complement disconnectedness,
-lambda = |V|, mu = kappa) are exact number theory; the numeric spectrum
-only corroborates them in tests.
+count n - phi(n) - 1 and the degree extremes have closed forms in the
+factorization of n, and kappa is the least degree delta. The predicates
+(complement disconnectedness, lambda = |V|, mu = kappa) are exact number
+theory on that factorization; the numeric spectrum only corroborates them in
+tests. Each reads the ``Factorization`` that ``assemble_range`` refused n
+with, so n is factored and validated once per report.
 
 A range of n is analyzed a chunk at a time (``analyze_range``): the float
 route stays per n, and the residue polynomials of the exact integrality
@@ -27,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .divisor_graph import require_composite
 from .eigen import IntPolynomial, SpectrumMultiset
 from .join_spectrum import (
     SpectrumAssembly,
@@ -56,41 +57,34 @@ class AnalysisReport(NamedTuple):
     lambda_from_quotient: bool
 
 
-def degree_extremes(n: int) -> tuple[int, int]:
-    """Least and greatest vertex degree, in closed form: a vertex x with
-    gcd(x, n) = d has degree d - 1 - [n | d^2], least at d = p and greatest
-    at d = n/p, for p the smallest prime of n. So delta = p - 1 - [n = p^2],
-    which is kappa, and Delta = n/p - 1 - [p^2 | n]."""
-    p = require_composite(n).smallest_prime
+def degree_extremes(fact: Factorization) -> tuple[int, int]:
+    """Least and greatest vertex degree of a composite n, in closed form from
+    its factorization: a vertex x with gcd(x, n) = d has degree
+    d - 1 - [n | d^2], least at d = p and greatest at d = n/p, for p the
+    smallest prime of n. So delta = p - 1 - [n = p^2] and
+    Delta = n/p - 1 - [p^2 | n]. delta is also the vertex connectivity
+    kappa, whose closed form is p - 1, and p - 2 for the complete graph of
+    n = p^2."""
+    n, p = fact.n, fact.smallest_prime
     return p - 1 - (n == p * p), n // p - 1 - (n % (p * p) == 0)
 
 
-def vertex_connectivity(n: int) -> int:
-    """Closed form: p - 1 in general, p - 2 for n = p^2 (complete graph)."""
-    fact = require_composite(n)
-    p = fact.smallest_prime
-    if len(fact.factors) == 1 and fact.factors[0][1] == 2:
-        return p - 2
-    return p - 1
-
-
-def complement_disconnected(n: int) -> bool:
-    """The complement of the zero-divisor graph is disconnected exactly for
-    n = p*q with distinct primes and for prime powers other than 4."""
-    fact = require_composite(n)
+def complement_disconnected(fact: Factorization) -> bool:
+    """The complement of the zero-divisor graph of a composite n is
+    disconnected exactly for n = p*q with distinct primes and for prime
+    powers other than 4."""
     if fact.is_product_of_two_distinct_primes:
         return True
-    return fact.is_prime_power and n != 4
+    return fact.is_prime_power and fact.n != 4
 
 
-def mu_equals_kappa(n: int) -> bool:
+def mu_equals_kappa(fact: Factorization) -> bool:
     """Algebraic connectivity equals vertex connectivity exactly for
     n = p*q and for prime powers p^t with t >= 3.
 
     For n = p^2 the graph is complete, where mu = kappa + 1; for n = 4 mu
     is undefined on the single vertex. Both report False.
     """
-    fact = require_composite(n)
     if fact.is_product_of_two_distinct_primes:
         return True
     return fact.is_prime_power and fact.factors[0][1] >= 3
@@ -110,16 +104,16 @@ def is_laplacian_integral(assembly: SpectrumAssembly, residues: IntPolynomial) -
 
 
 def _quotient_extremes(
-    quotient: SpectrumMultiset, total: SpectrumMultiset
+    quotient: SpectrumMultiset, total: SpectrumMultiset, mu: float | None
 ) -> tuple[bool, bool]:
-    """Whether mu and lambda of the whole graph equal the second smallest
-    and largest eigenvalue of the quotient matrix C, within 1e-8 relative.
+    """Whether mu, the second smallest value of ``total``, and lambda of the
+    whole graph equal the second smallest and largest eigenvalue of the
+    quotient matrix C, within 1e-8 relative.
 
     Always computed; the equalities are guaranteed only when n has at least
     two distinct prime factors (and n != pq for the mu half).
     """
     lam_ok = _close(total.max_value, quotient.max_value)
-    mu = total.second_smallest()
     q2 = quotient.second_smallest()
     mu_ok = mu is not None and q2 is not None and _close(mu, q2)
     return mu_ok, lam_ok
@@ -150,23 +144,24 @@ def analyze_assembly(
     else:
         quotient, total = assembly.quotient, assembly.total
         integral, route = is_laplacian_integral(assembly, residues), "reduced"
-    delta_min, Delta_max = degree_extremes(n)
-    mu_ok, lam_ok = _quotient_extremes(quotient, total)
-    disconnected = complement_disconnected(n)
+    delta_min, Delta_max = degree_extremes(fact)
+    mu = total.second_smallest()
+    mu_ok, lam_ok = _quotient_extremes(quotient, total, mu)
+    disconnected = complement_disconnected(fact)
     report = AnalysisReport(
         n=n,
         # fits in int64: assemble_range checked it (``vertex_count``)
         vertex_count=n - fact.phi - 1,
-        mu=total.second_smallest(),
+        mu=mu,
         lambda_=total.max_value,
-        kappa=vertex_connectivity(n),
+        kappa=delta_min,
         delta_min=delta_min,
         Delta_max=Delta_max,
         laplacian_integral=integral,
         complement_disconnected=disconnected,
         # lambda = |V| for exactly the n whose complement disconnects
         lambda_equals_order=disconnected,
-        mu_equals_kappa=mu_equals_kappa(n),
+        mu_equals_kappa=mu_equals_kappa(fact),
         mu_from_quotient=mu_ok,
         lambda_from_quotient=lam_ok,
     )

@@ -63,9 +63,9 @@ def fmt_number(x: float | int | None) -> str:
         return "null"
     if isinstance(x, int):
         return str(x)
-    if x == int(x):
+    if x.is_integer():
         return str(int(x))
-    text = format(x, ".12g")
+    text = "%.12g" % x
     return repr(x) if text.lstrip("-").isdigit() else text
 
 
@@ -74,16 +74,19 @@ def fmt_bool(b: bool) -> str:
 
 
 def _spectrum_json(spectrum: SpectrumMultiset) -> str:
+    # an exact entry holds an integer, which fmt_number prints as int(value)
     items = ",".join(
         '{"value":%s,"multiplicity":%d,"exact":%s}'
-        % (fmt_number(value), multiplicity, fmt_bool(exact))
+        % (int(value) if exact else fmt_number(value), multiplicity, fmt_bool(exact))
         for value, multiplicity, exact in spectrum.entries
     )
     return "[" + items + "]"
 
 
 def _spectrum_compact(spectrum: SpectrumMultiset) -> list[str]:
-    return [f"{fmt_number(v)}:{m}" for v, m, _ in spectrum.entries]
+    return [
+        f"{int(v) if exact else fmt_number(v)}:{m}" for v, m, exact in spectrum.entries
+    ]
 
 
 def record_json(

@@ -87,6 +87,27 @@ class SpectrumMultiset(NamedTuple):
         pairs; equal values merge, a zero multiplicity is dropped."""
         return cls.merged(SpectrumEntry(float(v), m, True) for v, m in pairs if m)
 
+    def plus_exact(self, pairs: Iterable[tuple[int, int]]) -> "SpectrumMultiset":
+        """This multiset with exact entries added for integer (value,
+        multiplicity) pairs, values ascending and distinct and multiplicities
+        positive, in one merge of the two ascending lists: a value joins the
+        entry before it when that entry is exact and equal to it, just as
+        ``merged`` of both lists would have it."""
+        out: list[SpectrumEntry] = []
+        entries = self.entries
+        i = 0
+        for v, m in pairs:
+            value = float(v)
+            while i < len(entries) and entries[i].value <= value:
+                out.append(entries[i])
+                i += 1
+            if out and out[-1].exact and out[-1].value == value:
+                out[-1] = SpectrumEntry(value, out[-1].multiplicity + m, True)
+            else:
+                out.append(SpectrumEntry(value, m, True))
+        out += entries[i:]
+        return SpectrumMultiset(tuple(out))
+
     @property
     def total_multiplicity(self) -> int:
         return sum(map(itemgetter(1), self.entries))
@@ -111,37 +132,52 @@ class SpectrumMultiset(NamedTuple):
 def coalesce(
     values: Sequence[float], tol: float = DEFAULT_COALESCE_TOL
 ) -> SpectrumMultiset:
-    """Group near-equal floats into a multiset.
+    """Group near-equal floats into a multiset, in one pass.
 
     Successive values chain into one group while each gap stays within
     max(tol, tol*|value|). A group is represented by its mean, snapped to
-    the nearest integer (and flagged exact) when within 1e-6 of one; groups
-    that snap to the same integer merge (``SpectrumMultiset.merged``). An
-    unsnapped mean lies more than 1e-6 from every integer, so the merge's
-    sort cannot move it between a snapped group and its integer.
+    the nearest integer (and flagged exact) when within 1e-6 of one; it goes
+    straight into the output, or into the exact entry before it when both
+    snap to the same integer. The groups come in ascending order, rounding
+    is monotone and an unsnapped mean lies more than 1e-6 from every
+    integer, so the entries come out ascending, as
+    ``SpectrumMultiset.merged`` would sort them. Only a mean that float
+    rounding lifts past its successor's, across a gap of a few ulps (as at
+    tol = 0), makes the entries go through ``merged`` after all.
     """
-    entries: list[SpectrumEntry] = []
+    out: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
+    ascending = True
     for value in sorted(map(float, values)):
         # prev <= value, so max(|prev|, |value|) is max(-prev, value), and
         # for tol >= 0 rounding keeps max(tol, tol * x) = tol * max(1, x)
         if count and value - prev > tol * max(1.0, -prev, value):
-            entries.append(_group_entry(total, count))
+            ascending &= _close_group(out, total, count)
             total, count = 0.0, 0
         total += value
         count += 1
         prev = value
     if count:
-        entries.append(_group_entry(total, count))
-    return SpectrumMultiset.merged(entries)
+        ascending &= _close_group(out, total, count)
+    return SpectrumMultiset(tuple(out)) if ascending else SpectrumMultiset.merged(out)
 
 
-def _group_entry(total: float, count: int) -> SpectrumEntry:
+def _close_group(out: list[SpectrumEntry], total: float, count: int) -> bool:
+    """Add the group of ``count`` values summing to ``total`` to ``out``:
+    merged into the last entry when both are exact and equal, else appended.
+    False when its value lies below the last entry's."""
     mean = total / count
     nearest = round(mean)
     if abs(mean - nearest) > INTEGER_SNAP_TOL:
-        return SpectrumEntry(mean, count, False)
-    return SpectrumEntry(float(nearest), count, True)
+        entry = SpectrumEntry(mean, count, False)
+    elif out and out[-1].exact and out[-1].value == nearest:
+        out[-1] = SpectrumEntry(out[-1].value, out[-1].multiplicity + count, True)
+        return True
+    else:
+        entry = SpectrumEntry(float(nearest), count, True)
+    ascending = not out or out[-1].value <= entry.value
+    out.append(entry)
+    return ascending
 
 
 def max_deviation(spectrum: SpectrumMultiset, values: Sequence[float]) -> float | None:
@@ -169,10 +205,13 @@ def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
-    scale = np.abs(a).max()  # NaN or inf anywhere carries through to here
+    # the largest |a_ij|, with no float temporary of a's size; NaN or inf
+    # anywhere carries through to here
+    scale = max(a.max(), -a.min())
     if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+    # exact symmetry, the usual case, is settled on a boolean array
+    if not (a == a.T).all() and np.abs(a - a.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     if not vectors:
         return np.linalg.eigvalsh(a).tolist()

@@ -56,7 +56,6 @@ from .eigen import (
     EXCLUSION_PRIME,
     STEP_SPAN,
     IntPolynomial,
-    SpectrumEntry,
     SpectrumMultiset,
     char_poly_integer,
     check_order,
@@ -136,9 +135,16 @@ def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
     w = np.array(g.weights, dtype=np.float64)
     x = vectors / np.sqrt(w)[:, None]
     i, j = upper_edges(g.adjacency)
-    num = (np.multiply.outer(w, w)[i, j, None] * (x[i] - x[j]) ** 2).sum(axis=0)
-    den = (w[:, None] * x**2).sum(axis=0)
-    return sorted((num / den).tolist())
+    # one (edges, k) and one (k, k) array, squared and weighted in place
+    diff = x[i]
+    diff -= x[j]
+    diff *= diff
+    weight = w[i]
+    weight *= w[j]
+    diff *= weight[:, None]
+    x *= x
+    x *= w[:, None]
+    return sorted((np.add.reduce(diff) / np.add.reduce(x)).tolist())
 
 
 def reduced_spectrum(n: int) -> SpectrumAssembly:
@@ -151,13 +157,13 @@ def reduced_spectrum(n: int) -> SpectrumAssembly:
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
     quotient = coalesce(quotient_values)
-    classes = [SpectrumEntry(float(v), m, True) for v, m in class_pairs(g)]
     return SpectrumAssembly(
         n=n,
         graph=g,
         quotient_values=tuple(quotient_values),
         quotient=quotient,
-        total=SpectrumMultiset.merged([*quotient.entries, *classes]),
+        # the class values d - 1 ascend with the divisors d
+        total=quotient.plus_exact(class_pairs(g)),
     )
 
 
@@ -302,7 +308,9 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
 
     0 once, and p^i - 1 for each i in [1, t - 1], phi(p^(t - i)) - 1 times
     from the class of p^i plus once from the quotient unless i = t // 2;
-    the multiplicities total p^(t-1) - 1.
+    the multiplicities total p^(t-1) - 1. ValueError for a p that is not
+    prime or t < 2; OverflowError for a probable prime p at or above
+    psi_13, which ``is_prime`` cannot prove prime.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

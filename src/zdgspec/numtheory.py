@@ -220,6 +220,9 @@ def _rho(m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, read off ``factorize(n)``. A probable prime at or
+    above MILLER_RABIN_EXACT_BELOW (psi_13), such as 2^89 - 1, is not proven
+    prime there, so it raises OverflowError rather than answer."""
     return n >= 2 and factorize(n).is_prime
 
 

@@ -50,7 +50,9 @@ def build_zero_divisor_graph(n: int) -> SimpleGraph:
     labels = x[np.gcd(x, n) > 1]
     product = np.min_scalar_type((n - 1) ** 2)
     v = labels.astype(product)
-    adj = np.outer(v, v) % product.type(n) == 0
+    residues = np.outer(v, v)
+    residues %= product.type(n)
+    adj = residues == 0
     np.fill_diagonal(adj, False)
     return SimpleGraph(tuple(labels.tolist()), adj)
 

@@ -13,7 +13,6 @@ from zdgspec.analysis import (
     AnalysisReport,
     complement_disconnected,
     mu_equals_kappa,
-    vertex_connectivity,
 )
 from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import (
@@ -119,19 +118,20 @@ def reduced_report(n: int) -> tuple[AnalysisReport, SpectrumMultiset]:
 
     mu, q2 = total.second_smallest(), quotient.second_smallest()
     degs = class_degrees(assembly.graph)
-    disconnected = complement_disconnected(n)
+    fact = factorize(n)
+    disconnected = complement_disconnected(fact)
     report = AnalysisReport(
         n=n,
         vertex_count=sum(assembly.graph.weights),
         mu=mu,
         lambda_=total.max_value,
-        kappa=vertex_connectivity(n),
+        kappa=min(degs),
         delta_min=min(degs),
         Delta_max=max(degs),
         laplacian_integral=is_integral(total),
         complement_disconnected=disconnected,
         lambda_equals_order=disconnected,
-        mu_equals_kappa=mu_equals_kappa(n),
+        mu_equals_kappa=mu_equals_kappa(fact),
         mu_from_quotient=mu is not None and q2 is not None and close(mu, q2),
         lambda_from_quotient=close(total.max_value, quotient.max_value),
     )

@@ -9,11 +9,7 @@ import time
 
 import numpy as np
 
-from zdgspec.analysis import (
-    complement_disconnected,
-    mu_equals_kappa,
-    vertex_connectivity,
-)
+from zdgspec.analysis import complement_disconnected, degree_extremes, mu_equals_kappa
 from zdgspec.divisor_graph import build_divisor_graph, weighted_laplacian
 from zdgspec.eigen import char_poly_integer, integer_roots_complete, max_deviation
 from zdgspec.errors import OracleCapError
@@ -159,15 +155,16 @@ def test_criterion_4_characterization_sweeps():
         lam = total.max_value
         tol = 1e-8 * max(1.0, lam)
         numeric_lambda_order = abs(lam - sum(assembly.graph.weights)) <= tol
-        if numeric_lambda_order != complement_disconnected(n):
+        fact = factorize(n)
+        if numeric_lambda_order != complement_disconnected(fact):
             failures.append(f"n={n}: lambda=|V| predicate mismatch")
         mu = total.second_smallest()
-        kappa = vertex_connectivity(n)
+        kappa = degree_extremes(fact)[0]
         if mu is None:
             numeric_mu_kappa = False
         else:
             numeric_mu_kappa = abs(mu - kappa) <= 1e-8 * max(1.0, abs(mu))
-        if numeric_mu_kappa != mu_equals_kappa(n):
+        if numeric_mu_kappa != mu_equals_kappa(fact):
             failures.append(f"n={n}: mu=kappa predicate mismatch")
     elapsed = time.time() - started
     if elapsed >= 120:
@@ -239,8 +236,8 @@ def test_criterion_7_bounds_and_kappa():
             equality = abs(lam - (delta_max + 1)) <= tol
             if equality != (delta_max == z - 1):
                 failures.append(f"n={n}: Delta+1 equality characterization")
-        if vertex_connectivity(n) != min(oracle_degrees):
-            failures.append(f"n={n}: kappa closed form != oracle min degree")
+        if degree_extremes(factorize(n))[0] != min(oracle_degrees):
+            failures.append(f"n={n}: delta closed form != oracle min degree")
     _finish(7, "spectral bounds and kappa over [4,1000]", failures)
 
 

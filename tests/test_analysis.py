@@ -11,9 +11,8 @@ from zdgspec.analysis import (
     complement_disconnected,
     degree_extremes,
     mu_equals_kappa,
-    vertex_connectivity,
 )
-from zdgspec.divisor_graph import vertex_count
+from zdgspec.divisor_graph import require_composite, vertex_count
 from zdgspec.errors import EmptyGraphError
 from zdgspec.join_spectrum import class_pairs, reduced_spectrum
 from zdgspec.numtheory import euler_phi, factorize, is_prime
@@ -26,10 +25,10 @@ composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prim
 
 @pytest.mark.parametrize("n", [3**5, 7 * 11, 2**2 * 7 * 11])
 def test_factorize_calls_per_analysis(n):
-    # n is refused once, by the driver, and then read by each closed-form
-    # invariant (degree extremes, kappa and the two predicates); 308 adds its
-    # divisor graph and the exclusion prime's check in the residue kernel
-    calls = {3**5: 5, 7 * 11: 5, 2**2 * 7 * 11: 7}
+    # n is factored once, by its refusal in assemble_range, whose
+    # factorization every closed-form invariant reads; 308 adds its divisor
+    # graph and the exclusion prime's check in the residue kernel
+    calls = {3**5: 1, 7 * 11: 1, 2**2 * 7 * 11: 3}
     before = factorize.cache_info()
     next(analyze_range([n]))
     after = factorize.cache_info()
@@ -51,11 +50,12 @@ def test_spectral_radius_examples():
 
 
 def test_vertex_connectivity_examples():
-    assert vertex_connectivity(12) == 1
-    assert vertex_connectivity(49) == 5
-    assert vertex_connectivity(8) == 1
+    # kappa is the least degree delta: p - 1, and p - 2 for n = p^2
+    assert analyze(12).kappa == degree_extremes(factorize(12))[0] == 1
+    assert analyze(49).kappa == degree_extremes(factorize(49))[0] == 5
+    assert analyze(8).kappa == degree_extremes(factorize(8))[0] == 1
     with pytest.raises(EmptyGraphError):
-        vertex_connectivity(13)
+        require_composite(13)
 
 
 def test_laplacian_integral_examples():
@@ -78,15 +78,15 @@ def test_analyze_builds_divisor_graph_once(monkeypatch):
 
 
 def test_predicate_examples():
-    assert complement_disconnected(15)
-    assert not complement_disconnected(12)
-    assert not complement_disconnected(4)
+    assert complement_disconnected(factorize(15))
+    assert not complement_disconnected(factorize(12))
+    assert not complement_disconnected(factorize(4))
 
-    assert mu_equals_kappa(15)
-    assert mu_equals_kappa(8)
-    assert not mu_equals_kappa(12)
-    assert not mu_equals_kappa(9)  # complete graph: mu = kappa + 1
-    assert not mu_equals_kappa(4)  # mu undefined on one vertex
+    assert mu_equals_kappa(factorize(15))
+    assert mu_equals_kappa(factorize(8))
+    assert not mu_equals_kappa(factorize(12))
+    assert not mu_equals_kappa(factorize(9))  # complete graph: mu = kappa + 1
+    assert not mu_equals_kappa(factorize(4))  # mu undefined on one vertex
 
 
 def _quotient_extremes(n):
@@ -164,7 +164,7 @@ def test_closed_form_degrees_and_order_match_oracle():
         if is_prime(n):
             continue
         oracle = degrees(build_zero_divisor_graph(n))
-        assert degree_extremes(n) == (min(oracle), max(oracle)), n
+        assert degree_extremes(factorize(n)) == (min(oracle), max(oracle)), n
         assert vertex_count(factorize(n)) == len(oracle), n
 
 
@@ -216,7 +216,7 @@ def test_class_degree_helper():
     # A_2 sees A_9 (1); A_3 sees A_6 (2); A_6 is complete of size 2 (3+1);
     # A_9 is a complete singleton seeing A_2 and A_6 (8)
     assert degs == [1, 2, 4, 8]
-    assert degree_extremes(18) == (1, 8)
+    assert degree_extremes(factorize(18)) == (1, 8)
 
 
 def _closed_family_sample() -> list[int]:

@@ -62,6 +62,19 @@ def test_rejects_nonsymmetric_and_bad_shape():
         symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=True)
 
 
+def test_accepts_asymmetry_below_the_tolerance():
+    # not exactly symmetric, so the tolerance decides: off by 3e-12, within
+    # SYMMETRY_RTOL of the largest |a_ij|, which is 4 = -min(a), not max(a)
+    a = np.array([[2.0, -1.0], [-1.0, -4.0]])
+    a[0, 1] += 3e-12
+    assert (a != a.T).any()
+    root = math.sqrt(10)
+    assert symmetric_eigenvalues(a) == pytest.approx([-1 - root, -1 + root])
+    a[0, 1] += 2e-12
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetric_eigenvalues(a)
+
+
 @given(small_dim.flatmap(symmetric_int_matrix))
 @settings(max_examples=60, deadline=None)
 def test_eigenvectors_come_with_the_values(m):

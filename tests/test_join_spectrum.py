@@ -291,6 +291,9 @@ def test_prime_power_rejects_bad_input():
         prime_power_spectrum(6, 2)
     with pytest.raises(ValueError):
         prime_power_spectrum(3, 1)
+    # a probable prime past psi_13 is not proven prime, so it is refused
+    with pytest.raises(OverflowError, match="cannot prove"):
+        prime_power_spectrum(2**89 - 1, 2)
 
 
 @given(

@@ -154,5 +154,7 @@ def test_factorize_refuses_unproven_probable_primes(n):
     assert bound == 1287836182261 * 2575672364521
     with pytest.raises(OverflowError, match="cannot prove"):
         factorize(n)
+    with pytest.raises(OverflowError, match="cannot prove"):
+        is_prime(n)
     # below the bound the test is exact, and a composite is still split
     assert math.prod(p**e for p, e in factorize(bound - 2).factors) == bound - 2

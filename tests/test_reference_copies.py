@@ -22,7 +22,7 @@ from zdgspec.analysis import degree_extremes
 from zdgspec.divisor_graph import build_divisor_graph, symmetric_form, weighted_laplacian
 from zdgspec.eigen import SpectrumEntry, coalesce
 from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_spectrum
-from zdgspec.numtheory import is_prime
+from zdgspec.numtheory import factorize, is_prime
 
 from helpers import (
     reference_build_divisor_graph,
@@ -92,7 +92,7 @@ def test_quotient_eigenvalues_and_spectra_match_reference():
         classes = [SpectrumEntry(float(v), m, True) for v, m in class_pairs(g)]
         total = reference_merged([*quotient.entries, *classes])
         assert _entries(assembly.total) == _entries(total), n
-        assert degree_extremes(n) == reference_degree_extremes(ref), n
+        assert degree_extremes(factorize(n)) == reference_degree_extremes(ref), n
 
 
 def test_kernel_matches_reference():
@@ -141,12 +141,67 @@ def _chained(values: list[float], steps: list[float]) -> list[float]:
     return out
 
 
+def _runs(values: list[float], steps: list[float], length: int) -> list[float]:
+    # runs of more than 8 values, each gap a step of the first value
+    out = []
+    for v, s in zip(values, steps):
+        out += [v * (1 + i * s) for i in range(length)]
+    return out
+
+
+def _straddling(centres: list[int], offsets: list[float]) -> list[float]:
+    # values within the snap tolerance below and above each integer, so that
+    # adjacent groups snap to one integer from either side
+    return [c + d for c in centres for d in offsets]
+
+
 @given(
     st.lists(st.floats(min_value=-1e9, max_value=1e9), max_size=12),
     st.lists(st.sampled_from([0.0, 5e-9, 1e-8, 1.5e-8, 1e-7, 5e-7]), max_size=12),
     st.sampled_from([eigen.DEFAULT_COALESCE_TOL, 0.0, 1e-6]),
+    st.integers(min_value=9, max_value=24),
+    st.lists(st.integers(min_value=-60, max_value=60), max_size=4),
+    st.lists(st.sampled_from([-9e-7, -6e-7, -3e-7, 0.0, 3e-7, 6e-7, 9e-7]), max_size=5),
 )
 @settings(max_examples=300, deadline=None)
-def test_coalesce_matches_reference(values, steps, tol):
-    for vals in (values, _chained(values, steps), [-0.0, 0.0, *values]):
+def test_coalesce_matches_reference(values, steps, tol, length, centres, offsets):
+    straddling = _straddling(centres, offsets)
+    for vals in (
+        values,
+        _chained(values, steps),
+        [-0.0, 0.0, *values],
+        _runs(values, steps, length),
+        straddling,
+        straddling + values,
+    ):
         assert _entries(coalesce(vals, tol)) == _entries(reference_coalesce(vals, tol))
+
+
+@given(
+    st.lists(st.floats(min_value=-50, max_value=50), max_size=12),
+    st.lists(st.sampled_from([0.0, 1e-7, 0.25, 0.5]), max_size=12),
+    st.dictionaries(
+        st.integers(min_value=-60, max_value=60), st.integers(1, 9), max_size=10
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_plus_exact_matches_reference_merge(values, nudges, pairs):
+    # quotient-like entries, exact ones among them, merged in one pass with
+    # ascending distinct integer pairs, some equal to an exact entry
+    quotient = coalesce([round(v) + d for v, d in zip(values, nudges)] + values)
+    pairs = sorted(pairs.items())
+    classes = [SpectrumEntry(float(v), m, True) for v, m in pairs]
+    expected = reference_merged([*quotient.entries, *classes])
+    assert _entries(quotient.plus_exact(pairs)) == _entries(expected)
+
+
+def test_coalesce_sorts_means_that_rounding_inverts():
+    # at tol = 0 the float mean of 22 copies of x lies above the next float
+    # after x, the value of the group that follows; the entries still come
+    # out ascending, as the reference's sort leaves them
+    x = 8.905413911078448
+    after = math.nextafter(x, math.inf)
+    vals = [5 - 5e-7] * 3 + [5 + 5e-7] * 2 + [x] * 22 + [after] * 2
+    entries = _entries(coalesce(vals, 0.0))
+    assert entries == _entries(reference_coalesce(vals, 0.0))
+    assert [m for _, m, _ in entries] == [5, 2, 22]
