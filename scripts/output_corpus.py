@@ -6,7 +6,8 @@ Prints, for a fixed list of CLI commands run in process, the command, its
 stdout, its stderr (each line prefixed with "stderr: ") and its exit code;
 then `exact_total_spectrum(n).pairs()` (or None)
 for every composite n in [4, 3000]. The command list is `survey 4 1500`
-(CSV), `survey 4 300` (JSON), `survey 700 760` as CSV and as JSON (it
+(CSV), `survey 4 3000` (JSON, the one format whose rows carry the two
+quotient flags), `survey 700 760` as CSV and as JSON (it
 crosses n = 720, k = 28, and its quotients fall in four isqrt(k) groups, so
 it pins rows whose residue polynomials came from zero-padded stacks),
 `verify 4 303`, `spectrum` and `analyze` of
@@ -88,7 +89,7 @@ def commands(seed: int) -> list[list[str]]:
     rng = random.Random(seed)
     cmds = [
         ["survey", "4", "1500", "--format", "csv"],
-        ["survey", "4", "300", "--format", "json"],
+        ["survey", "4", "3000", "--format", "json"],
         ["survey", "700", "760", "--format", "csv"],
         ["survey", "700", "760", "--format", "json"],
         ["verify", "4", "303"],

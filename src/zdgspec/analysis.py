@@ -2,17 +2,17 @@
 
 Every n, alone or in a range, takes the one route of
 ``join_spectrum.assemble_range``, which refuses and classifies it once.
-n = p^t and n = pq are answered end to end from their closed-form quotient
-and total spectra (``closed_form_spectra``): no divisor graph, no
-eigensolver, no characteristic polynomial. Every other n rides on the
-reduced path: mu and lambda are read off the assembled spectrum, and the
-quotient flags off its coalesced quotient values. For every n the vertex
+n = p^t and n = pq are answered end to end from their closed-form total
+spectrum (``closed_form_spectra``): no divisor graph, no eigensolver, no
+characteristic polynomial. Every other n rides on the reduced path, and mu
+and lambda are read off the assembled spectrum. For every n the vertex
 count n - phi(n) - 1 and the degree extremes have closed forms in the
 factorization of n, and kappa is the least degree delta. The predicates
-(complement disconnectedness, lambda = |V|, mu = kappa) are exact number
-theory on that factorization; the numeric spectrum only corroborates them in
-tests. Each reads the ``Factorization`` that ``assemble_range`` refused n
-with, so n is factored and validated once per report.
+(complement disconnectedness, lambda = |V|, mu = kappa, and whether mu and
+lambda come from the quotient) are exact number theory on that
+factorization; the numeric spectrum only corroborates them in tests. Each
+reads the ``Factorization`` that ``assemble_range`` refused n with, so n is
+factored and validated once per report.
 
 A range of n is analyzed a chunk at a time (``analyze_range``): the float
 route stays per n, and the residue polynomials of the exact integrality
@@ -37,8 +37,6 @@ from .join_spectrum import (
     exact_total_spectrum,
 )
 from .numtheory import Factorization
-
-EXTREME_MATCH_RTOL = 1e-8
 
 
 class AnalysisReport(NamedTuple):
@@ -90,6 +88,28 @@ def mu_equals_kappa(fact: Factorization) -> bool:
     return fact.is_prime_power and fact.factors[0][1] >= 3
 
 
+def lambda_from_quotient(fact: Factorization) -> bool:
+    """Whether lambda is the largest eigenvalue of the quotient Laplacian:
+    false exactly at n = p^2, p odd. For two or more distinct primes this is
+    the paper's theorem; the quotient of pq is {0, p + q - 2}, lambda = |V|.
+    Extending the paper, the quotient of p^t holds 0 and p^i - 1 for i in
+    [1, t - 1] but t // 2, so lambda = p^(t-1) - 1 lies in it iff t >= 3, or
+    at n = 4, whose whole spectrum is {0}."""
+    return not (fact.is_prime_power and fact.factors[0][1] == 2) or fact.n == 4
+
+
+def mu_from_quotient(fact: Factorization) -> bool:
+    """Whether mu is the second smallest eigenvalue of the quotient
+    Laplacian: false exactly at n = pq, p^2 (4 included) and p^3. For two or
+    more distinct primes but pq this is the paper's theorem; pq has
+    mu = p - 1 below p + q - 2. Extending the paper, mu = p - 1 of p^t, the
+    class of p, lies in its quotient (see ``lambda_from_quotient``) iff
+    t // 2 != 1, that is t >= 4; n = 4 has no mu."""
+    if fact.is_product_of_two_distinct_primes:
+        return False
+    return not fact.is_prime_power or fact.factors[0][1] >= 4
+
+
 def is_laplacian_integral(assembly: SpectrumAssembly, residues: IntPolynomial) -> bool:
     """Exact test through the integer characteristic polynomial.
 
@@ -101,26 +121,6 @@ def is_laplacian_integral(assembly: SpectrumAssembly, residues: IntPolynomial) -
     both as ``assemble_range`` yields them (see ``exact_total_spectrum``).
     """
     return exact_total_spectrum(assembly.n, assembly, residues) is not None
-
-
-def _quotient_extremes(
-    quotient: SpectrumMultiset, total: SpectrumMultiset, mu: float | None
-) -> tuple[bool, bool]:
-    """Whether mu, the second smallest value of ``total``, and lambda of the
-    whole graph equal the second smallest and largest eigenvalue of the
-    quotient matrix C, within 1e-8 relative.
-
-    Always computed; the equalities are guaranteed only when n has at least
-    two distinct prime factors (and n != pq for the mu half).
-    """
-    lam_ok = _close(total.max_value, quotient.max_value)
-    q2 = quotient.second_smallest()
-    mu_ok = mu is not None and q2 is not None and _close(mu, q2)
-    return mu_ok, lam_ok
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= EXTREME_MATCH_RTOL * max(1.0, abs(a))
 
 
 def analyze_assembly(
@@ -139,20 +139,18 @@ def analyze_assembly(
     """
     n = fact.n
     if assembly is None:
-        quotient, total = closed_form_spectra(fact)
+        total = closed_form_spectra(fact)
         integral, route = True, "closed_form"
     else:
-        quotient, total = assembly.quotient, assembly.total
+        total = assembly.total
         integral, route = is_laplacian_integral(assembly, residues), "reduced"
     delta_min, Delta_max = degree_extremes(fact)
-    mu = total.second_smallest()
-    mu_ok, lam_ok = _quotient_extremes(quotient, total, mu)
     disconnected = complement_disconnected(fact)
     report = AnalysisReport(
         n=n,
         # fits in int64: assemble_range checked it (``vertex_count``)
         vertex_count=n - fact.phi - 1,
-        mu=mu,
+        mu=total.second_smallest(),
         lambda_=total.max_value,
         kappa=delta_min,
         delta_min=delta_min,
@@ -162,8 +160,8 @@ def analyze_assembly(
         # lambda = |V| for exactly the n whose complement disconnects
         lambda_equals_order=disconnected,
         mu_equals_kappa=mu_equals_kappa(fact),
-        mu_from_quotient=mu_ok,
-        lambda_from_quotient=lam_ok,
+        mu_from_quotient=mu_from_quotient(fact),
+        lambda_from_quotient=lambda_from_quotient(fact),
     )
     return report, total, route
 

@@ -77,11 +77,16 @@ def vertex_count(fact: Factorization) -> int:
     return z
 
 
-def build_divisor_graph(n: int) -> WeightedDivisorGraph:
+def build_divisor_graph(n: int | Factorization) -> WeightedDivisorGraph:
     """Build the weighted divisor graph of a composite n >= 4 whose vertex
-    count fits in int64 (see ``vertex_count``)."""
-    fact = require_composite(n)
-    vertex_count(fact)
+    count fits in int64. Given n, it refuses any other n first
+    (``require_composite``, ``vertex_count``); given the factorization that
+    a caller refused n with, it refuses nothing again."""
+    if isinstance(n, Factorization):
+        fact = n
+    else:
+        fact = require_composite(n)
+        vertex_count(fact)
     divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis
@@ -90,7 +95,7 @@ def build_divisor_graph(n: int) -> WeightedDivisorGraph:
     # the diagonal 2a_i >= e says n | d_i^2; the class of d_i holds the
     # d_i u with u prime to n / d_i, so n | xy within it exactly then
     adj = (a[:, :, None] + a[:, None] >= e).all(axis=0)
-    return WeightedDivisorGraph(n, divs, weights, adj)
+    return WeightedDivisorGraph(fact.n, divs, weights, adj)
 
 
 def _diagonal(g: WeightedDivisorGraph) -> list[int]:

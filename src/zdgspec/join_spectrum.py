@@ -20,8 +20,8 @@ than with the number of divisors.
 
 ``closed_form_spectra`` is the third route, and the one home of its
 formulas: for n = p^t (the paper's theorem, also ``prime_power_spectrum``)
-and n = pq, whose graph is K_(p-1,q-1), the quotient and total spectra in
-closed form, exact integers, no linear algebra at all.
+and n = pq, whose graph is K_(p-1,q-1), the total spectrum in closed form,
+exact integers, no linear algebra at all.
 
 ``assemble_range`` is the one route from n to its spectra: it refuses and
 classifies each n once, off its factorization, and hands on the reduced
@@ -147,18 +147,19 @@ def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
     return sorted((np.add.reduce(diff) / np.add.reduce(x)).tolist())
 
 
-def reduced_spectrum(n: int) -> SpectrumAssembly:
+def reduced_spectrum(n: int | Factorization) -> SpectrumAssembly:
     """Full Laplacian spectrum of the zero-divisor graph via the quotient.
 
     Runtime is governed by the number of proper divisors k, never by n:
     one k x k symmetric eigenproblem, one coalescing of its k values, and
     at most k class (value, multiplicity) pairs added as exact integers.
+    n is refused as ``build_divisor_graph`` refuses it.
     """
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
     quotient = coalesce(quotient_values)
     return SpectrumAssembly(
-        n=n,
+        n=g.n,
         graph=g,
         quotient_values=tuple(quotient_values),
         quotient=quotient,
@@ -203,9 +204,9 @@ def assemble_range(
     spectra, a lone n being a range of one.
 
     Each n is refused once, off its factorization and before its divisor
-    graph is built: ``require_composite``, then ``check_order`` on its number
-    of proper divisors, then ``vertex_count``. The reduced spectra of the
-    chunk's other n get their residue polynomials from one
+    graph is built from it: ``require_composite``, then ``check_order`` on
+    its number of proper divisors, then ``vertex_count``. The reduced spectra
+    of the chunk's other n get their residue polynomials from one
     ``char_poly_integer`` call per group of orders (``residue_polynomials``).
     A refused n ends the chunk: the n before it are yielded, then its refusal
     is raised, so its divisor graph is never built.
@@ -223,7 +224,7 @@ def assemble_range(
                 refusal = exc
                 break
             closed = fact.is_prime_power or fact.is_product_of_two_distinct_primes
-            rows.append((fact, None if closed else reduced_spectrum(n)))
+            rows.append((fact, None if closed else reduced_spectrum(fact)))
         reduced = [a for _, a in rows if a is not None]
         polys = iter(residue_polynomials([a.graph for a in reduced]))
         for fact, assembly in rows:
@@ -265,7 +266,7 @@ def exact_total_spectrum(
     if assembly is None:
         fact, assembly, residues = next(assemble_range([n]))
         if assembly is None:
-            return closed_form_spectra(fact)[1]
+            return closed_form_spectra(fact)
     if assembly.n != n:
         raise ValueError(f"assembly is for n={assembly.n}, not {n}")
     values = assembly.quotient_values
@@ -289,10 +290,8 @@ def exact_total_spectrum(
     return SpectrumMultiset.from_pairs(pairs)
 
 
-def _prime_power_pairs(
-    p: int, t: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Quotient and class (value, multiplicity) pairs of n = p^t, t >= 2.
+def _prime_power_pairs(p: int, t: int) -> list[tuple[int, int]]:
+    """The (value, multiplicity) pairs of n = p^t, t >= 2.
 
     The quotient adds 0 and p^i - 1 for each i in [1, t - 1] but t // 2;
     the class of p^i adds p^i - 1 with multiplicity phi(p^(t - i)) - 1,
@@ -300,7 +299,7 @@ def _prime_power_pairs(
     """
     quotient = [(0, 1)] + [(p**i - 1, 1) for i in range(1, t) if i != t // 2]
     classes = [(p**i - 1, p ** (t - i) - p ** (t - i - 1) - 1) for i in range(1, t)]
-    return quotient, classes
+    return quotient + classes
 
 
 def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
@@ -316,15 +315,12 @@ def prime_power_spectrum(p: int, t: int) -> SpectrumMultiset:
         raise ValueError(f"{p} is not prime")
     if t < 2:
         raise ValueError("exponent must be at least 2")
-    quotient, classes = _prime_power_pairs(p, t)
-    return SpectrumMultiset.from_pairs(quotient + classes)
+    return SpectrumMultiset.from_pairs(_prime_power_pairs(p, t))
 
 
-def closed_form_spectra(
-    fact: Factorization,
-) -> tuple[SpectrumMultiset, SpectrumMultiset] | None:
-    """Quotient and total spectra of a composite n = p^t or n = pq in closed
-    form, as exact integers; None for any other composite n.
+def closed_form_spectra(fact: Factorization) -> SpectrumMultiset | None:
+    """The total spectrum of a composite n = p^t or n = pq in closed form,
+    as exact integers; None for any other composite n.
 
     p^t comes from the paper's theorem (see ``prime_power_spectrum``). For
     p < q the graph of pq is the complete bipartite K_(p-1,q-1): the
@@ -333,16 +329,13 @@ def closed_form_spectra(
     p - 2.
     """
     if fact.is_prime_power:
-        quotient, classes = _prime_power_pairs(*fact.factors[0])
+        pairs = _prime_power_pairs(*fact.factors[0])
     elif fact.is_product_of_two_distinct_primes:
         p, q = fact.primes
-        quotient, classes = [(0, 1), (p + q - 2, 1)], [(p - 1, q - 2), (q - 1, p - 2)]
+        pairs = [(0, 1), (p + q - 2, 1), (p - 1, q - 2), (q - 1, p - 2)]
     else:
         return None
-    return (
-        SpectrumMultiset.from_pairs(quotient),
-        SpectrumMultiset.from_pairs(quotient + classes),
-    )
+    return SpectrumMultiset.from_pairs(pairs)
 
 
 def check_oracle_cap(n: int, cap: int | None = None) -> None:

@@ -8,12 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from zdgspec import eigen
-from zdgspec.analysis import (
-    EXTREME_MATCH_RTOL,
-    AnalysisReport,
-    complement_disconnected,
-    mu_equals_kappa,
-)
+from zdgspec.analysis import AnalysisReport, complement_disconnected, mu_equals_kappa
 from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import (
     DEFAULT_COALESCE_TOL,
@@ -25,6 +20,22 @@ from zdgspec.eigen import (
 from zdgspec.join_spectrum import QUOTIENT_RTOL, SpectrumAssembly, reduced_spectrum
 from zdgspec.numtheory import factorize
 from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
+
+# relative gap within which a quotient eigenvalue counts as mu or lambda in
+# the numeric comparison that corroborates the report's quotient flags
+EXTREME_MATCH_RTOL = 1e-8
+DENSE_MAX = 10**4
+DENSE_K = (28, 30, 34, 38, 46)
+
+
+def dense_pool() -> list[int]:
+    """Every n <= 10^4 with 28, 30, 34, 38 or 46 proper divisors: the
+    largest quotients below 10^4."""
+    counts = [0] * (DENSE_MAX + 1)
+    for d in range(1, DENSE_MAX + 1):
+        for m in range(d, DENSE_MAX + 1, d):
+            counts[m] += 1
+    return [n for n in range(4, DENSE_MAX + 1) if counts[n] - 2 in DENSE_K]
 
 
 def expand(spectrum: SpectrumMultiset) -> list[float]:
@@ -107,9 +118,10 @@ def edge_count_doubled(assembly: SpectrumAssembly) -> int:
 def reduced_report(n: int) -> tuple[AnalysisReport, SpectrumMultiset]:
     """The report and total spectrum of n read off ``reduced_spectrum(n)``
     alone: the vertex count and degrees from the divisor graph's classes, mu,
-    lambda and the quotient flags from the coalesced float spectra, and
-    integrality from their exact flags. For p^t and pq the closed route must
-    give exactly this."""
+    lambda and the quotient flags from the coalesced float spectra (mu and
+    lambda within EXTREME_MATCH_RTOL of the quotient's second smallest and
+    largest value), and integrality from their exact flags. For p^t and pq
+    the closed route must give exactly this."""
     assembly = reduced_spectrum(n)
     total, quotient = assembly.total, assembly.quotient
 

@@ -10,7 +10,9 @@ from zdgspec.analysis import (
     analyze_range,
     complement_disconnected,
     degree_extremes,
+    lambda_from_quotient,
     mu_equals_kappa,
+    mu_from_quotient,
 )
 from zdgspec.divisor_graph import require_composite, vertex_count
 from zdgspec.errors import EmptyGraphError
@@ -18,7 +20,13 @@ from zdgspec.join_spectrum import class_pairs, reduced_spectrum
 from zdgspec.numtheory import euler_phi, factorize, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
 
-from helpers import class_degrees, degrees, edge_count_doubled, reduced_report
+from helpers import (
+    class_degrees,
+    degrees,
+    dense_pool,
+    edge_count_doubled,
+    reduced_report,
+)
 
 composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prime(n))
 
@@ -26,9 +34,9 @@ composite = st.integers(min_value=4, max_value=500).filter(lambda n: not is_prim
 @pytest.mark.parametrize("n", [3**5, 7 * 11, 2**2 * 7 * 11])
 def test_factorize_calls_per_analysis(n):
     # n is factored once, by its refusal in assemble_range, whose
-    # factorization every closed-form invariant reads; 308 adds its divisor
-    # graph and the exclusion prime's check in the residue kernel
-    calls = {3**5: 1, 7 * 11: 1, 2**2 * 7 * 11: 3}
+    # factorization every closed-form invariant and the divisor graph read;
+    # 308 adds the exclusion prime's check in the residue kernel
+    calls = {3**5: 1, 7 * 11: 1, 2**2 * 7 * 11: 2}
     before = factorize.cache_info()
     next(analyze_range([n]))
     after = factorize.cache_info()
@@ -68,9 +76,10 @@ def test_analyze_builds_divisor_graph_once(monkeypatch):
     built = []
     real = zdgspec.join_spectrum.build_divisor_graph
 
-    def counting(n):
-        built.append(n)
-        return real(n)
+    def counting(fact):
+        g = real(fact)
+        built.append(g.n)
+        return g
 
     monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", counting)
     assert analyze(30).laplacian_integral is False
@@ -97,8 +106,48 @@ def _quotient_extremes(n):
 def test_quotient_extremes_examples():
     assert _quotient_extremes(12) == (True, True)
     assert _quotient_extremes(18) == (True, True)
-    mu_ok, lam_ok = _quotient_extremes(15)
-    assert lam_ok  # lambda = p+q-2 always sits in the 2x2 quotient
+    # pq: lambda = p+q-2 always sits in the 2x2 quotient, mu = p-1 never
+    assert _quotient_extremes(15) == (False, True)
+    # the whole spectrum of 4 is {0}, and mu is undefined on one vertex
+    assert _quotient_extremes(4) == (False, True)
+
+
+def test_quotient_flags_match_the_numeric_comparison():
+    # the flags are number theory on the factorization; the strict numeric
+    # comparison of reduced_spectrum(n)'s total against its coalesced
+    # quotient, within 1e-8 relative, must agree on every composite
+    # n <= 2000 and every n <= 10^4 of 28 to 46 proper divisors
+    ns = [n for n in range(4, 2001) if not is_prime(n)] + dense_pool()
+    for n, (report, _, _) in zip(ns, analyze_range(ns)):
+        numeric, _ = reduced_report(n)
+        flags = (report.mu_from_quotient, report.lambda_from_quotient)
+        assert flags == (numeric.mu_from_quotient, numeric.lambda_from_quotient), n
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_flags_of_prime_powers(p, t):
+    # lambda = p^(t-1) - 1 lies in the quotient iff t >= 3 (or n = 4, whose
+    # spectrum is {0}), mu = p - 1 iff t >= 4; the numeric comparison agrees
+    n = p**t
+    fact = factorize(n)
+    expected = (t >= 4, t >= 3 or n == 4)
+    assert (mu_from_quotient(fact), lambda_from_quotient(fact)) == expected
+    report, numeric = analyze(n), reduced_report(n)[0]
+    assert (report.mu_from_quotient, report.lambda_from_quotient) == expected
+    assert (numeric.mu_from_quotient, numeric.lambda_from_quotient) == expected
+
+
+def test_quotient_flags_at_a_near_tie():
+    # 6399 = 3^4 * 79: lambda is the quotient's 2132.00198..., 0.00198 above
+    # the class value 2132 of n/3; both flags hold with no tolerance, as the
+    # numeric comparison has them
+    report, assembly = analyze(6399), reduced_spectrum(6399)
+    assert (2132, 1) in class_pairs(assembly.graph)
+    assert report.lambda_ == assembly.quotient.max_value
+    assert 0.00197 < report.lambda_ - 2132 < 0.00199
+    assert report.mu_from_quotient and report.lambda_from_quotient
+    assert reduced_report(6399)[0] == report
 
 
 @given(composite)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdgspec.divisor_graph
 from zdgspec.divisor_graph import (
     build_divisor_graph,
     require_composite,
@@ -31,6 +32,23 @@ def test_rejects_primes_and_small_n():
 def test_require_composite_returns_the_factorization():
     assert require_composite(60) == factorize(60)
     assert require_composite(2**65).factors == ((2, 65),)
+
+
+def test_build_from_a_refused_factorization(monkeypatch):
+    # given the factorization a caller refused n with, the build refuses
+    # nothing again and returns the graph it builds from n
+    graphs = {n: build_divisor_graph(n) for n in (4, 12, 18, 720, 2**64)}
+
+    def refused(*args):
+        raise AssertionError("n refused twice")
+
+    monkeypatch.setattr(zdgspec.divisor_graph, "require_composite", refused)
+    monkeypatch.setattr(zdgspec.divisor_graph, "vertex_count", refused)
+    for n, g in graphs.items():
+        built = build_divisor_graph(factorize(n))
+        assert type(built.n) is int and built.n == n
+        assert (built.vertices, built.weights) == (g.vertices, g.weights)
+        assert np.array_equal(built.adjacency, g.adjacency)
 
 
 def test_vertex_count_bounded_by_int64():

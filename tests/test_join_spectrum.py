@@ -99,6 +99,8 @@ def test_reduced_n4_single_vertex():
 def test_reduced_rejects_primes():
     with pytest.raises(EmptyGraphError):
         reduced_spectrum(11)
+    with pytest.raises(OverflowError, match="more zero divisors than int64"):
+        reduced_spectrum(2**65)
 
 
 @pytest.mark.parametrize(

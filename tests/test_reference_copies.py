@@ -25,6 +25,8 @@ from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_sp
 from zdgspec.numtheory import factorize, is_prime
 
 from helpers import (
+    DENSE_K,
+    dense_pool,
     reference_build_divisor_graph,
     reference_char_poly_mod,
     reference_coalesce,
@@ -35,19 +37,7 @@ from helpers import (
     reference_weighted_laplacian,
 )
 
-DENSE_MAX = 10**4
-DENSE_K = (28, 30, 34, 38, 46)
-
-
-def _dense_pool() -> list[int]:
-    counts = [0] * (DENSE_MAX + 1)
-    for d in range(1, DENSE_MAX + 1):
-        for m in range(d, DENSE_MAX + 1, d):
-            counts[m] += 1
-    return [n for n in range(4, DENSE_MAX + 1) if counts[n] - 2 in DENSE_K]
-
-
-NS = [n for n in range(4, 2001) if not is_prime(n)] + _dense_pool()
+NS = [n for n in range(4, 2001) if not is_prime(n)] + dense_pool()
 # n past 2^54 with a clique class of d > 2^53: its diagonal entry
 # d - 1 - m of C must be rounded to float64 once, from the exact integer
 HUGE = (2**40 * 3**10, 9 * 2**55, 3 * 2**61, 6 * 10**17, 10**18)
@@ -66,7 +56,7 @@ def _entries(spectrum) -> list[tuple[str, int, bool]]:
 
 
 def test_dense_pool_covers_every_order():
-    assert {len(build_divisor_graph(n).vertices) for n in _dense_pool()} == set(DENSE_K)
+    assert {len(build_divisor_graph(n).vertices) for n in dense_pool()} == set(DENSE_K)
 
 
 def test_divisor_graph_and_matrices_match_reference():
