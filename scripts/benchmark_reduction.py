@@ -2,8 +2,9 @@
 """Time the divisor-class reduction against the explicit-matrix oracle.
 
 The reduced path diagonalizes a k x k quotient plus bookkeeping, where k is
-the number of proper divisors of n; the oracle diagonalizes the full
-(n - phi(n) - 1) x (n - phi(n) - 1) Laplacian.  This script reports both
+the number of proper divisors of n; the oracle builds the full
+z x z Laplacian, z = n - phi(n) - 1, and diagonalizes its two blocks of
+order about z/2, split along x -> n - x.  This script reports both
 timings over a range.  On a few large highly composite n, where only the
 reduced path is feasible, it times the reduced path and the exact
 integrality decision side by side: the residue polynomial of the reduced

@@ -31,7 +31,10 @@ divisors than int64 counts), and `analyze 6983776800` and
 char-poly's order), and `analyze 3317044064679887385961981` (psi_13, a
 strong pseudoprime to every Miller-Rabin base) and
 `spectrum 618970019642690137449562111` (2^89 - 1, prime), both past the
-bound below which that test proves primality, each exit 5.
+bound below which that test proves primality, and `analyze
+9999999999999999` and `analyze 6917529027641081856` (3 * 2^61), whose
+candidate windows for integer roots may hold up to 5.9e7 and 3.2e10
+integers, each exit 5.
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -118,6 +121,7 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["analyze", "6983776800"], ["divisor-graph", "6983776800"]]
     cmds += [["analyze", "3317044064679887385961981"]]
     cmds += [["spectrum", "618970019642690137449562111"]]
+    cmds += [["analyze", "9999999999999999"], ["analyze", str(3 * 2**61)]]
     return cmds
 
 

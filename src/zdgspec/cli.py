@@ -6,7 +6,8 @@ or n < 4, a method that does not apply, an oracle cap that is not a
 positive integer), 3 oracle cap exceeded, 4 I/O error, 5 n too large (Z_n
 has more zero divisors than int64 can count, or the exact characteristic
 polynomial of its quotient is past its envelope: 2048 proper divisors or
-more, or a coefficient bound above 2^44497). ZDG_ORACLE_CAP overrides the
+more, a coefficient bound above 2^44497, or candidate-root windows that
+may hold more than 4096 integers). ZDG_ORACLE_CAP overrides the
 brute-force vertex cap, and --cap overrides both; a command that builds
 explicit graphs reads its cap once, before the first n.
 

@@ -13,9 +13,10 @@ proper-divisor quotient. The spectrum then splits into
   joins one of their entries only when that entry is exact and equal to it.
 
 ``brute_spectrum`` is the independent oracle: it builds the explicit graph
-and returns the LAPACK eigenvalues of its Laplacian, one per vertex and
-unmerged, so a check compares them eigenvalue by eigenvalue with the
-expanded reduced spectrum. It is capped because it scales with n rather
+and returns the LAPACK eigenvalues of its Laplacian, from two blocks of
+half the order split along x -> n - x, one per vertex and unmerged, so a
+check compares them eigenvalue by eigenvalue with the expanded reduced
+spectrum. It is capped because it scales with n rather
 than with the number of divisors.
 
 ``closed_form_spectra`` is the third route, and the one home of its
@@ -78,6 +79,10 @@ QUOTIENT_RTOL = 1e-14
 # thread); and a chunk stays well inside the factorize cache, so each n
 # tested for primality is still cached when it is analyzed
 RANGE_CHUNK = 128
+# integers exact_total_spectrum's candidate windows may hold, bounded before
+# they are built: while rho < 1/2, as for every n <= 10^7, each of the
+# k < MAX_ORDER windows holds at most one, so no such n is refused
+MAX_CANDIDATES = 1 << 12
 
 
 def oracle_cap() -> int:
@@ -251,10 +256,11 @@ def exact_total_spectrum(
     eigenvalue, ||C||_F the Frobenius norm of the symmetric form, read off
     the eigenvalues as the root of their sum of squares: Weyl's bound plus
     LAPACK's backward error, below 0.01 for n <= 10^7. Only a larger float
-    error hides a root. The polynomial is first computed and deflated modulo
-    the one prime EXCLUSION_PRIME = 2^21 - 9, from power sums in O(sqrt(k))
-    float64 BLAS products: a split over the candidates over Z would
-    reduce to a split over their residues, so when deflation stops short
+    error hides a root. OverflowError, before any candidate exists, when the
+    windows may hold more than MAX_CANDIDATES integers. The polynomial is first
+    computed and deflated modulo the one prime EXCLUSION_PRIME = 2^21 - 9,
+    from power sums in O(sqrt(k)) float64 BLAS products: a split over the
+    candidates over Z would reduce to a split over their residues, so when deflation stops short
     there the answer is None, certified, without Hadamard's bound or the
     lift. Only a polynomial that splits modulo that prime pays for the
     integer polynomial and the exact deflation. ``assembly`` and
@@ -275,6 +281,13 @@ def exact_total_spectrum(
         raise ValueError(f"residues are not of order {k} modulo {EXCLUSION_PRIME}")
     norm = math.sqrt(sum(map(mul, values, values)))
     rho = 1e3 * k * EPS * norm
+    # each of the k windows holds at most floor(2 rho) + 1 integers
+    most = k * (math.floor(2 * rho) + 1)
+    if most > MAX_CANDIDATES:
+        raise OverflowError(
+            f"n={n} has up to {most} integers in its candidate-root windows, "
+            f"above {MAX_CANDIDATES}"
+        )
     candidates = {
         r
         for v in values
@@ -354,18 +367,42 @@ def check_oracle_cap(n: int, cap: int | None = None) -> None:
 
 
 def brute_spectrum(n: int, cap: int | None = None) -> np.ndarray:
-    """Oracle eigenvalues of the explicit vertex-level graph's Laplacian, as
-    LAPACK returns them: an ascending float64 array of n - phi(n) - 1
-    values, never coalesced, so a defect in ``coalesce`` cannot hide on both
-    sides of a comparison. Refused past the vertex cap (see
-    ``check_oracle_cap``).
+    """Oracle eigenvalues of the explicit vertex-level graph's Laplacian: an
+    ascending float64 array of n - phi(n) - 1 values, never coalesced, so a
+    defect in ``coalesce`` cannot hide on both sides of a comparison.
+    Refused past the vertex cap (see ``check_oracle_cap``).
 
-    The Laplacian is one float array: 0 - A, which keeps +0.0 off the
-    edges, with the degrees written on its diagonal.
+    The Laplacian L is one float array: 0 - A, which keeps +0.0 off the
+    edges, with the degrees written on its diagonal. Negation x -> n - x
+    maps the ascending zero divisors onto themselves in reverse order and
+    keeps xy = 0 (mod n), so J L J = L for the reversal J, and L is
+    orthogonally similar to two blocks of half its order (Cantoni and
+    Butler, Linear Algebra Appl. 13, 1976). With z vertices, h = z // 2,
+    A = L[:h, :h] and C = L[:h, z-h:] reversed by columns, the vectors
+    (u, -Ju) span A - C and the vectors (u, Ju) span A + C; for odd z the
+    middle vertex n/2 is its own partner and borders A + C with
+    sqrt(2) L[:h, h] and L[h, h]. Both blocks are exact integer matrices
+    but for that border, and each takes one LAPACK call. The reversal is
+    checked on the labels, ArithmeticError if it fails; no gcd class enters.
     """
     check_oracle_cap(n, cap)
-    adj = build_zero_divisor_graph(n).adjacency
+    g = build_zero_divisor_graph(n)
+    labels = np.array(g.vertex_labels)
+    if not (labels + labels[::-1] == n).all():
+        raise ArithmeticError(f"zero divisors of {n} are not closed under x -> n - x")
+    adj = g.adjacency
     lap = np.subtract(0.0, adj, dtype=np.float64)
     lap.flat[:: len(lap) + 1] = adj.sum(axis=1)
-    return np.asarray(symmetric_eigenvalues(lap))
-
+    z = len(lap)
+    h = z // 2
+    a = lap[:h, :h]
+    c = lap[:h, z - h :][:, ::-1]
+    plus = np.empty((z - h, z - h))
+    np.add(a, c, out=plus[:h, :h])
+    if z % 2:
+        plus[:h, h] = plus[h, :h] = math.sqrt(2.0) * lap[:h, h]
+        plus[h, h] = lap[h, h]
+    values = symmetric_eigenvalues(plus)
+    if h:
+        values += symmetric_eigenvalues(a - c)
+    return np.sort(values)

@@ -219,19 +219,6 @@ def test_closed_form_degrees_and_order_match_oracle():
 
 @given(composite)
 @settings(max_examples=50, deadline=None)
-def test_quotient_extremes_where_hypotheses_hold(n):
-    from zdgspec.numtheory import factorize
-
-    fact = factorize(n)
-    mu_ok, lam_ok = _quotient_extremes(n)
-    if not fact.is_prime_power:
-        assert lam_ok
-        if not fact.is_product_of_two_distinct_primes:
-            assert mu_ok
-
-
-@given(composite)
-@settings(max_examples=50, deadline=None)
 def test_extremes_avoid_class_values(n):
     # when mu and lambda come from the quotient they stay clear of every
     # class-contributed value by more than the coalescing tolerance

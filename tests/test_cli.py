@@ -537,3 +537,19 @@ def test_divisor_graph_beyond_the_order_envelope_exits_5(capsys, monkeypatch):
     assert "order 2302" in err and "Traceback" not in err
     # the limit is on proper divisors; this command computes no char-poly
     assert "2047 proper divisors" in err and "char-poly" not in err
+
+
+@pytest.mark.parametrize("n", [9999999999999999, 3 * 2**61], ids=["10^16-1", "3*2^61"])
+def test_candidate_window_beyond_its_bound_exits_5(capsys, monkeypatch, n):
+    # rho grows with ||C||_F: about 1.6e5 for 10^16 - 1, so its 190 windows
+    # may hold 5.9e7 integers, and 3.2e10 for 3 * 2^61; both are refused
+    # before one candidate exists, not left to end in a MemoryError (exit 1)
+    def no_roots(*args):
+        raise AssertionError("candidates tested past the window bound")
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "integer_roots_complete", no_roots)
+    code, out, err = run(capsys, "analyze", str(n))
+    assert code == 5
+    assert out == ""
+    assert f"n={n}" in err and "candidate-root windows" in err
+    assert "Traceback" not in err

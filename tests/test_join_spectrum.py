@@ -339,14 +339,46 @@ def test_brute_fixtures():
     assert coalesce(brute_spectrum(9)).pairs() == [(0.0, 1), (2.0, 1)]
 
 
-@pytest.mark.parametrize("n", [36, 100, 210])
+def _split_blocks(lap):
+    # the two half-order blocks of a centrosymmetric matrix, from the
+    # textbook formulas: C = B J for the upper right block B
+    z = len(lap)
+    h = z // 2
+    a = lap[:h, :h]
+    c = lap[:h, z - h :] @ np.eye(h)[::-1]
+    plus = a + c
+    if z % 2:
+        border = np.sqrt(2.0) * lap[:h, h]
+        plus = np.block([[plus, border[:, None]], [border[None, :], lap[h : h + 1, h : h + 1]]])
+    return a - c, plus
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 36, 100, 210, 225])
 def test_brute_is_the_raw_laplacian_spectrum(n):
-    # the in-place Laplacian is the textbook D - A, bit for bit
+    # the in-place Laplacian is the textbook D - A, split in two blocks bit
+    # for bit, and its spectrum is that of D - A to rounding; 4, 9 and 8
+    # have 1, 2 and 3 vertices, 225 an even count and the rest odd
     adj = build_zero_divisor_graph(n).adjacency.astype(np.float64)
-    reference = np.linalg.eigvalsh(np.diag(adj.sum(axis=1)) - adj)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    minus, plus = _split_blocks(lap)
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(minus), np.linalg.eigvalsh(plus)]))
+    whole = np.linalg.eigvalsh(lap)
     raw = brute_spectrum(n)
     assert len(raw) == n - euler_phi(n) - 1
-    assert np.array_equal(raw, reference)
+    assert np.array_equal(raw, split)
+    assert np.abs(raw - whole).max() <= 1e-12 * max(1.0, whole[-1])
+
+
+def test_brute_refuses_labels_not_closed_under_negation(monkeypatch):
+    real = zdgspec.join_spectrum.build_zero_divisor_graph
+
+    def shifted(n):
+        g = real(n)
+        return g._replace(vertex_labels=tuple(x + 1 for x in g.vertex_labels))
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_zero_divisor_graph", shifted)
+    with pytest.raises(ArithmeticError):
+        brute_spectrum(36)
 
 
 def test_brute_cap_error_and_env_override(monkeypatch):

@@ -37,6 +37,18 @@ def test_rejects_primes():
         build_zero_divisor_graph(3)
 
 
+def test_zero_divisors_reverse_under_negation():
+    # x -> n - x reverses the ascending labels and fixes the adjacency, the
+    # symmetry the oracle's split eigensolve rests on
+    for n in range(4, 501):
+        if is_prime(n):
+            continue
+        g = build_zero_divisor_graph(n)
+        labels = np.array(g.vertex_labels)
+        assert (labels + labels[::-1] == n).all(), n
+        assert np.array_equal(g.adjacency[::-1, ::-1], g.adjacency), n
+
+
 @given(composite)
 @settings(max_examples=80, deadline=None)
 def test_vertex_count_identity(n):
