@@ -26,8 +26,13 @@ from collections.abc import Iterator
 from typing import TextIO
 
 from .analysis import AnalysisReport, analyze_range
-from .divisor_graph import build_divisor_graph, require_composite, weighted_laplacian
-from .eigen import SpectrumMultiset, check_order, coalesce, max_deviation
+from .divisor_graph import (
+    build_divisor_graph,
+    require_composite,
+    require_reducible,
+    weighted_laplacian,
+)
+from .eigen import SpectrumMultiset, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
 from .join_spectrum import (
     brute_spectrum,
@@ -229,10 +234,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_divisor_graph(args: argparse.Namespace) -> int:
-    # the order is checked off the factorization, as analyze does, before the
-    # k x k arrays are built
-    check_order(require_composite(args.n).divisor_count() - 2)
-    g = build_divisor_graph(args.n)
+    # refused as analyze refuses n, before the k x k arrays are built
+    g = build_divisor_graph(require_reducible(args.n))
     out = sys.stdout
     out.write(f"n = {g.n}\n")
     out.write("vertices = " + " ".join(str(d) for d in g.vertices) + "\n")

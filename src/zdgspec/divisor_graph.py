@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eigen import check_order
 from .errors import EmptyGraphError
 from .numtheory import Factorization, factorize
 
@@ -77,16 +78,25 @@ def vertex_count(fact: Factorization) -> int:
     return z
 
 
+def require_reducible(n: int) -> Factorization:
+    """The factorization of n, once the reduced route can take n: the one
+    gate, which every entry point given an int runs, in this order, before
+    any divisor is enumerated. EmptyGraphError for a prime or n < 4
+    (``require_composite``); OverflowError for 2048 proper divisors or more
+    (``check_order``), then for more zero divisors than int64 counts
+    (``vertex_count``)."""
+    fact = require_composite(n)
+    check_order(fact.divisor_count() - 2)
+    vertex_count(fact)
+    return fact
+
+
 def build_divisor_graph(n: int | Factorization) -> WeightedDivisorGraph:
-    """Build the weighted divisor graph of a composite n >= 4 whose vertex
-    count fits in int64. Given n, it refuses any other n first
-    (``require_composite``, ``vertex_count``); given the factorization that
-    a caller refused n with, it refuses nothing again."""
-    if isinstance(n, Factorization):
-        fact = n
-    else:
-        fact = require_composite(n)
-        vertex_count(fact)
+    """Build the weighted divisor graph of a composite n >= 4 inside the
+    reduced route's envelope. Given n, it refuses any other n first, as
+    ``require_reducible`` does; given the factorization that a caller
+    refused n with, it refuses nothing again."""
+    fact = n if isinstance(n, Factorization) else require_reducible(n)
     divs, exps, weights = zip(*fact.divisors_with_exponents()[1:-1])
     # one row per prime: reducing over a short leading axis of contiguous
     # k-long rows is ~18x faster at k = 446 than over a trailing prime axis

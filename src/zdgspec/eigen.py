@@ -47,7 +47,7 @@ import numpy as np
 
 from .numtheory import is_prime
 
-DEFAULT_COALESCE_TOL = 1e-8
+COALESCE_TOL = 1e-8
 INTEGER_SNAP_TOL = 1e-6
 SYMMETRY_RTOL = 1e-12
 EPS = 2.0**-52  # np.finfo(np.float64).eps, the float64 machine epsilon
@@ -129,55 +129,45 @@ class SpectrumMultiset(NamedTuple):
         return self.entries[1].value
 
 
-def coalesce(
-    values: Sequence[float], tol: float = DEFAULT_COALESCE_TOL
-) -> SpectrumMultiset:
+def coalesce(values: Sequence[float]) -> SpectrumMultiset:
     """Group near-equal floats into a multiset, in one pass.
 
     Successive values chain into one group while each gap stays within
-    max(tol, tol*|value|). A group is represented by its mean, snapped to
-    the nearest integer (and flagged exact) when within 1e-6 of one; it goes
-    straight into the output, or into the exact entry before it when both
-    snap to the same integer. The groups come in ascending order, rounding
+    COALESCE_TOL * max(1, |value|). A group is represented by its mean,
+    snapped to the nearest integer (and flagged exact) when within 1e-6 of
+    one (``_close_group``). The groups come in ascending order, a gap above
+    the tolerance is far above the rounding of a mean, rounding to integers
     is monotone and an unsnapped mean lies more than 1e-6 from every
-    integer, so the entries come out ascending, as
-    ``SpectrumMultiset.merged`` would sort them. Only a mean that float
-    rounding lifts past its successor's, across a gap of a few ulps (as at
-    tol = 0), makes the entries go through ``merged`` after all.
+    integer, so the entries come out strictly ascending, and no exact value
+    is listed twice.
     """
     out: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
-    ascending = True
     for value in sorted(map(float, values)):
-        # prev <= value, so max(|prev|, |value|) is max(-prev, value), and
-        # for tol >= 0 rounding keeps max(tol, tol * x) = tol * max(1, x)
-        if count and value - prev > tol * max(1.0, -prev, value):
-            ascending &= _close_group(out, total, count)
+        # prev <= value, so max(|prev|, |value|) is max(-prev, value)
+        if count and value - prev > COALESCE_TOL * max(1.0, -prev, value):
+            _close_group(out, total, count)
             total, count = 0.0, 0
         total += value
         count += 1
         prev = value
     if count:
-        ascending &= _close_group(out, total, count)
-    return SpectrumMultiset(tuple(out)) if ascending else SpectrumMultiset.merged(out)
+        _close_group(out, total, count)
+    return SpectrumMultiset(tuple(out))
 
 
-def _close_group(out: list[SpectrumEntry], total: float, count: int) -> bool:
+def _close_group(out: list[SpectrumEntry], total: float, count: int) -> None:
     """Add the group of ``count`` values summing to ``total`` to ``out``:
-    merged into the last entry when both are exact and equal, else appended.
-    False when its value lies below the last entry's."""
+    its mean, snapped when within INTEGER_SNAP_TOL of an integer, merged
+    into the last entry when both are exact and equal, else appended."""
     mean = total / count
     nearest = round(mean)
     if abs(mean - nearest) > INTEGER_SNAP_TOL:
-        entry = SpectrumEntry(mean, count, False)
+        out.append(SpectrumEntry(mean, count, False))
     elif out and out[-1].exact and out[-1].value == nearest:
         out[-1] = SpectrumEntry(out[-1].value, out[-1].multiplicity + count, True)
-        return True
     else:
-        entry = SpectrumEntry(float(nearest), count, True)
-    ascending = not out or out[-1].value <= entry.value
-    out.append(entry)
-    return ascending
+        out.append(SpectrumEntry(float(nearest), count, True))
 
 
 def max_deviation(spectrum: SpectrumMultiset, values: Sequence[float]) -> float | None:

@@ -45,10 +45,9 @@ import numpy as np
 from .divisor_graph import (
     WeightedDivisorGraph,
     build_divisor_graph,
-    require_composite,
+    require_reducible,
     symmetric_form,
     upper_edges,
-    vertex_count,
     weighted_laplacian,
     weighted_laplacians,
 )
@@ -59,7 +58,6 @@ from .eigen import (
     IntPolynomial,
     SpectrumMultiset,
     char_poly_integer,
-    check_order,
     coalesce,
     integer_roots_complete,
     symmetric_eigenvalues,
@@ -70,9 +68,6 @@ from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
 
 DEFAULT_ORACLE_CAP = 1200
 ORACLE_CAP_ENV = "ZDG_ORACLE_CAP"
-# relative error a quotient eigenvalue may carry; the CLI prints 12
-# significant digits
-QUOTIENT_RTOL = 1e-14
 # n per chunk of assemble_range, whose rows are held until the chunk's
 # residue polynomials are done: in process, `survey 4 3000` took 0.60 s at
 # 1, 0.48 at 16, 0.40 at 64, 0.38 at 128 and 256 and 0.41 at 1024 (one BLAS
@@ -124,19 +119,15 @@ def _quotient_eigenvalues(g: WeightedDivisorGraph) -> list[float]:
     """Eigenvalues of the weighted quotient Laplacian, ascending, from one eigh call.
 
     LAPACK's values are off by up to about eps * ||C|| for the symmetric
-    form C. When that is more than QUOTIENT_RTOL of the smallest nonzero
-    value (a strongly graded quotient, with classes of 1 to millions of
-    vertices), each value is replaced by the Rayleigh quotient of its
-    eigenvector v, from the same call, in the integer form: the sum over
-    edges of m_i*m_j*(x_i - x_j)^2 over the sum of m_i*x_i^2, with
-    x = W^(-1/2) v. Every term is nonnegative with exact integer weights,
-    so nothing cancels, and the error is second order in that of v.
+    form C, which is most of a small value of a strongly graded quotient,
+    with classes of 1 to millions of vertices. So each value is the
+    Rayleigh quotient of its eigenvector v, from the same call, in the
+    integer form: the sum over edges of m_i*m_j*(x_i - x_j)^2 over the sum
+    of m_i*x_i^2, with x = W^(-1/2) v. Every term is nonnegative with exact
+    integer weights, so nothing cancels, and the error is second order in
+    that of v. Every quotient takes this one path.
     """
-    c = symmetric_form(g)
-    values, vectors = symmetric_eigenvalues(c, vectors=True)
-    flat = c.ravel()  # ||C||_F as np.linalg.norm takes it
-    if len(values) < 2 or EPS * math.sqrt(flat.dot(flat)) <= QUOTIENT_RTOL * values[1]:
-        return values
+    _, vectors = symmetric_eigenvalues(symmetric_form(g), vectors=True)
     w = np.array(g.weights, dtype=np.float64)
     x = vectors / np.sqrt(w)[:, None]
     i, j = upper_edges(g.adjacency)
@@ -158,7 +149,10 @@ def reduced_spectrum(n: int | Factorization) -> SpectrumAssembly:
     Runtime is governed by the number of proper divisors k, never by n:
     one k x k symmetric eigenproblem, one coalescing of its k values, and
     at most k class (value, multiplicity) pairs added as exact integers.
-    n is refused as ``build_divisor_graph`` refuses it.
+    Given n, it is refused first, as ``analyze`` refuses it
+    (``require_reducible``), so no k x k array of an n past the envelope
+    exists; given the factorization a caller refused n with, nothing is
+    refused again.
     """
     g = build_divisor_graph(n)
     quotient_values = _quotient_eigenvalues(g)
@@ -209,8 +203,8 @@ def assemble_range(
     spectra, a lone n being a range of one.
 
     Each n is refused once, off its factorization and before its divisor
-    graph is built from it: ``require_composite``, then ``check_order`` on
-    its number of proper divisors, then ``vertex_count``. The reduced spectra
+    graph is built from it, by the one gate ``require_reducible``, which
+    every int entry point to the reduced route shares. The reduced spectra
     of the chunk's other n get their residue polynomials from one
     ``char_poly_integer`` call per group of orders (``residue_polynomials``).
     A refused n ends the chunk: the n before it are yielded, then its refusal
@@ -222,9 +216,7 @@ def assemble_range(
         refusal = None
         for n in chunk:
             try:
-                fact = require_composite(n)
-                check_order(fact.divisor_count() - 2)
-                vertex_count(fact)
+                fact = require_reducible(n)
             except (EmptyGraphError, OverflowError) as exc:
                 refusal = exc
                 break

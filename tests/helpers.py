@@ -11,13 +11,13 @@ from zdgspec import eigen
 from zdgspec.analysis import AnalysisReport, complement_disconnected, mu_equals_kappa
 from zdgspec.divisor_graph import WeightedDivisorGraph, build_divisor_graph
 from zdgspec.eigen import (
-    DEFAULT_COALESCE_TOL,
+    COALESCE_TOL,
     INTEGER_SNAP_TOL,
     IntPolynomial,
     SpectrumEntry,
     SpectrumMultiset,
 )
-from zdgspec.join_spectrum import QUOTIENT_RTOL, SpectrumAssembly, reduced_spectrum
+from zdgspec.join_spectrum import SpectrumAssembly, reduced_spectrum
 from zdgspec.numtheory import factorize
 from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
 
@@ -203,14 +203,9 @@ def reference_symmetric_form(g: ReferenceDivisorGraph) -> np.ndarray:
 
 
 def reference_quotient_eigenvalues(g: ReferenceDivisorGraph) -> list[float]:
-    """The quotient eigenvalues, with the Rayleigh refinement of graded
-    quotients, upper edges taken from np.triu."""
-    c = reference_symmetric_form(g)
-    values, vectors = np.linalg.eigh(c)
-    values = values.tolist()
-    eps = np.finfo(np.float64).eps
-    if len(values) < 2 or eps * np.linalg.norm(c) <= QUOTIENT_RTOL * values[1]:
-        return values
+    """The Rayleigh quotients of the eigenvectors of the symmetric form,
+    upper edges taken from np.triu."""
+    _, vectors = np.linalg.eigh(reference_symmetric_form(g))
     w = np.asarray(g.weights, dtype=np.float64)
     x = vectors / np.sqrt(w)[:, None]
     i, j = np.nonzero(np.triu(g.adjacency))
@@ -229,7 +224,7 @@ def reference_merged(entries) -> SpectrumMultiset:
     return SpectrumMultiset(tuple(out))
 
 
-def reference_coalesce(values, tol: float = DEFAULT_COALESCE_TOL) -> SpectrumMultiset:
+def reference_coalesce(values) -> SpectrumMultiset:
     def group_entry(total: float, count: int) -> SpectrumEntry:
         mean = total / count
         nearest = round(mean)
@@ -238,6 +233,7 @@ def reference_coalesce(values, tol: float = DEFAULT_COALESCE_TOL) -> SpectrumMul
         return SpectrumEntry(float(nearest), count, True)
 
     entries: list[SpectrumEntry] = []
+    tol = COALESCE_TOL
     total, count, prev = 0.0, 0, 0.0
     for value in sorted(map(float, values)):
         if count and value - prev > max(tol, tol * max(abs(prev), abs(value))):

@@ -4,6 +4,7 @@ import pytest
 
 import zdgspec.analysis
 import zdgspec.cli
+import zdgspec.divisor_graph
 import zdgspec.join_spectrum
 from zdgspec import eigen
 from zdgspec.analysis import analyze_range
@@ -332,10 +333,15 @@ def test_survey_rows_equal_per_n_analysis(capsys):
     assert out.splitlines() == [record_json(*row, True) for row in alone]
 
 
-# the modules that take n from the command line to its spectra; divisor_graph
-# keeps its own guard for direct callers of build_divisor_graph, and eigen
-# its own for direct callers of char_poly_integer
-_DRIVER_MODULES = (zdgspec.analysis, zdgspec.join_spectrum, zdgspec.cli)
+# the modules that take n from the command line to its spectra, divisor_graph
+# among them for its one gate, ``require_reducible``; eigen keeps its own
+# guard for direct callers of char_poly_integer
+_DRIVER_MODULES = (
+    zdgspec.analysis,
+    zdgspec.divisor_graph,
+    zdgspec.join_spectrum,
+    zdgspec.cli,
+)
 
 
 def _spy(monkeypatch, name, record):

@@ -100,7 +100,7 @@ def test_eigenvalue_sum_matches_trace(m):
 
 
 def test_coalesce_groups_and_snaps():
-    ms = coalesce([0.0, 1.0000000001, 0.9999999999], tol=1e-8)
+    ms = coalesce([0.0, 1.0000000001, 0.9999999999])
     assert ms.pairs() == [(0.0, 1), (1.0, 2)]
     assert all(e.exact for e in ms.entries)
 
@@ -111,7 +111,7 @@ def test_coalesce_plain_multiplicities():
 
 
 def test_coalesce_keeps_distinct_values_apart():
-    ms = coalesce([1.0, 1.5, 2.0], tol=1e-8)
+    ms = coalesce([1.0, 1.5, 2.0])
     assert ms.pairs() == [(1.0, 1), (1.5, 1), (2.0, 1)]
     assert [e.exact for e in ms.entries] == [True, False, True]
 
@@ -119,7 +119,7 @@ def test_coalesce_keeps_distinct_values_apart():
 def test_coalesce_relative_tolerance_chains():
     # gaps of 5e8*tol*|value| split, gaps below tol*|value| chain
     base = 1e6
-    ms = coalesce([base, base * (1 + 5e-9), base * 1.5], tol=1e-8)
+    ms = coalesce([base, base * (1 + 5e-9), base * 1.5])
     assert ms.total_multiplicity == 3
     assert len(ms.entries) == 2
     assert ms.entries[0].multiplicity == 2
@@ -137,6 +137,71 @@ def test_coalesce_lists_each_exact_value_once():
     ms = coalesce([0.0, 5 - 5e-7, 5 + 5e-7])
     assert ms.pairs() == [(0.0, 1), (5.0, 2)]
     assert all(e.exact for e in ms.entries)
+
+
+def _just_past(prev: float, excess: float) -> float:
+    # the least float found above prev by a gap of (1 + excess) times the
+    # tolerance that still splits a group there
+    tol = eigen.COALESCE_TOL
+    value = prev + tol * max(1.0, abs(prev)) * (1 + excess)
+    while not value - prev > tol * max(1.0, -prev, value):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@st.composite
+def _near_groups(draw) -> tuple[list[float], int]:
+    """Runs of equal or near-equal values, each within the tolerance of the
+    value before it, and each run just past the tolerance above the one
+    before; the first starts within the snap of an integer, at a tiny
+    negative, or anywhere. Returns the values and the number of runs."""
+    start = draw(
+        st.one_of(
+            st.builds(
+                lambda c, d: c + d,
+                st.integers(-60, 10**6),
+                st.floats(-1e-6, 1e-6),
+            ),
+            st.floats(-1e-6, 0.0),
+            st.floats(-1e9, 1e9),
+        )
+    )
+    runs = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 40), st.sampled_from([500, 1999, 2000])),
+                st.sampled_from([0.0, 1e-9, 0.5, 0.999]),
+                st.sampled_from([1e-7, 1e-3, 0.5]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    tol = eigen.COALESCE_TOL
+    values = [start]
+    for i, (size, step, excess) in enumerate(runs):
+        if i:
+            values.append(_just_past(values[-1], excess))
+        for _ in range(size - 1):
+            prev = values[-1]
+            values.append(prev + step * tol * max(1.0, abs(prev)))
+    return values, len(runs)
+
+
+@given(_near_groups())
+@settings(max_examples=150, deadline=None)
+def test_coalesce_entries_strictly_ascend(case):
+    # at the one tolerance no group mean passes the next one's, and two
+    # groups that snap to one integer share its entry
+    values, runs = case
+    ms = coalesce(values)
+    got = [e.value for e in ms.entries]
+    assert all(a < b for a, b in zip(got, got[1:]))
+    exact = [e.value for e in ms.entries if e.exact]
+    assert len(set(exact)) == len(exact)
+    assert all(v.is_integer() for v in exact)
+    assert ms.total_multiplicity == len(values)
+    assert len(ms.entries) <= runs
 
 
 def test_max_deviation_compares_each_eigenvalue():

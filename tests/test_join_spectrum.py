@@ -26,7 +26,7 @@ from zdgspec.join_spectrum import (
     reduced_spectrum,
     residue_polynomials,
 )
-from zdgspec.numtheory import euler_phi, is_prime
+from zdgspec.numtheory import Factorization, euler_phi, is_prime
 from zdgspec.zdg_explicit import build_zero_divisor_graph
 
 from helpers import (
@@ -114,6 +114,42 @@ def test_entries_refuse_a_prime_or_n_below_4(entry, monkeypatch):
     for n in (0, -6, 1, 13):
         with pytest.raises(EmptyGraphError):
             entry(n)
+
+
+# 2^5 3^3 5^2 7 11 13 17 19, with 2302 proper divisors: past the order of
+# the exact char-poly, yet its vertex count fits in int64
+ORDER_2302 = 6983776800
+
+
+def _no_divisors(self):
+    raise AssertionError(f"divisors of {self.n} enumerated after a refusal")
+
+
+@pytest.mark.parametrize(
+    "entry", [build_divisor_graph, reduced_spectrum, exact_total_spectrum]
+)
+@pytest.mark.parametrize(
+    "n, refusal, message",
+    [
+        (0, EmptyGraphError, "no zero divisors"),
+        (3, EmptyGraphError, "no zero divisors"),
+        (13, EmptyGraphError, "no zero divisors"),
+        (3317044064679887385961981, OverflowError, "cannot prove"),  # psi_13
+        (ORDER_2302, OverflowError, "order 2302 is too large"),
+        (2**65, OverflowError, "more zero divisors than int64"),
+        # past both the order and int64's vertex count: the order comes first
+        (ORDER_2302 << 64, OverflowError, "order 26878 is too large"),
+    ],
+)
+def test_int_entries_refuse_as_analyze_does(entry, n, refusal, message, monkeypatch):
+    # one gate: the same check refuses n first, with the same exception
+    # type and message, before a divisor, and so any k x k array, exists
+    with pytest.raises(refusal, match=message) as expected:
+        analyze(n)
+    monkeypatch.setattr(Factorization, "divisors_with_exponents", _no_divisors)
+    with pytest.raises(refusal) as refused:
+        entry(n)
+    assert str(refused.value) == str(expected.value)
 
 
 @given(composite)

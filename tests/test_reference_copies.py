@@ -9,7 +9,9 @@ The residue polynomials that ``assemble_range`` takes a zero-padded group at
 a time must each equal the reference kernel's on its own lone residues.
 The shipped adjacency keeps the clique diagonal that the reference build
 split off into ``complete``, and the shipped matrices come from closed forms
-rather than the reference's neighbor weight sums ``adj @ w``.
+rather than the reference's neighbor weight sums ``adj @ w``. Every quotient
+takes the one refined float path, so the quotient eigenvalues of every n are
+compared as Rayleigh quotients; coalescing is compared at its one tolerance.
 """
 
 import math
@@ -148,13 +150,12 @@ def _straddling(centres: list[int], offsets: list[float]) -> list[float]:
 @given(
     st.lists(st.floats(min_value=-1e9, max_value=1e9), max_size=12),
     st.lists(st.sampled_from([0.0, 5e-9, 1e-8, 1.5e-8, 1e-7, 5e-7]), max_size=12),
-    st.sampled_from([eigen.DEFAULT_COALESCE_TOL, 0.0, 1e-6]),
     st.integers(min_value=9, max_value=24),
     st.lists(st.integers(min_value=-60, max_value=60), max_size=4),
     st.lists(st.sampled_from([-9e-7, -6e-7, -3e-7, 0.0, 3e-7, 6e-7, 9e-7]), max_size=5),
 )
 @settings(max_examples=300, deadline=None)
-def test_coalesce_matches_reference(values, steps, tol, length, centres, offsets):
+def test_coalesce_matches_reference(values, steps, length, centres, offsets):
     straddling = _straddling(centres, offsets)
     for vals in (
         values,
@@ -164,7 +165,7 @@ def test_coalesce_matches_reference(values, steps, tol, length, centres, offsets
         straddling,
         straddling + values,
     ):
-        assert _entries(coalesce(vals, tol)) == _entries(reference_coalesce(vals, tol))
+        assert _entries(coalesce(vals)) == _entries(reference_coalesce(vals))
 
 
 @given(
@@ -184,14 +185,3 @@ def test_plus_exact_matches_reference_merge(values, nudges, pairs):
     expected = reference_merged([*quotient.entries, *classes])
     assert _entries(quotient.plus_exact(pairs)) == _entries(expected)
 
-
-def test_coalesce_sorts_means_that_rounding_inverts():
-    # at tol = 0 the float mean of 22 copies of x lies above the next float
-    # after x, the value of the group that follows; the entries still come
-    # out ascending, as the reference's sort leaves them
-    x = 8.905413911078448
-    after = math.nextafter(x, math.inf)
-    vals = [5 - 5e-7] * 3 + [5 + 5e-7] * 2 + [x] * 22 + [after] * 2
-    entries = _entries(coalesce(vals, 0.0))
-    assert entries == _entries(reference_coalesce(vals, 0.0))
-    assert [m for _, m, _ in entries] == [5, 2, 22]
