@@ -7,9 +7,9 @@ z x z Laplacian, z = n - phi(n) - 1, and diagonalizes its two blocks of
 order about z/2, split along x -> n - x.  This script reports both
 timings over a range.  On a few large highly composite n, where only the
 reduced path is feasible, it times the reduced path and the exact
-integrality decision side by side: the residue polynomial of the reduced
-path's assembly and `exact_total_spectrum` on both, as `assemble_range`
-and `analyze` run them for a range of one.  The default large n run up
+integrality decision side by side: `exact_total_spectrum` on the reduced
+path's assembly, which computes its residue polynomial as `assemble_range`
+does for a range of one, then decides it.  The default large n run up
 to 8648640, which has 446 proper divisors, the most of any n <= 10^7; its
 spectrum is not integral, so the decision is settled modulo one prime.
 """
@@ -21,7 +21,6 @@ from zdgspec.join_spectrum import (
     brute_spectrum,
     exact_total_spectrum,
     reduced_spectrum,
-    residue_polynomials,
 )
 from zdgspec.numtheory import euler_phi, is_prime
 
@@ -30,12 +29,6 @@ def time_once(fn, *args) -> tuple[float, object]:
     start = time.perf_counter()
     value = fn(*args)
     return time.perf_counter() - start, value
-
-
-def decide(assembly):
-    """The exact integrality decision on a reduced spectrum."""
-    (residues,) = residue_polynomials([assembly.graph])
-    return exact_total_spectrum(assembly.n, assembly, residues)
 
 
 def main() -> int:
@@ -94,7 +87,7 @@ def main() -> int:
     for n in large:
         z = n - euler_phi(n) - 1
         t_red, assembly = time_once(reduced_spectrum, n)
-        t_exact, exact = time_once(decide, assembly)
+        t_exact, exact = time_once(exact_total_spectrum, assembly)
         k = len(assembly.graph.vertices)
         print(
             f"{n:>8} {z:>8} {k:>4} {t_red * 1e3:>10.2f}ms"

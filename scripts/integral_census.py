@@ -9,8 +9,9 @@ closed forms without a characteristic polynomial, so their rows count
 shapes, not tests. Every other n is decided through the exact integer
 characteristic polynomial of the quotient; that is the interesting column.
 The range is walked a chunk at a time by `assemble_range`, as `survey` walks
-it, so the polynomials modulo the exclusion prime of a chunk take one kernel
-call per group of orders; a closed-family n is passed on as n alone.
+it, so the polynomials modulo the exclusion prime that a chunk's assemblies
+carry take one kernel call per group of orders; a closed-family n is passed
+on as n alone.
 """
 
 import argparse
@@ -50,9 +51,9 @@ def main() -> int:
     # no composite lies below 4, and the library refuses n < 4
     lo = max(args.n_min, 4)
     composites = (n for n in range(lo, args.n_max + 1) if not is_prime(n))
-    for fact, assembly, residues in assemble_range(composites):
+    for fact, assembly in assemble_range(composites):
         n = fact.n
-        exact = exact_total_spectrum(n, assembly, residues)
+        exact = exact_total_spectrum(n if assembly is None else assembly)
         label = shape(n)
         tally[(label, exact is not None)] += 1
         if exact is not None and (args.show_spectra or label not in GUARANTEED):

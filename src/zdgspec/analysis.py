@@ -15,9 +15,9 @@ reads the ``Factorization`` that ``assemble_range`` refused n with, so n is
 factored and validated once per report.
 
 A range of n is analyzed a chunk at a time (``analyze_range``): the float
-route stays per n, and the residue polynomials of the exact integrality
-test come from one kernel call per group of the chunk's quotients. A lone n
-is a range of one (``analyze``).
+route stays per n, and the residue polynomial of the exact integrality test
+rides on each reduced assembly, from one kernel call per group of the
+chunk's quotients. A lone n is a range of one (``analyze``).
 
 Conventions at the degenerate end: Gamma(Z_4) is a single vertex, so mu is
 reported as undefined (None) rather than 0, and mu_equals_kappa is False
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .eigen import IntPolynomial, SpectrumMultiset
+from .eigen import SpectrumMultiset
 from .join_spectrum import (
     SpectrumAssembly,
     assemble_range,
@@ -110,23 +110,21 @@ def mu_from_quotient(fact: Factorization) -> bool:
     return not fact.is_prime_power or fact.factors[0][1] >= 4
 
 
-def is_laplacian_integral(assembly: SpectrumAssembly, residues: IntPolynomial) -> bool:
+def is_laplacian_integral(assembly: SpectrumAssembly) -> bool:
     """Exact test through the integer characteristic polynomial.
 
     Class values are integers by construction, so the spectrum is
     integral iff the quotient polynomial factors completely over Z. Every
     root is verified exactly; the candidates come from the quotient
     eigenvalues of ``assembly``, the reduced spectrum of its n, and the
-    first test from ``residues``, its polynomial modulo EXCLUSION_PRIME,
-    both as ``assemble_range`` yields them (see ``exact_total_spectrum``).
+    first test from the residue polynomial it carries, as
+    ``assemble_range`` yields it (see ``exact_total_spectrum``).
     """
-    return exact_total_spectrum(assembly.n, assembly, residues) is not None
+    return exact_total_spectrum(assembly) is not None
 
 
 def analyze_assembly(
-    fact: Factorization,
-    assembly: SpectrumAssembly | None,
-    residues: IntPolynomial | None,
+    fact: Factorization, assembly: SpectrumAssembly | None
 ) -> tuple[AnalysisReport, SpectrumMultiset, str]:
     """Full report for one n, the total spectrum it was read from, and the
     route that spectrum took: "closed_form" or "reduced", from what
@@ -135,7 +133,7 @@ def analyze_assembly(
     n = p^t and n = pq, for which the assembly is None, are answered by
     arithmetic on the factorization (``closed_form_spectra``), integral by
     theorem; every other n by its reduced spectrum and the exact
-    integrality test on that assembly and its residue polynomial.
+    integrality test on that assembly, residue polynomial and all.
     """
     n = fact.n
     if assembly is None:
@@ -143,7 +141,7 @@ def analyze_assembly(
         integral, route = True, "closed_form"
     else:
         total = assembly.total
-        integral, route = is_laplacian_integral(assembly, residues), "reduced"
+        integral, route = is_laplacian_integral(assembly), "reduced"
     delta_min, Delta_max = degree_extremes(fact)
     disconnected = complement_disconnected(fact)
     report = AnalysisReport(
@@ -176,8 +174,8 @@ def analyze_range(
 ) -> Iterator[tuple[AnalysisReport, SpectrumMultiset, str]]:
     """Report, total spectrum and route for each n of ``ns`` in turn
     (``analyze_assembly``), computed a chunk at a time (``assemble_range``),
-    so that the residue polynomials of a chunk take one kernel call per
-    group; the rows of the n before a refused one are yielded before its
-    refusal is raised."""
-    for fact, assembly, residues in assemble_range(ns):
-        yield analyze_assembly(fact, assembly, residues)
+    so that the residue polynomials the chunk's assemblies carry take one
+    kernel call per group; the rows of the n before a refused one are
+    yielded before its refusal is raised."""
+    for fact, assembly in assemble_range(ns):
+        yield analyze_assembly(fact, assembly)

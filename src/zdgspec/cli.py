@@ -80,19 +80,17 @@ def fmt_bool(b: bool) -> str:
 
 
 def _spectrum_json(spectrum: SpectrumMultiset) -> str:
-    # an exact entry holds an integer, which fmt_number prints as int(value)
+    # an exact entry holds an integral float, which fmt_number prints as an int
     items = ",".join(
         '{"value":%s,"multiplicity":%d,"exact":%s}'
-        % (int(value) if exact else fmt_number(value), multiplicity, fmt_bool(exact))
+        % (fmt_number(value), multiplicity, fmt_bool(exact))
         for value, multiplicity, exact in spectrum.entries
     )
     return "[" + items + "]"
 
 
 def _spectrum_compact(spectrum: SpectrumMultiset) -> list[str]:
-    return [
-        f"{int(v) if exact else fmt_number(v)}:{m}" for v, m, exact in spectrum.entries
-    ]
+    return [f"{fmt_number(v)}:{m}" for v, m, _ in spectrum.entries]
 
 
 def record_json(

@@ -69,30 +69,22 @@ class SpectrumMultiset(NamedTuple):
     entries: tuple[SpectrumEntry, ...]
 
     @classmethod
-    def merged(cls, entries: Iterable[SpectrumEntry]) -> "SpectrumMultiset":
-        """The entries sorted by value; equal exact values sum into one
-        entry, and an inexact entry never merges, so no exact value is
-        listed twice and no float joins an integer."""
-        out: list[SpectrumEntry] = []
-        for e in sorted(entries, key=itemgetter(0)):
-            if e.exact and out and out[-1].exact and out[-1].value == e.value:
-                m = e.multiplicity + out.pop().multiplicity
-                e = SpectrumEntry(e.value, m, True)
-            out.append(e)
-        return cls(tuple(out))
-
-    @classmethod
     def from_pairs(cls, pairs: list[tuple[int, int]]) -> "SpectrumMultiset":
         """Exact spectrum from sorted-or-not (integer value, multiplicity)
-        pairs; equal values merge, a zero multiplicity is dropped."""
-        return cls.merged(SpectrumEntry(float(v), m, True) for v, m in pairs if m)
+        pairs; equal values sum into one entry (``_push``), a zero
+        multiplicity is dropped."""
+        out: list[SpectrumEntry] = []
+        for v, m in sorted(pairs, key=itemgetter(0)):
+            if m:
+                _push(out, float(v), m, True)
+        return cls(tuple(out))
 
     def plus_exact(self, pairs: Iterable[tuple[int, int]]) -> "SpectrumMultiset":
         """This multiset with exact entries added for integer (value,
         multiplicity) pairs, values ascending and distinct and multiplicities
-        positive, in one merge of the two ascending lists: a value joins the
-        entry before it when that entry is exact and equal to it, just as
-        ``merged`` of both lists would have it."""
+        positive, in one merge of the two ascending lists: each value joins
+        the entry before it when that entry is exact and equal to it
+        (``_push``)."""
         out: list[SpectrumEntry] = []
         entries = self.entries
         i = 0
@@ -101,10 +93,7 @@ class SpectrumMultiset(NamedTuple):
             while i < len(entries) and entries[i].value <= value:
                 out.append(entries[i])
                 i += 1
-            if out and out[-1].exact and out[-1].value == value:
-                out[-1] = SpectrumEntry(value, out[-1].multiplicity + m, True)
-            else:
-                out.append(SpectrumEntry(value, m, True))
+            _push(out, value, m, True)
         out += entries[i:]
         return SpectrumMultiset(tuple(out))
 
@@ -135,11 +124,12 @@ def coalesce(values: Sequence[float]) -> SpectrumMultiset:
     Successive values chain into one group while each gap stays within
     COALESCE_TOL * max(1, |value|). A group is represented by its mean,
     snapped to the nearest integer (and flagged exact) when within 1e-6 of
-    one (``_close_group``). The groups come in ascending order, a gap above
-    the tolerance is far above the rounding of a mean, rounding to integers
-    is monotone and an unsnapped mean lies more than 1e-6 from every
-    integer, so the entries come out strictly ascending, and no exact value
-    is listed twice.
+    one (``_close_group``), and added by the one merge rule (``_push``), so
+    two groups that snap to one integer sum into one entry. The groups come
+    in ascending order, a gap above the tolerance is far above the rounding
+    of a mean, rounding to integers is monotone and an unsnapped mean lies
+    more than 1e-6 from every integer, so the entries come out strictly
+    ascending, and no exact value is listed twice.
     """
     out: list[SpectrumEntry] = []
     total, count, prev = 0.0, 0, 0.0
@@ -158,16 +148,22 @@ def coalesce(values: Sequence[float]) -> SpectrumMultiset:
 
 def _close_group(out: list[SpectrumEntry], total: float, count: int) -> None:
     """Add the group of ``count`` values summing to ``total`` to ``out``:
-    its mean, snapped when within INTEGER_SNAP_TOL of an integer, merged
-    into the last entry when both are exact and equal, else appended."""
+    its mean, snapped and exact when within INTEGER_SNAP_TOL of an integer
+    (``_push``)."""
     mean = total / count
     nearest = round(mean)
-    if abs(mean - nearest) > INTEGER_SNAP_TOL:
-        out.append(SpectrumEntry(mean, count, False))
-    elif out and out[-1].exact and out[-1].value == nearest:
-        out[-1] = SpectrumEntry(out[-1].value, out[-1].multiplicity + count, True)
+    exact = abs(mean - nearest) <= INTEGER_SNAP_TOL
+    _push(out, float(nearest) if exact else mean, count, exact)
+
+
+def _push(out: list[SpectrumEntry], value: float, m: int, exact: bool) -> None:
+    """The one merge rule of every multiset: an exact value equal to the last
+    entry of ``out``, when that is exact, sums into it; anything else is
+    appended. No exact value is listed twice and no float joins an integer."""
+    if exact and out and out[-1].exact and out[-1].value == value:
+        out[-1] = SpectrumEntry(value, out[-1].multiplicity + m, True)
     else:
-        out.append(SpectrumEntry(float(nearest), count, True))
+        out.append(SpectrumEntry(value, m, exact))
 
 
 def max_deviation(spectrum: SpectrumMultiset, values: Sequence[float]) -> float | None:
@@ -191,7 +187,8 @@ def max_deviation(spectrum: SpectrumMultiset, values: Sequence[float]) -> float 
 
 def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
     """All eigenvalues of a symmetric matrix, ascending, from one LAPACK call:
-    ``eigvalsh``, or with ``vectors`` ``eigh``'s values and eigenvectors."""
+    ``eigvalsh``'s as a list, or with ``vectors`` ``eigh``'s arrays of values
+    and eigenvectors as they are."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
@@ -205,8 +202,7 @@ def symmetric_eigenvalues(m: np.ndarray, vectors: bool = False):
         raise ValueError("matrix is not symmetric")
     if not vectors:
         return np.linalg.eigvalsh(a).tolist()
-    values, vecs = np.linalg.eigh(a)
-    return values.tolist(), vecs
+    return np.linalg.eigh(a)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ exact integers, no linear algebra at all.
 
 ``assemble_range`` is the one route from n to its spectra: it refuses and
 classifies each n once, off its factorization, and hands on the reduced
-spectrum and residue polynomial of each n outside the closed families, a
-chunk at a time. A lone n is a range of one, for ``exact_total_spectrum``
-as for ``analysis.analyze``.
+spectrum of each n outside the closed families, its residue polynomial
+riding on it, a chunk at a time. A lone n is a range of one, for
+``exact_total_spectrum`` as for ``analysis.analyze``.
 """
 
 from __future__ import annotations
@@ -94,13 +94,16 @@ def oracle_cap() -> int:
 
 
 class SpectrumAssembly(NamedTuple):
-    """Reduced-path spectrum together with the pieces it was built from."""
+    """Reduced-path spectrum together with the pieces it was built from, and
+    the quotient's char-poly modulo EXCLUSION_PRIME, filled by
+    ``assemble_range`` and left None by ``reduced_spectrum``."""
 
     n: int
     graph: WeightedDivisorGraph
     quotient_values: tuple[float, ...]  # ascending, before coalescing
     quotient: SpectrumMultiset
     total: SpectrumMultiset
+    residues: IntPolynomial | None = None
 
 
 def class_pairs(g: WeightedDivisorGraph) -> list[tuple[int, int]]:
@@ -196,16 +199,16 @@ def residue_polynomials(graphs: Sequence[WeightedDivisorGraph]) -> list[IntPolyn
 
 def assemble_range(
     ns: Iterable[int],
-) -> Iterator[tuple[Factorization, SpectrumAssembly | None, IntPolynomial | None]]:
-    """(factorization, reduced spectrum, residue polynomial) for each n of
-    ``ns`` in turn, both None for n = p^t and n = pq (``closed_form_spectra``),
-    a chunk of at most RANGE_CHUNK n at a time: the one route from n to its
-    spectra, a lone n being a range of one.
+) -> Iterator[tuple[Factorization, SpectrumAssembly | None]]:
+    """(factorization, reduced spectrum) for each n of ``ns`` in turn, the
+    spectrum None for n = p^t and n = pq (``closed_form_spectra``), a chunk of
+    at most RANGE_CHUNK n at a time: the one route from n to its spectra, a
+    lone n being a range of one.
 
     Each n is refused once, off its factorization and before its divisor
     graph is built from it, by the one gate ``require_reducible``, which
     every int entry point to the reduced route shares. The reduced spectra
-    of the chunk's other n get their residue polynomials from one
+    of the chunk's other n carry their residue polynomials, from one
     ``char_poly_integer`` call per group of orders (``residue_polynomials``).
     A refused n ends the chunk: the n before it are yielded, then its refusal
     is raised, so its divisor graph is never built.
@@ -222,51 +225,44 @@ def assemble_range(
                 break
             closed = fact.is_prime_power or fact.is_product_of_two_distinct_primes
             rows.append((fact, None if closed else reduced_spectrum(fact)))
-        reduced = [a for _, a in rows if a is not None]
-        polys = iter(residue_polynomials([a.graph for a in reduced]))
-        for fact, assembly in rows:
-            yield fact, assembly, None if assembly is None else next(polys)
+        polys = iter(residue_polynomials([a.graph for _, a in rows if a is not None]))
+        for fact, a in rows:
+            yield fact, None if a is None else a._replace(residues=next(polys))
         if refusal is not None:
             raise refusal
 
 
-def exact_total_spectrum(
-    n: int,
-    assembly: SpectrumAssembly | None = None,
-    residues: IntPolynomial | None = None,
-) -> SpectrumMultiset | None:
+def exact_total_spectrum(n: int | SpectrumAssembly) -> SpectrumMultiset | None:
     """Exact integer spectrum when one exists, None otherwise.
 
-    Given n alone, it is a range of one (``assemble_range``), and the two
+    Given n, it is a range of one (``assemble_range``), and the two
     integral families come in closed form, with no polynomial
     (``closed_form_spectra``): n = p^t, the paper's theorem, and n = pq,
-    whose graph is the complete bipartite K_(p-1,q-1). For every other n,
-    class values are integers by construction, so the spectrum is
-    integral precisely when the quotient characteristic polynomial factors
-    completely over the integers. Its roots are deflated exactly from the
-    nonnegative integers within rho = 1e3 * k * eps * ||C||_F of a quotient
-    eigenvalue, ||C||_F the Frobenius norm of the symmetric form, read off
-    the eigenvalues as the root of their sum of squares: Weyl's bound plus
-    LAPACK's backward error, below 0.01 for n <= 10^7. Only a larger float
-    error hides a root. OverflowError, before any candidate exists, when the
-    windows may hold more than MAX_CANDIDATES integers. The polynomial is first
-    computed and deflated modulo the one prime EXCLUSION_PRIME = 2^21 - 9,
-    from power sums in O(sqrt(k)) float64 BLAS products: a split over the
-    candidates over Z would reduce to a split over their residues, so when deflation stops short
-    there the answer is None, certified, without Hadamard's bound or the
-    lift. Only a polynomial that splits modulo that prime pays for the
-    integer polynomial and the exact deflation. ``assembly`` and
-    ``residues``, given together, are what ``assemble_range`` yields for n;
-    ValueError for one without the other or for those of another n.
+    whose graph is the complete bipartite K_(p-1,q-1). Given a reduced
+    spectrum, it decides that assembly, as it does every other n: class
+    values are integers by construction, so the spectrum is integral
+    precisely when the quotient characteristic polynomial factors
+    completely over the integers. Its roots are deflated exactly from the nonnegative integers
+    within rho = 1e3 * k * eps * ||C||_F of a quotient eigenvalue, ||C||_F
+    the Frobenius norm of the symmetric form, read off the eigenvalues as
+    the root of their sum of squares: Weyl's bound plus LAPACK's backward
+    error, below 0.01 for n <= 10^7. Only a larger float error hides a
+    root. OverflowError, before any candidate exists, when the windows may
+    hold more than MAX_CANDIDATES integers. The polynomial is first
+    deflated modulo the one prime EXCLUSION_PRIME = 2^21 - 9: the
+    assembly's residues, computed as for a range of one when it carries
+    none. A split over the candidates over Z would reduce to a split over
+    their residues, so when deflation stops short there the answer is None,
+    certified, without Hadamard's bound or the lift. Only a polynomial that
+    splits modulo that prime pays for the integer polynomial and the exact
+    deflation. ValueError for residues of another order or modulus.
     """
-    if (assembly is None) != (residues is None):
-        raise ValueError("an assembly and its residues come together")
-    if assembly is None:
-        fact, assembly, residues = next(assemble_range([n]))
+    assembly = n
+    if not isinstance(n, SpectrumAssembly):
+        fact, assembly = next(assemble_range([n]))
         if assembly is None:
             return closed_form_spectra(fact)
-    if assembly.n != n:
-        raise ValueError(f"assembly is for n={assembly.n}, not {n}")
+    residues = assembly.residues or residue_polynomials([assembly.graph])[0]
     values = assembly.quotient_values
     k = len(values)
     if (residues.modulus, len(residues.coefficients)) != (EXCLUSION_PRIME, k + 1):
@@ -277,7 +273,7 @@ def exact_total_spectrum(
     most = k * (math.floor(2 * rho) + 1)
     if most > MAX_CANDIDATES:
         raise OverflowError(
-            f"n={n} has up to {most} integers in its candidate-root windows, "
+            f"n={assembly.n} has up to {most} integers in its candidate-root windows, "
             f"above {MAX_CANDIDATES}"
         )
     candidates = {

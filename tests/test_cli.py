@@ -407,9 +407,8 @@ def test_no_lone_matrix_with_a_modulus(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0
     exact_total_spectrum(72)
     # the reduced route on pq splits modulo the prime and reaches the lift
-    assembly = zdgspec.join_spectrum.reduced_spectrum(15)
-    (residues,) = zdgspec.join_spectrum.residue_polynomials([assembly.graph])
-    assert exact_total_spectrum(15, assembly, residues) is not None
+    reduced = zdgspec.join_spectrum.reduced_spectrum(15)
+    assert exact_total_spectrum(reduced) is not None
     assert set(calls) == {(3, False), (2, True)}
 
 

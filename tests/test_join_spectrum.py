@@ -457,28 +457,31 @@ def test_exact_total_spectrum_integral_cases():
 
 
 def test_exact_total_spectrum_reuses_assembly(monkeypatch):
+    # one assembly carries its residues, as assemble_range yields it, and
+    # the other computes its own
     assemblies = {n: reduced_spectrum(n) for n in (12, 15)}
-    graphs = [assemblies[n].graph for n in (12, 15)]
-    residues = dict(zip((12, 15), residue_polynomials(graphs)))
+    (residues,) = residue_polynomials([assemblies[12].graph])
+    assemblies[12] = assemblies[12]._replace(residues=residues)
 
     def no_build(n):
         raise AssertionError("divisor graph built again")
 
     monkeypatch.setattr(zdgspec.join_spectrum, "build_divisor_graph", no_build)
-    assert exact_total_spectrum(12, assemblies[12], residues[12]) is None
-    assert exact_total_spectrum(15, assemblies[15], residues[15]).pairs() == [
+    assert exact_total_spectrum(assemblies[12]) is None
+    assert exact_total_spectrum(assemblies[15]).pairs() == [
         (0.0, 1),
         (2.0, 3),
         (4.0, 1),
         (6.0, 1),
     ]
-    with pytest.raises(ValueError):
-        exact_total_spectrum(15, assemblies[12], residues[12])
-    # an assembly comes with its residues, and residues with their assembly
-    with pytest.raises(ValueError):
-        exact_total_spectrum(12, assemblies[12])
-    with pytest.raises(ValueError):
-        exact_total_spectrum(12, None, residues[12])
+
+
+def test_assembly_decides_as_its_n():
+    # every composite n <= 2000, p^t and pq included: the reduced route's
+    # exact answer is the closed form's where one exists
+    for n in range(4, 2001):
+        if not is_prime(n):
+            assert exact_total_spectrum(reduced_spectrum(n)) == exact_total_spectrum(n)
 
 
 @given(composite)
@@ -527,9 +530,9 @@ def test_residue_polynomials_group_by_step_count(monkeypatch):
     assert polys == [char_poly_integer(weighted_laplacian(g), q) for g in graphs]
     # the residues of one graph are checked against its order and modulus
     assembly = reduced_spectrum(72)
-    assert exact_total_spectrum(72, assembly, polys[1]) is None
+    assert exact_total_spectrum(assembly._replace(residues=polys[1])) is None
     with pytest.raises(ValueError):
-        exact_total_spectrum(72, assembly, polys[0])
+        exact_total_spectrum(assembly._replace(residues=polys[0]))
 
 
 INTEGRAL_FAMILIES = [

@@ -97,8 +97,8 @@ def test_kernel_matches_reference():
 def test_chunk_groups_match_reference(monkeypatch):
     # every group of residue polynomials that ``assemble_range`` forms over
     # [4, 2000] and the dense pool is one zero-padded stack of a single
-    # isqrt(k); each member's polynomial is the reference kernel's on its
-    # lone residues
+    # isqrt(k); each reduced assembly carries its member's polynomial, the
+    # reference kernel's on its lone residues, of order k modulo q
     q = eigen.EXCLUSION_PRIME
     stacks = []
     real = join_spectrum.char_poly_integer
@@ -109,12 +109,13 @@ def test_chunk_groups_match_reference(monkeypatch):
 
     monkeypatch.setattr(join_spectrum, "char_poly_integer", spy)
     checked = 0
-    for fact, _, residues in join_spectrum.assemble_range(NS):
-        if residues is None:
+    for fact, assembly in join_spectrum.assemble_range(NS):
+        if assembly is None:
             continue
         r = eigen._residues(weighted_laplacian(build_divisor_graph(fact.n)), q)
         expected = reference_char_poly_mod(r, q)
-        assert list(residues.coefficients[::-1]) == expected, fact.n
+        assert assembly.residues.modulus == q, fact.n
+        assert list(assembly.residues.coefficients[::-1]) == expected, fact.n
         checked += 1
     assert checked == sum(len(orders) for _, orders in stacks)
     assert max(len(orders) for _, orders in stacks) > 1
