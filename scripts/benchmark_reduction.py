@@ -23,6 +23,7 @@ from zdgspec.join_spectrum import (
     reduced_spectrum,
 )
 from zdgspec.numtheory import euler_phi, is_prime
+from zdgspec.zdg_explicit import DEFAULT_ORACLE_CAP
 
 
 def time_once(fn, *args) -> tuple[float, object]:
@@ -44,7 +45,7 @@ def main() -> int:
     parser.add_argument(
         "--oracle-cap",
         type=int,
-        default=1200,
+        default=DEFAULT_ORACLE_CAP,
         help="skip the explicit oracle above this many vertices",
     )
     parser.add_argument(

@@ -7,9 +7,9 @@ positive integer), 3 oracle cap exceeded, 4 I/O error, 5 n too large (Z_n
 has more zero divisors than int64 can count, or the exact characteristic
 polynomial of its quotient is past its envelope: 2048 proper divisors or
 more, a coefficient bound above 2^44497, or candidate-root windows that
-may hold more than 4096 integers). ZDG_ORACLE_CAP overrides the
-brute-force vertex cap, and --cap overrides both; a command that builds
-explicit graphs reads its cap once, before the first n.
+may hold more than 4096 integers). The three commands that can build
+explicit graphs (spectrum, verify, graph) take --cap, the oracle's vertex
+cap (DEFAULT_ORACLE_CAP unless given), checked once before the first n.
 
 Output is deliberately canonical: fixed JSON key order, floats at 12
 significant digits, exact integers without a decimal point, so records
@@ -34,15 +34,9 @@ from .divisor_graph import (
 )
 from .eigen import SpectrumMultiset, coalesce, max_deviation
 from .errors import EmptyGraphError, OracleCapError
-from .join_spectrum import (
-    brute_spectrum,
-    check_oracle_cap,
-    closed_form_spectra,
-    oracle_cap,
-    reduced_spectrum,
-)
+from .join_spectrum import brute_spectrum, closed_form_spectra, reduced_spectrum
 from .numtheory import is_prime
-from .zdg_explicit import build_zero_divisor_graph
+from .zdg_explicit import DEFAULT_ORACLE_CAP, build_zero_divisor_graph
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -50,6 +44,10 @@ EXIT_INVALID_N = 2
 EXIT_CAP = 3
 EXIT_IO = 4
 EXIT_TOO_LARGE = 5
+
+# verify passes n when the reduced spectrum and the oracle's eigenvalues
+# differ by at most VERIFY_RTOL * max(1, lambda), lambda the largest value
+VERIFY_RTOL = 1e-8
 
 CSV_HEADER = (
     "n,vertex_count,mu,lambda,kappa,delta,Delta,"
@@ -188,28 +186,9 @@ def _composites(n_min: int, n_max: int) -> Iterator[int]:
     return (n for n in range(max(n_min, 4), n_max + 1) if not is_prime(n))
 
 
-def _read_cap(flag: int | None) -> int | None:
-    """The explicit-graph vertex cap of one command: ``flag`` (``--cap``),
-    else ZDG_ORACLE_CAP, else the default. None, after one line on stderr,
-    when it is not a positive integer."""
-    try:
-        cap = oracle_cap() if flag is None else flag
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return None
-    if cap < 1:
-        print(f"--cap must be positive, got {cap}", file=sys.stderr)
-        return None
-    return cap
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     fact = require_composite(args.n)
     method = args.method
-    if method == "brute":
-        cap = _read_cap(args.cap)
-        if cap is None:
-            return EXIT_INVALID_N
     if method == "closed-form" and closed_form_spectra(fact) is None:
         print(
             f"closed form needs a prime power p^t or a product pq of two "
@@ -219,7 +198,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return EXIT_INVALID_N
     report, spectrum, label = next(analyze_range([args.n]))
     if method == "brute":
-        spectrum, label = coalesce(brute_spectrum(args.n, cap=cap)), "brute"
+        spectrum, label = coalesce(brute_spectrum(args.n, args.cap)), "brute"
     elif method == "reduced" and label != "reduced":
         spectrum, label = reduced_spectrum(args.n).total, "reduced"
     emit_record(report, spectrum, label, args.format, sys.stdout)
@@ -248,12 +227,7 @@ def cmd_divisor_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    require_composite(args.n)
-    cap = _read_cap(None)
-    if cap is None:
-        return EXIT_INVALID_N
-    check_oracle_cap(args.n, cap)
-    g = build_zero_divisor_graph(args.n)
+    g = build_zero_divisor_graph(args.n, args.cap)
     if args.edges:
         for a, b in g.edges():
             sys.stdout.write(f"{a} {b}\n")
@@ -268,21 +242,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         print(f"invalid range [{args.n_min}, {args.n_max}]", file=sys.stderr)
         return EXIT_INVALID_N
-    cap = _read_cap(args.cap)
-    if cap is None:
-        return EXIT_INVALID_N
-
     passed = failed = skipped = 0
     for n in _composites(args.n_min, args.n_max):
         try:
-            brute = brute_spectrum(n, cap=cap)
+            brute = brute_spectrum(n, args.cap)
         except OracleCapError:
             skipped += 1
             print(f"SKIP n={n} (oracle cap)")
             continue
         total = reduced_spectrum(n).total
         dev = max_deviation(total, brute)
-        if dev is not None and dev <= 1e-8 * max(1.0, total.max_value):
+        if dev is not None and dev <= VERIFY_RTOL * max(1.0, total.max_value):
             passed += 1
             print(f"PASS n={n} max_dev={dev:.3e}")
         else:
@@ -332,9 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
         "via the weighted divisor-graph reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one --cap of each command that can build explicit graphs
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_ORACLE_CAP,
+        help=f"explicit-graph vertex cap (default {DEFAULT_ORACLE_CAP})",
+    )
 
     sp = sub.add_parser(
-        "spectrum", help="Laplacian spectrum and invariants for one n"
+        "spectrum", parents=[cap], help="Laplacian spectrum and invariants for one n"
     )
     sp.add_argument("n", type=int)
     sp.add_argument(
@@ -345,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of two distinct primes, reduced otherwise",
     )
     sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
-    sp.add_argument("--cap", type=int, default=None, help="brute-force vertex cap")
     sp.set_defaults(func=cmd_spectrum)
 
     an = sub.add_parser("analyze", help="full analysis report for one n")
@@ -360,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     dg.add_argument("n", type=int)
     dg.set_defaults(func=cmd_divisor_graph)
 
-    gr = sub.add_parser("graph", help="explicit zero-divisor graph (oracle)")
+    gr = sub.add_parser(
+        "graph", parents=[cap], help="explicit zero-divisor graph (oracle)"
+    )
     gr.add_argument("n", type=int)
     gr.add_argument(
         "--edges", action="store_true", help="dump the edge list, one 'x y' per line"
@@ -368,11 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     gr.set_defaults(func=cmd_graph)
 
     ve = sub.add_parser(
-        "verify", help="compare reduced vs brute spectra over a range of n"
+        "verify",
+        parents=[cap],
+        help="compare reduced vs brute spectra over a range of n",
     )
     ve.add_argument("n_min", type=int)
     ve.add_argument("n_max", type=int)
-    ve.add_argument("--cap", type=int, default=None, help="brute-force vertex cap")
     ve.set_defaults(func=cmd_verify)
 
     su = sub.add_parser(
@@ -394,6 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # a command with --cap refuses a cap below 1 before its first n
+    if getattr(args, "cap", 1) < 1:
+        print(f"--cap must be positive, got {args.cap}", file=sys.stderr)
+        return EXIT_INVALID_N
     try:
         return args.func(args)
     except EmptyGraphError as exc:

@@ -24,6 +24,7 @@ All arrays use ascending divisor order so fixtures are reproducible.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -60,7 +61,10 @@ def upper_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def require_composite(n: int) -> Factorization:
     """The factorization of n, once n is known to be composite: every entry
     point validates n with it and reads n's shape off what it returns.
+    TypeError for an n that is not an integer, a float among them, and an
+    integer type such as np.int64 is taken as a Python int; then
     EmptyGraphError for a prime, and for n < 4 without factoring it."""
+    n = operator.index(n)
     if n < 4 or (fact := factorize(n)).is_prime:
         raise EmptyGraphError(f"Z_{n} has no zero divisors")
     return fact

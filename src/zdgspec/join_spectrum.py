@@ -16,8 +16,8 @@ proper-divisor quotient. The spectrum then splits into
 and returns the LAPACK eigenvalues of its Laplacian, from two blocks of
 half the order split along x -> n - x, one per vertex and unmerged, so a
 check compares them eigenvalue by eigenvalue with the expanded reduced
-spectrum. It is capped because it scales with n rather
-than with the number of divisors.
+spectrum. It is capped, by its ``cap`` argument passed to the builder,
+because it scales with n rather than with the number of divisors.
 
 ``closed_form_spectra`` is the third route, and the one home of its
 formulas: for n = p^t (the paper's theorem, also ``prime_power_spectrum``)
@@ -34,7 +34,6 @@ riding on it, a chunk at a time. A lone n is a range of one, for
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 from operator import mul
@@ -62,12 +61,10 @@ from .eigen import (
     integer_roots_complete,
     symmetric_eigenvalues,
 )
-from .errors import EmptyGraphError, OracleCapError
+from .errors import EmptyGraphError
 from .numtheory import Factorization, is_prime
-from .zdg_explicit import build_zero_divisor_graph, expected_vertex_count
+from .zdg_explicit import DEFAULT_ORACLE_CAP, build_zero_divisor_graph
 
-DEFAULT_ORACLE_CAP = 1200
-ORACLE_CAP_ENV = "ZDG_ORACLE_CAP"
 # n per chunk of assemble_range, whose rows are held until the chunk's
 # residue polynomials are done: in process, `survey 4 3000` took 0.60 s at
 # 1, 0.48 at 16, 0.40 at 64, 0.38 at 128 and 256 and 0.41 at 1024 (one BLAS
@@ -78,19 +75,6 @@ RANGE_CHUNK = 128
 # they are built: while rho < 1/2, as for every n <= 10^7, each of the
 # k < MAX_ORDER windows holds at most one, so no such n is refused
 MAX_CANDIDATES = 1 << 12
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_ORACLE_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be positive, got {value}")
-    return value
 
 
 class SpectrumAssembly(NamedTuple):
@@ -339,26 +323,12 @@ def closed_form_spectra(fact: Factorization) -> SpectrumMultiset | None:
     return SpectrumMultiset.from_pairs(pairs)
 
 
-def check_oracle_cap(n: int, cap: int | None = None) -> None:
-    """Refuse an explicit graph of n above the vertex cap, and a prime or
-    n < 4 (EmptyGraphError) before the cap is read.
-
-    The cap is the argument, else ZDG_ORACLE_CAP, else 1200, because the
-    dense eigenproblem is cubic in n - phi(n) - 1.
-    """
-    z = expected_vertex_count(n)
-    limit = oracle_cap() if cap is None else cap
-    if z > limit:
-        raise OracleCapError(
-            f"explicit graph for n={n} has {z} vertices, above the cap {limit}"
-        )
-
-
-def brute_spectrum(n: int, cap: int | None = None) -> np.ndarray:
+def brute_spectrum(n: int, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     """Oracle eigenvalues of the explicit vertex-level graph's Laplacian: an
     ascending float64 array of n - phi(n) - 1 values, never coalesced, so a
     defect in ``coalesce`` cannot hide on both sides of a comparison.
-    Refused past the vertex cap (see ``check_oracle_cap``).
+    Refused, by ``build_zero_divisor_graph``, for a prime or n < 4 and past
+    ``cap`` vertices (OracleCapError), since the eigensolve is cubic in them.
 
     The Laplacian L is one float array: 0 - A, which keeps +0.0 off the
     edges, with the degrees written on its diagonal. Negation x -> n - x
@@ -373,8 +343,7 @@ def brute_spectrum(n: int, cap: int | None = None) -> np.ndarray:
     but for that border, and each takes one LAPACK call. The reversal is
     checked on the labels, ArithmeticError if it fails; no gcd class enters.
     """
-    check_oracle_cap(n, cap)
-    g = build_zero_divisor_graph(n)
+    g = build_zero_divisor_graph(n, cap)
     labels = np.array(g.vertex_labels)
     if not (labels + labels[::-1] == n).all():
         raise ArithmeticError(f"zero divisors of {n} are not closed under x -> n - x")

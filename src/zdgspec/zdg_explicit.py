@@ -3,7 +3,10 @@
 Vertices are the ring elements x in [1, n-1] with gcd(x, n) > 1; x and y
 are adjacent iff n divides x*y. Construction is a direct O(z^2) product
 scan over the z = n - phi(n) - 1 zero divisors, deliberately independent of
-the divisor-graph reduction it is used to check. The products are taken in
+the divisor-graph reduction it is used to check. Its cost is quadratic in z
+in memory, and the oracle's eigensolve cubic, so the builder refuses a graph
+of more than ``cap`` vertices, DEFAULT_ORACLE_CAP unless its caller says
+otherwise, before it builds any array. The products are taken in
 the narrowest unsigned integer type that holds (n - 1)^2, which bounds every
 one of them, so the scan is exact and moves no more bytes than it must.
 
@@ -28,6 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .divisor_graph import require_composite
+from .errors import OracleCapError
+
+DEFAULT_ORACLE_CAP = 1200
 
 
 class SimpleGraph(NamedTuple):
@@ -50,9 +56,18 @@ class SimpleGraph(NamedTuple):
         ]
 
 
-def build_zero_divisor_graph(n: int) -> SimpleGraph:
-    """Explicit zero-divisor graph of Z_n for composite n >= 4."""
-    require_composite(n)
+def build_zero_divisor_graph(n: int, cap: int = DEFAULT_ORACLE_CAP) -> SimpleGraph:
+    """Explicit zero-divisor graph of Z_n for composite n >= 4.
+
+    EmptyGraphError for a prime or n < 4, then OracleCapError when its
+    n - phi(n) - 1 vertices are more than ``cap``; both before any array
+    exists.
+    """
+    z = n - require_composite(n).phi - 1
+    if z > cap:
+        raise OracleCapError(
+            f"explicit graph for n={n} has {z} vertices, above the cap {cap}"
+        )
     x = np.arange(2, n - 1)
     labels = x[np.gcd(x, n) > 1]
     product = np.min_scalar_type((n - 1) ** 2)
@@ -62,8 +77,3 @@ def build_zero_divisor_graph(n: int) -> SimpleGraph:
     adj = residues == 0
     np.fill_diagonal(adj, False)
     return SimpleGraph(tuple(labels.tolist()), adj)
-
-
-def expected_vertex_count(n: int) -> int:
-    """n - phi(n) - 1 for a composite n >= 4; EmptyGraphError otherwise."""
-    return n - require_composite(n).phi - 1

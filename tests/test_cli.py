@@ -197,9 +197,8 @@ def test_graph_edges_and_summary(capsys):
     assert "edges = 1" in out
 
 
-def test_graph_respects_cap(capsys, monkeypatch):
-    monkeypatch.setenv("ZDG_ORACLE_CAP", "10")
-    code, _, err = run(capsys, "graph", "100", "--edges")
+def test_graph_respects_cap(capsys):
+    code, _, err = run(capsys, "graph", "100", "--edges", "--cap", "10")
     assert code == 3
     assert "cap" in err
 
@@ -245,48 +244,23 @@ def test_verify_cap_skips(capsys):
     assert "skipped" in out
 
 
-CAP_COMMANDS = [
-    ("verify", "4", "20"),
-    ("graph", "12"),
-    ("spectrum", "12", "--method", "brute"),
-]
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
-@pytest.mark.parametrize("argv", CAP_COMMANDS)
-def test_malformed_oracle_cap_exits_2(capsys, monkeypatch, raw, argv):
-    monkeypatch.setenv("ZDG_ORACLE_CAP", raw)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "ZDG_ORACLE_CAP" in err
-
-
 @pytest.mark.parametrize("cap", ["0", "-1"])
-@pytest.mark.parametrize("argv", [a for a in CAP_COMMANDS if a[0] != "graph"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "4", "20"),
+        ("graph", "12"),
+        ("spectrum", "12", "--method", "brute"),
+        ("spectrum", "12"),
+    ],
+)
 def test_cap_below_one_exits_2(capsys, cap, argv):
-    # a cap of 0 used to skip every n and pass with nothing checked
+    # a cap of 0 used to skip every n and pass with nothing checked, and
+    # every method of spectrum refuses it, not only the one it would reach
     code, out, err = run(capsys, *argv, "--cap", cap)
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--cap" in err
-
-
-def test_oracle_cap_read_once_per_command(capsys, monkeypatch):
-    reads = []
-
-    def counted():
-        reads.append(1)
-        return 1200
-
-    def per_n():
-        raise AssertionError("the cap was read again for one n")
-
-    monkeypatch.setattr(zdgspec.cli, "oracle_cap", counted)
-    monkeypatch.setattr(zdgspec.join_spectrum, "oracle_cap", per_n)
-    code, out, _ = run(capsys, "verify", "4", "40")
-    assert code == 0 and "passed 27" in out
-    assert len(reads) == 1
+    assert err == f"--cap must be positive, got {cap}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from zdgspec.join_spectrum import (
     brute_spectrum,
     class_pairs,
     exact_total_spectrum,
-    oracle_cap,
     prime_power_spectrum,
     reduced_spectrum,
     residue_polynomials,
@@ -107,13 +106,33 @@ def test_reduced_rejects_primes():
     "entry",
     [reduced_spectrum, exact_total_spectrum, brute_spectrum],
 )
-def test_entries_refuse_a_prime_or_n_below_4(entry, monkeypatch):
-    # the refusal comes first: never factorize's ValueError for n < 1, nor
-    # the malformed oracle cap, which brute_spectrum reads after it
-    monkeypatch.setenv("ZDG_ORACLE_CAP", "abc")
+def test_entries_refuse_a_prime_or_n_below_4(entry):
+    # the refusal comes first: never factorize's ValueError for n < 1
     for n in (0, -6, 1, 13):
         with pytest.raises(EmptyGraphError):
             entry(n)
+
+
+@pytest.mark.parametrize(
+    "entry", [analyze, reduced_spectrum, exact_total_spectrum, brute_spectrum]
+)
+def test_entries_take_integers_only(entry):
+    # a float n is refused, not computed in floats; an integer type such as
+    # np.int64 is taken as the Python int it equals
+    with pytest.raises(TypeError):
+        entry(12.0)
+    got, want = entry(np.int64(30)), entry(30)
+    if entry is brute_spectrum:
+        assert np.array_equal(got, want)
+    elif entry is reduced_spectrum:
+        assert type(got.n) is int and got.total == want.total
+        assert got.graph.vertices == want.graph.vertices
+        assert all(type(d) is int for d in got.graph.vertices)
+    else:
+        assert got == want
+        if entry is analyze:
+            fields = (got.n, got.vertex_count, got.delta_min, got.Delta_max)
+            assert all(type(x) is int for x in fields)
 
 
 # 2^5 3^3 5^2 7 11 13 17 19, with 2302 proper divisors: past the order of
@@ -408,8 +427,8 @@ def test_brute_is_the_raw_laplacian_spectrum(n):
 def test_brute_refuses_labels_not_closed_under_negation(monkeypatch):
     real = zdgspec.join_spectrum.build_zero_divisor_graph
 
-    def shifted(n):
-        g = real(n)
+    def shifted(n, cap):
+        g = real(n, cap)
         return g._replace(vertex_labels=tuple(x + 1 for x in g.vertex_labels))
 
     monkeypatch.setattr(zdgspec.join_spectrum, "build_zero_divisor_graph", shifted)
@@ -417,18 +436,9 @@ def test_brute_refuses_labels_not_closed_under_negation(monkeypatch):
         brute_spectrum(36)
 
 
-def test_brute_cap_error_and_env_override(monkeypatch):
+def test_brute_cap_error():
     with pytest.raises(OracleCapError):
         brute_spectrum(420, cap=50)
-    monkeypatch.setenv("ZDG_ORACLE_CAP", "50")
-    assert oracle_cap() == 50
-    with pytest.raises(OracleCapError):
-        brute_spectrum(420)
-    monkeypatch.setenv("ZDG_ORACLE_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        oracle_cap()
-    monkeypatch.delenv("ZDG_ORACLE_CAP")
-    assert oracle_cap() == 1200
 
 
 @given(composite)

@@ -1,6 +1,6 @@
 """Smoke tests for the scripts under scripts/: each runs to completion (on a
 small range where it takes one) and prints its header, and the timing
-script's own oracle cap holds above the library's."""
+script's --oracle-cap decides which n it times on the oracle."""
 
 import os
 import subprocess
@@ -55,11 +55,11 @@ def test_scripts_start_at_4():
     assert low.stdout.splitlines()[1:] == four.stdout.splitlines()[1:]
 
 
-def test_benchmark_oracle_cap_above_the_library_cap():
-    # n = 18 has 11 vertices: above ZDG_ORACLE_CAP, within --oracle-cap
-    argv = ["benchmark_reduction.py", "--min", "4", "--max", "40", "--oracle-cap", "30"]
-    proc = run_script([*argv, "--large"], ZDG_ORACLE_CAP="10")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    row = next(r for r in rows if r[:1] == ["18"])
-    assert row[:3] == ["18", "11", "4"] and row[4].endswith("ms")
+def test_benchmark_oracle_cap():
+    # n = 18 has 11 vertices: capped under --oracle-cap 10, timed under 30
+    argv = ["benchmark_reduction.py", "--min", "18", "--max", "18", "--large"]
+    for cap, oracle in [("10", "(capped)"), ("30", "ms")]:
+        proc = run_script([*argv, "--oracle-cap", cap])
+        assert proc.returncode == 0, proc.stderr
+        row = proc.stdout.splitlines()[1].split()
+        assert row[:3] == ["18", "11", "4"] and row[4].endswith(oracle), (cap, row)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdgspec.divisor_graph import build_divisor_graph
-from zdgspec.errors import EmptyGraphError
+from zdgspec.errors import EmptyGraphError, OracleCapError
 from zdgspec.numtheory import euler_phi, factorize, is_prime
-from zdgspec.zdg_explicit import build_zero_divisor_graph, expected_vertex_count
+from zdgspec.zdg_explicit import DEFAULT_ORACLE_CAP, build_zero_divisor_graph
 
 from helpers import class_names, degrees, expand_classes
 
@@ -37,6 +37,20 @@ def test_rejects_primes():
         build_zero_divisor_graph(3)
 
 
+def test_cap_refuses_before_any_array(monkeypatch):
+    # n = 420 has 323 vertices: one above the cap is refused before the
+    # product table exists, and the cap itself is built
+    assert 420 - euler_phi(420) - 1 == 323
+    with monkeypatch.context() as m:
+        m.setattr(np, "outer", lambda *a: pytest.fail("product table built"))
+        with pytest.raises(OracleCapError, match="has 323 vertices, above the cap 322"):
+            build_zero_divisor_graph(420, cap=322)
+    assert build_zero_divisor_graph(420, cap=323).order == 323
+    assert DEFAULT_ORACLE_CAP == 1200
+    with pytest.raises(OracleCapError):
+        build_zero_divisor_graph(2002)  # 1281 vertices
+
+
 def test_zero_divisors_reverse_under_negation():
     # x -> n - x reverses the ascending labels and fixes the adjacency, the
     # symmetry the oracle's split eigensolve rests on
@@ -53,7 +67,7 @@ def test_zero_divisors_reverse_under_negation():
 @settings(max_examples=80, deadline=None)
 def test_vertex_count_identity(n):
     g = build_zero_divisor_graph(n)
-    assert g.order == expected_vertex_count(n) == n - euler_phi(n) - 1
+    assert g.order == n - euler_phi(n) - 1
 
 
 @given(composite)
