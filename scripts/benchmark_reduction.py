@@ -2,15 +2,15 @@
 """Time the divisor-class reduction against the explicit-matrix oracle.
 
 The reduced path diagonalizes a k x k quotient plus bookkeeping, where k is
-the number of proper divisors of n; the oracle builds the full
-z x z Laplacian, z = n - phi(n) - 1, and diagonalizes its two blocks of
-order about z/2, split along x -> n - x.  This script reports both
-timings over a range.  On a few large highly composite n, where only the
-reduced path is feasible, it times the reduced path and the exact
+the number of proper divisors of n; the oracle builds the z x z adjacency,
+z = n - phi(n) - 1, reads z // 2 eigenvalues off the degrees of the twins x
+and n - x, and diagonalizes one block of order z - z // 2. This script
+reports both timings over a range. On a few large highly composite n, where
+only the reduced path is feasible, it times the reduced path and the exact
 integrality decision side by side: `exact_total_spectrum` on the reduced
 path's assembly, which computes its residue polynomial as `assemble_range`
-does for a range of one, then decides it.  The default large n run up
-to 8648640, which has 446 proper divisors, the most of any n <= 10^7; its
+does for a range of one, then decides it. The default large n run up to
+8648640, which has 446 proper divisors, the most of any n <= 10^7; its
 spectrum is not integral, so the decision is settled modulo one prime.
 """
 

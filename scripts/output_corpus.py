@@ -15,7 +15,10 @@ four seeded n <= 10^4 for each of 28, 30, 34, 38 and 46 proper divisors,
 `spectrum` of two seeded n = b*p in [1.0e6, 1.02e6] for each base b in
 2, 6, 30, 210, `spectrum` of 19996, 1024, 2310, 15, 32805, 81729 and
 8100243 (the last three each have a quotient value just above a class
-value), `spectrum 36 --method brute` (the oracle's eigenvalues, coalesced),
+value), `spectrum 36 --method brute` and `spectrum 1000 --method brute`
+(the oracle's eigenvalues, coalesced; 1000 has 599 vertices, an odd count
+whose middle vertex borders the oracle's one eigensolve, and is the largest
+oracle here),
 `spectrum 15 --method closed-form` (the closed form of n = pq), the
 closed-form families end to end: `analyze` of 1024 and 15, `spectrum` of
 8388608 (2^23), 4782969 (3^14) and 9997619 (3137 * 3187), and
@@ -34,7 +37,10 @@ strong pseudoprime to every Miller-Rabin base) and
 bound below which that test proves primality, and `analyze
 9999999999999999` and `analyze 6917529027641081856` (3 * 2^61), whose
 candidate windows for integer roots may hold up to 5.9e7 and 3.2e10
-integers, each exit 5.
+integers, each exit 5; then `spectrum 8648640 --method brute` (exit 3, the
+oracle cap, refused before any reduced analysis) and `spectrum
+9999999999999999 --method brute` (exit 3: past the oracle cap, which is
+checked before the candidate windows).
 
 The n are drawn with the standard library only, so two trees of the
 package see the same inputs. The BLAS thread count is pinned to 1 before
@@ -107,7 +113,7 @@ def commands(seed: int) -> list[list[str]]:
         primes = [p for p in range(-(-lo // b), hi // b + 1) if is_prime(p)]
         cmds += [["spectrum", str(b * p)] for p in sorted(rng.sample(primes, 2))]
     cmds += [["spectrum", str(n)] for n in FIXED_N]
-    cmds += [["spectrum", "36", "--method", "brute"]]
+    cmds += [["spectrum", n, "--method", "brute"] for n in ("36", "1000")]
     cmds += [["spectrum", "15", "--method", "closed-form"]]
     cmds += [["analyze", str(n)] for n in CLOSED_ANALYZE_N]
     cmds += [["spectrum", str(n)] for n in CLOSED_SPECTRUM_N]
@@ -122,6 +128,8 @@ def commands(seed: int) -> list[list[str]]:
     cmds += [["analyze", "3317044064679887385961981"]]
     cmds += [["spectrum", "618970019642690137449562111"]]
     cmds += [["analyze", "9999999999999999"], ["analyze", str(3 * 2**61)]]
+    cmds += [["spectrum", "8648640", "--method", "brute"]]
+    cmds += [["spectrum", "9999999999999999", "--method", "brute"]]
     return cmds
 
 

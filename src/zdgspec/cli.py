@@ -196,9 +196,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INVALID_N
-    report, spectrum, label = next(analyze_range([args.n]))
+    brute = None
     if method == "brute":
-        spectrum, label = coalesce(brute_spectrum(args.n, args.cap)), "brute"
+        # refused as analyze refuses n, then past the cap, before the
+        # reduced analysis is paid for
+        require_reducible(args.n)
+        brute = coalesce(brute_spectrum(args.n, args.cap))
+    report, spectrum, label = next(analyze_range([args.n]))
+    if brute is not None:
+        spectrum, label = brute, "brute"
     elif method == "reduced" and label != "reduced":
         spectrum, label = reduced_spectrum(args.n).total, "reduced"
     emit_record(report, spectrum, label, args.format, sys.stdout)

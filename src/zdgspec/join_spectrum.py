@@ -13,11 +13,12 @@ proper-divisor quotient. The spectrum then splits into
   joins one of their entries only when that entry is exact and equal to it.
 
 ``brute_spectrum`` is the independent oracle: it builds the explicit graph
-and returns the LAPACK eigenvalues of its Laplacian, from two blocks of
-half the order split along x -> n - x, one per vertex and unmerged, so a
-check compares them eigenvalue by eigenvalue with the expanded reduced
-spectrum. It is capped, by its ``cap`` argument passed to the builder,
-because it scales with n rather than with the number of divisors.
+and returns the eigenvalues of its Laplacian, one per vertex and unmerged,
+so a check compares them eigenvalue by eigenvalue with the expanded reduced
+spectrum. The twins x and n - x give half of them from the degrees, and
+one LAPACK call of about half the order gives the rest. It is capped, by
+its ``cap`` argument passed to the builder, because it scales with n
+rather than with the number of divisors.
 
 ``closed_form_spectra`` is the third route, and the one home of its
 formulas: for n = p^t (the paper's theorem, also ``prime_power_spectrum``)
@@ -330,36 +331,46 @@ def brute_spectrum(n: int, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
     Refused, by ``build_zero_divisor_graph``, for a prime or n < 4 and past
     ``cap`` vertices (OracleCapError), since the eigensolve is cubic in them.
 
-    The Laplacian L is one float array: 0 - A, which keeps +0.0 off the
-    edges, with the degrees written on its diagonal. Negation x -> n - x
-    maps the ascending zero divisors onto themselves in reverse order and
-    keeps xy = 0 (mod n), so J L J = L for the reversal J, and L is
-    orthogonally similar to two blocks of half its order (Cantoni and
-    Butler, Linear Algebra Appl. 13, 1976). With z vertices, h = z // 2,
-    A = L[:h, :h] and C = L[:h, z-h:] reversed by columns, the vectors
-    (u, -Ju) span A - C and the vectors (u, Ju) span A + C; for odd z the
-    middle vertex n/2 is its own partner and borders A + C with
-    sqrt(2) L[:h, h] and L[h, h]. Both blocks are exact integer matrices
-    but for that border, and each takes one LAPACK call. The reversal is
-    checked on the labels, ArithmeticError if it fails; no gcd class enters.
+    Negation x -> n - x maps the ascending zero divisors onto themselves in
+    reverse order, and x and n - x are twins: n | xy exactly when
+    n | (n - x)y. With z vertices, h = z // 2, the Laplacian L = D - A
+    commutes with the reversal J, so it is orthogonally similar to two
+    blocks of half its order (Cantoni and Butler, Linear Algebra Appl. 13,
+    1976): A - C on the vectors (u, -Ju) and A + C on the vectors (u, Ju),
+    for A = L[:h, :h] and C = L[:h, z-h:] reversed by columns. Twins make
+    A - C diagonal: e_x - e_(n-x) is an eigenvector for deg x + [n | x^2]
+    (Merris, Linear Algebra Appl. 278, 1998), so those h values come from
+    the degrees. A + C takes the one LAPACK call, built from the bool
+    adjacency: -2.0 on the edges and +0.0 off them, off its diagonal,
+    deg x - [n | x^2] on it, and for odd z the middle vertex n/2, its own
+    twin, as the border sqrt(2) L[:h, h] and the corner L[h, h]. No z x z
+    float array exists. ArithmeticError if the labels are not closed under
+    negation or the graph's rows of x and n - x differ; no gcd class enters.
     """
     g = build_zero_divisor_graph(n, cap)
     labels = np.array(g.vertex_labels)
     if not (labels + labels[::-1] == n).all():
         raise ArithmeticError(f"zero divisors of {n} are not closed under x -> n - x")
     adj = g.adjacency
-    lap = np.subtract(0.0, adj, dtype=np.float64)
-    lap.flat[:: len(lap) + 1] = adj.sum(axis=1)
-    z = len(lap)
+    z = len(adj)
     h = z // 2
-    a = lap[:h, :h]
-    c = lap[:h, z - h :][:, ::-1]
+    near = adj[:h, :h]
+    far = adj[:h, z - h :][:, ::-1]
+    # x (n - x) = -x^2 (mod n): far's diagonal says n | x^2, near's is false
+    twin_edge = far.diagonal()
+    twins = near == far
+    np.fill_diagonal(twins, True)
+    if not twins.all():
+        raise ArithmeticError(f"x and n - x are not twins in the graph of {n}")
+    deg = adj[: z - h].sum(axis=1)
     plus = np.empty((z - h, z - h))
-    np.add(a, c, out=plus[:h, :h])
+    np.subtract(0.0, near, out=plus[:h, :h])
+    plus[:h, :h] *= 2.0
+    i = np.arange(h)
+    plus[i, i] = deg[:h] - twin_edge
     if z % 2:
-        plus[:h, h] = plus[h, :h] = math.sqrt(2.0) * lap[:h, h]
-        plus[h, h] = lap[h, h]
+        plus[:h, h] = plus[h, :h] = math.sqrt(2.0) * (0.0 - adj[:h, h])
+        plus[h, h] = deg[h]
     values = symmetric_eigenvalues(plus)
-    if h:
-        values += symmetric_eigenvalues(a - c)
+    values += (deg[:h] + twin_edge).tolist()
     return np.sort(values)

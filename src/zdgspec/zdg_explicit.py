@@ -11,11 +11,13 @@ the narrowest unsigned integer type that holds (n - 1)^2, which bounds every
 one of them, so the scan is exact and moves no more bytes than it must.
 
 Negation x -> n - x maps zero divisors to zero divisors, and
-(n - x)(n - y) = xy (mod n), so it is an automorphism of the graph; on the
-ascending labels it is the reversal i -> z - 1 - i, with n/2 its own image
-when n is even. The adjacency is therefore unchanged by reversing both its
-rows and its columns, which ``join_spectrum.brute_spectrum`` uses to split
-its eigenproblem in two halves.
+(n - x)y = -xy (mod n), so x and n - x are twins, with the same neighbours
+but for each other; on the ascending labels negation is the reversal
+i -> z - 1 - i, with n/2 its own image when n is even. The adjacency is
+therefore unchanged by reversing both its rows and its columns, and a row
+is unchanged by reversing it but at its own twin pair. Both are what
+``join_spectrum.brute_spectrum`` checks on the graph and uses to read half
+its eigenvalues off the degrees and solve for the other half only.
 
 The graph knows nothing of the gcd classes. The test suite groups its
 vertices by gcd with n, expands the divisor graph's adjacency, diagonal

@@ -16,10 +16,11 @@ from zdgspec.eigen import (
     IntPolynomial,
     SpectrumEntry,
     SpectrumMultiset,
+    symmetric_eigenvalues,
 )
 from zdgspec.join_spectrum import SpectrumAssembly, reduced_spectrum
 from zdgspec.numtheory import factorize
-from zdgspec.zdg_explicit import SimpleGraph, build_zero_divisor_graph
+from zdgspec.zdg_explicit import DEFAULT_ORACLE_CAP, SimpleGraph, build_zero_divisor_graph
 
 # relative gap within which a quotient eigenvalue counts as mu or lambda in
 # the numeric comparison that corroborates the report's quotient flags
@@ -167,6 +168,31 @@ class ReferenceDivisorGraph(NamedTuple):
     adjacency: np.ndarray
     neighbor_weights: np.ndarray
     complete: np.ndarray
+
+
+def reference_brute_spectrum(n: int, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+    """The oracle as two LAPACK calls on the blocks A + C and A - C of the
+    z x z float Laplacian, split along x -> n - x."""
+    g = build_zero_divisor_graph(n, cap)
+    labels = np.array(g.vertex_labels)
+    if not (labels + labels[::-1] == n).all():
+        raise ArithmeticError(f"zero divisors of {n} are not closed under x -> n - x")
+    adj = g.adjacency
+    lap = np.subtract(0.0, adj, dtype=np.float64)
+    lap.flat[:: len(lap) + 1] = adj.sum(axis=1)
+    z = len(lap)
+    h = z // 2
+    a = lap[:h, :h]
+    c = lap[:h, z - h :][:, ::-1]
+    plus = np.empty((z - h, z - h))
+    np.add(a, c, out=plus[:h, :h])
+    if z % 2:
+        plus[:h, h] = plus[h, :h] = math.sqrt(2.0) * lap[:h, h]
+        plus[h, h] = lap[h, h]
+    values = symmetric_eigenvalues(plus)
+    if h:
+        values += symmetric_eigenvalues(a - c)
+    return np.sort(values)
 
 
 def reference_divisors_with_exponents(n: int) -> list[tuple[int, tuple[int, ...], int]]:

@@ -125,6 +125,34 @@ def test_spectrum_brute_method_and_cap(capsys):
     assert "cap" in err
 
 
+def test_spectrum_brute_refuses_past_the_cap_before_the_reduced_analysis(
+    capsys, monkeypatch
+):
+    # 8648640 has 446 proper divisors and 6989759 vertices: the cap refuses
+    # it before any residue polynomial is computed
+    monkeypatch.setattr(
+        zdgspec.join_spectrum,
+        "residue_polynomials",
+        lambda graphs: pytest.fail("reduced analysis ran"),
+    )
+    code, out, err = run(capsys, "spectrum", "8648640", "--method", "brute")
+    assert (code, out) == (3, "")
+    assert err == "explicit graph for n=8648640 has 6989759 vertices, above the cap 1200\n"
+
+
+@pytest.mark.parametrize(
+    "n, code",
+    [
+        ("6983776800", 5),  # 2302 proper divisors: the reduced gate first
+        ("9999999999999999", 3),  # inside the gate, past the cap
+    ],
+)
+def test_spectrum_brute_refusal_order(capsys, n, code):
+    got, out, err = run(capsys, "spectrum", n, "--method", "brute")
+    assert (got, out) == (code, "")
+    assert ("cap" in err) == (code == 3)
+
+
 def test_json_round_trip_byte_identical(capsys):
     for n in ("12", "15", "16", "360"):
         _, out, _ = run(capsys, "spectrum", n, "--format", "json", "--method", "reduced")

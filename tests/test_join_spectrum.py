@@ -410,8 +410,8 @@ def _split_blocks(lap):
 
 @pytest.mark.parametrize("n", [4, 8, 9, 36, 100, 210, 225])
 def test_brute_is_the_raw_laplacian_spectrum(n):
-    # the in-place Laplacian is the textbook D - A, split in two blocks bit
-    # for bit, and its spectrum is that of D - A to rounding; 4, 9 and 8
+    # the oracle's values are those of the textbook D - A split in two
+    # blocks, bit for bit, and that of D - A to rounding; 4, 9 and 8
     # have 1, 2 and 3 vertices, 225 an even count and the rest odd
     adj = build_zero_divisor_graph(n).adjacency.astype(np.float64)
     lap = np.diag(adj.sum(axis=1)) - adj
@@ -433,6 +433,23 @@ def test_brute_refuses_labels_not_closed_under_negation(monkeypatch):
 
     monkeypatch.setattr(zdgspec.join_spectrum, "build_zero_divisor_graph", shifted)
     with pytest.raises(ArithmeticError):
+        brute_spectrum(36)
+
+
+def test_brute_refuses_a_graph_without_twins(monkeypatch):
+    # one symmetric pair inside the first half of 36's 23 vertices flipped,
+    # labels untouched: 2 and 34 are no longer twins, which the oracle checks
+    # on the graph rather than assuming it
+    real = zdgspec.join_spectrum.build_zero_divisor_graph
+
+    def flipped(n, cap):
+        g = real(n, cap)
+        adj = g.adjacency.copy()
+        adj[0, 3] = adj[3, 0] = not adj[0, 3]
+        return g._replace(adjacency=adj)
+
+    monkeypatch.setattr(zdgspec.join_spectrum, "build_zero_divisor_graph", flipped)
+    with pytest.raises(ArithmeticError, match="twins"):
         brute_spectrum(36)
 
 

@@ -12,6 +12,8 @@ split off into ``complete``, and the shipped matrices come from closed forms
 rather than the reference's neighbor weight sums ``adj @ w``. Every quotient
 takes the one refined float path, so the quotient eigenvalues of every n are
 compared as Rayleigh quotients; coalescing is compared at its one tolerance.
+The oracle's eigenvalues must equal, bit for bit, those of the two LAPACK
+calls on the float Laplacian's split blocks, on every composite n <= 600.
 """
 
 import math
@@ -23,12 +25,18 @@ from zdgspec import eigen, join_spectrum
 from zdgspec.analysis import degree_extremes
 from zdgspec.divisor_graph import build_divisor_graph, symmetric_form, weighted_laplacian
 from zdgspec.eigen import SpectrumEntry, coalesce
-from zdgspec.join_spectrum import _quotient_eigenvalues, class_pairs, reduced_spectrum
+from zdgspec.join_spectrum import (
+    _quotient_eigenvalues,
+    brute_spectrum,
+    class_pairs,
+    reduced_spectrum,
+)
 from zdgspec.numtheory import factorize, is_prime
 
 from helpers import (
     DENSE_K,
     dense_pool,
+    reference_brute_spectrum,
     reference_build_divisor_graph,
     reference_char_poly_mod,
     reference_coalesce,
@@ -85,6 +93,20 @@ def test_quotient_eigenvalues_and_spectra_match_reference():
         total = reference_merged([*quotient.entries, *classes])
         assert _entries(assembly.total) == _entries(total), n
         assert degree_extremes(factorize(n)) == reference_degree_extremes(ref), n
+
+
+def test_brute_spectrum_matches_reference():
+    # every composite n <= 600, the oracle-verify range with both parities
+    # of the vertex count: one eigvalsh and the twin values from the degrees
+    # against the two eigvalsh calls of the float Laplacian's blocks
+    parities = set()
+    for n in range(4, 601):
+        if is_prime(n):
+            continue
+        values = brute_spectrum(n)
+        assert _same_array(values, reference_brute_spectrum(n)), n
+        parities.add(len(values) % 2)
+    assert parities == {0, 1}
 
 
 def test_kernel_matches_reference():

@@ -63,6 +63,24 @@ def test_zero_divisors_reverse_under_negation():
         assert np.array_equal(g.adjacency[::-1, ::-1], g.adjacency), n
 
 
+def test_twin_vectors_are_laplacian_eigenvectors():
+    # x and n - x are twins, so on the integer D - A the vector
+    # e_x - e_(n-x) is an eigenvector for deg x + [n | x^2]: the values the
+    # oracle reads off the degrees without an eigensolve
+    for n in range(4, 301):
+        if is_prime(n):
+            continue
+        g = build_zero_divisor_graph(n)
+        adj = g.adjacency.astype(np.int64)
+        lap = np.diag(adj.sum(axis=1)) - adj
+        z = g.order
+        for i, x in enumerate(g.vertex_labels[: z // 2]):
+            v = np.zeros(z, dtype=np.int64)
+            v[i], v[z - 1 - i] = 1, -1
+            value = int(lap[i, i]) + (x * x % n == 0)
+            assert np.array_equal(lap @ v, value * v), (n, x)
+
+
 @given(composite)
 @settings(max_examples=80, deadline=None)
 def test_vertex_count_identity(n):
