@@ -10,8 +10,9 @@ shapes, not tests. Every other n is decided through the exact integer
 characteristic polynomial of the quotient; that is the interesting column.
 The range is walked a chunk at a time by `assemble_range`, as `survey` walks
 it, so the polynomials modulo the exclusion prime that a chunk's assemblies
-carry take one kernel call per group of orders; a closed-family n is passed
-on as n alone.
+carry come from one `char_poly_integer` call on the list of the chunk's
+quotients, which batches them itself; a closed-family n is passed on as n
+alone.
 """
 
 import argparse

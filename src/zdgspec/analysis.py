@@ -16,8 +16,8 @@ factored and validated once per report.
 
 A range of n is analyzed a chunk at a time (``analyze_range``): the float
 route stays per n, and the residue polynomial of the exact integrality test
-rides on each reduced assembly, from one kernel call per group of the
-chunk's quotients. A lone n is a range of one (``analyze``).
+rides on each reduced assembly, from one ``char_poly_integer`` call per
+chunk. A lone n is a range of one (``analyze``).
 
 Conventions at the degenerate end: Gamma(Z_4) is a single vertex, so mu is
 reported as undefined (None) rather than 0, and mu_equals_kappa is False

@@ -25,7 +25,6 @@ All arrays use ascending divisor order so fixtures are reproducible.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -120,24 +119,13 @@ def _diagonal(g: WeightedDivisorGraph) -> list[int]:
 
 
 def weighted_laplacian(g: WeightedDivisorGraph) -> np.ndarray:
-    """Vertex-weighted Laplacian diag(d - 1) - B W: -m_j off the diagonal on
-    edges, neighbour weight sums on the diagonal. Integer entries, zero row
-    sums. The one member of ``weighted_laplacians([g])``."""
-    return weighted_laplacians([g])[0]
-
-
-def weighted_laplacians(graphs: Sequence[WeightedDivisorGraph]) -> np.ndarray:
-    """The weighted Laplacians of the graphs, zero-padded into one
-    (b, K, K) int64 stack, K the largest order: graph i fills the leading
-    k_i x k_i block of member i, as ``char_poly_integer`` takes a stack."""
-    order = max(len(g.vertices) for g in graphs)
-    out = np.zeros((len(graphs), order, order), dtype=np.int64)
-    for lap, g in zip(out, graphs):
-        k = len(g.vertices)
-        minus_w = -np.array(g.weights, dtype=np.int64)
-        np.multiply(g.adjacency, minus_w, out=lap[:k, :k], dtype=np.int64)
-        lap.flat[: k * (order + 1) : order + 1] = _diagonal(g)
-    return out
+    """Vertex-weighted Laplacian diag(d - 1) - B W, a k x k int64 matrix:
+    -m_j off the diagonal on edges, neighbour weight sums on the diagonal.
+    Integer entries, zero row sums."""
+    minus_w = -np.array(g.weights, dtype=np.int64)
+    lap = np.multiply(g.adjacency, minus_w, dtype=np.int64)
+    lap.flat[:: len(minus_w) + 1] = _diagonal(g)
+    return lap
 
 
 def symmetric_form(g: WeightedDivisorGraph) -> np.ndarray:

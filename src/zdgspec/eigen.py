@@ -23,15 +23,16 @@ Two routes to a spectrum live here and check each other:
   polynomial that does not split over the candidates modulo p cannot split
   over them over the integers, so one prime settles most verdicts.
 
-Modulo one prime the kernel also takes a (b, K, K) stack of matrices of
-orders k_i <= K, each zero-padded to K, with one leading batch axis through
-every product: one set of numpy calls for the whole stack. The result is
-exact member by member, not approximately so: the zero block adds nothing
-to any power, tr((R + 0)^j) = tr(R^j) for j >= 1, so each member's first
-k_i + 1 power sums, and the coefficients, Cayley-Hamilton check and trace
-check made from them, are the integers it gets alone; the bounds that keep
-the float64 products exact hold for K as for k. A lone matrix is a stack of
-one, so there is one kernel.
+Modulo one prime ``char_poly_integer`` takes a list of matrices of any
+orders and batches them itself: it groups them by isqrt(k), the kernel's
+baby-step count, zero-pads each group to its largest order K, and runs the
+kernel once per padded stack, with one leading batch axis through every
+product. The result is exact member by member, not approximately so: the
+zero block adds nothing to any power, tr((R + 0)^j) = tr(R^j) for j >= 1,
+so each member's first k_i + 1 power sums, and the coefficients,
+Cayley-Hamilton check and trace check made from them, are the integers it
+gets alone; the bounds that keep the float64 products exact hold for K as
+for k. The integer lift takes one matrix, a stack of one to the kernel.
 """
 
 from __future__ import annotations
@@ -423,11 +424,23 @@ def check_order(k: int) -> None:
         raise OverflowError(f"order {k} is too large: {limit}")
 
 
-def char_poly_integer(
-    m, modulus: int | None = None, orders: Sequence[int] | None = None
-) -> IntPolynomial | list[IntPolynomial]:
+def _checked(m) -> np.ndarray:
+    """m as a square integer ndarray: ValueError for another shape, an order
+    below 1 or entries that are not integers, then OverflowError for an
+    order of MAX_ORDER or more (``check_order``)."""
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
+    if a.dtype.kind not in "iu":
+        raise ValueError("expected integer entries")
+    check_order(len(a))
+    return a
+
+
+def char_poly_integer(matrices, modulus: int | None = None):
     """Exact characteristic polynomial det(xI - M) of an integer matrix, or,
-    given a modulus, of each matrix of a stack.
+    given a modulus, the list of those of a sequence of integer matrices
+    modulo it, in order.
 
     Multi-modular (Dumas, Pernet and Wan, ISSAC 2005): the coefficients are
     computed modulo as many primes below 2^21 as it takes for their product
@@ -439,42 +452,26 @@ def char_poly_integer(
     products of O(k^3) operations each, exact since every sum stays below
     2^53, checked against Cayley-Hamilton; it holds (s + g) k^2 float64
     numbers, s g >= k + 1 and s = isqrt(k) + 1, about 3 GB at k = 2047.
-    Given a modulus, which must be a prime above the order and below 2^21,
-    since Newton divides by every m <= k, the polynomial is computed modulo
-    it alone: one reduction, no bound and no lift, coefficients in
-    [0, modulus). Then ``m`` may also be a (b, K, K) stack of integer
-    matrices, member i the leading orders[i] x orders[i] block of m[i] and
-    zero beyond it (every order K when ``orders`` is not given), and a list
-    of b polynomials is returned, each of its member's own order: one
-    kernel call takes the whole stack, since the zero padding changes no
-    power sum tr((M + 0)^j), j >= 1, so each member's sums, coefficients and
-    checks are exactly those it gets alone. A lone matrix is a stack of one.
-    The top two coefficients are checked against the traces of M and M^2:
-    over the integers for the lift, on the same int64 residues as the
-    kernel for a modulus. Before any elimination, raises OverflowError for
-    an order of 2048 or more or, without a modulus, a bound above 2^44497,
-    the envelope of the word primes, and ValueError for a modulus that is
-    not a prime in (K, 2^21), for a stack without one, or for orders that
-    do not fit the stack.
+    Given a modulus, which must be a prime above every order and below
+    2^21, since Newton divides by every m <= k, each polynomial is computed
+    modulo it alone: one reduction, no bound and no lift, coefficients in
+    [0, modulus). The matrices may have any orders; the kernel runs once
+    per stack of those that share isqrt(k) (``_char_poly_residues``), and
+    each gets the polynomial of its own order that it gets alone; no
+    matrices give []. The top
+    two coefficients are checked against the traces of M and M^2: over the
+    integers for the lift, on the same int64 residues as the kernel for a
+    modulus. Before any elimination, and given a modulus before any matrix
+    is padded, raises OverflowError for an order of 2048 or more or,
+    without a modulus, a bound above 2^44497, the envelope of the word
+    primes, and ValueError for a matrix that is not square and integer, for
+    one ndarray given with a modulus, and for a modulus that is not a prime
+    in (k, 2^21).
     """
-    arr = np.asarray(m)
-    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
-    if arr.ndim == 3 and modulus is None:
-        raise ValueError("a stack of matrices needs a modulus")
-    if arr.dtype.kind not in "iu":
-        raise ValueError("expected integer entries")
-    k = arr.shape[-1]
-    check_order(k)
-    if modulus is not None and not (
-        max(k, 1) < modulus < 1 << PRIME_BITS and is_prime(modulus)
-    ):
-        raise ValueError(
-            f"modulus {modulus} is not a prime above the order {k} "
-            f"and below 2^{PRIME_BITS}"
-        )
     if modulus is not None:
-        return _char_poly_residues(arr, modulus, orders)
+        return _char_poly_residues(matrices, modulus)
+    arr = _checked(matrices)
+    k = len(arr)
     rows = arr.tolist()
     norms = (math.isqrt(sum(x * x for x in row)) for row in rows)
     twice_bound = 2 * math.prod(2 + r for r in norms)
@@ -501,22 +498,51 @@ def char_poly_integer(
     return IntPolynomial(coeffs)
 
 
-def _char_poly_residues(
-    arr: np.ndarray, q: int, orders: Sequence[int] | None
-) -> IntPolynomial | list[IntPolynomial]:
-    """``char_poly_integer`` modulo the prime q of a checked matrix, or of
-    each member of a checked stack, of the given orders."""
-    r = _residues(arr, q)
-    stack = r.ndim == 3
-    if not stack:
-        polys = [_char_poly_mod(r, q)]
-        r = r[None]
-    else:
-        k = r.shape[-1]
-        orders = [k] * len(r) if orders is None else list(orders)
-        if len(orders) != len(r) or not all(0 <= n <= k for n in orders):
-            raise ValueError(f"orders {orders} do not fit a stack of shape {r.shape}")
-        polys = _char_poly_mod(r, q, orders)
+def _char_poly_residues(matrices, q: int) -> list[IntPolynomial]:
+    """``char_poly_integer`` modulo q of each of a sequence of matrices, in
+    order, checked all before any is padded.
+
+    The matrices are grouped by isqrt(k), which fixes the kernel's baby-step
+    count, and each group is zero-padded to its largest order K only, since
+    padding across groups would give small orders the giant steps of large
+    ones. A stack holds at most max(1, STEP_SPAN // K^2) matrices, so that
+    one kernel call holds no more numbers than one matrix of order near
+    sqrt(STEP_SPAN) alone, and every order above 181 is a stack of one.
+    """
+    if isinstance(matrices, np.ndarray):
+        raise ValueError("given a modulus, expected a sequence of matrices")
+    arrs = [_checked(m) for m in matrices]
+    top = max(map(len, arrs), default=1)
+    if not (top < q < 1 << PRIME_BITS and is_prime(q)):
+        raise ValueError(
+            f"modulus {q} is not a prime above the order {top} "
+            f"and below 2^{PRIME_BITS}"
+        )
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(arrs):
+        groups.setdefault(math.isqrt(len(a)), []).append(i)
+    out: list = [None] * len(arrs)
+    for members in groups.values():
+        size = max(1, STEP_SPAN // max(len(arrs[i]) for i in members) ** 2)
+        for lo in range(0, len(members), size):
+            part = members[lo : lo + size]
+            for i, poly in zip(part, _char_poly_stack([arrs[i] for i in part], q)):
+                out[i] = poly
+    return out
+
+
+def _char_poly_stack(arrs: list[np.ndarray], q: int) -> list[IntPolynomial]:
+    """The polynomials modulo q of checked matrices, from one kernel call on
+    their residues, zero-padded into one (b, K, K) stack."""
+    orders = [len(a) for a in arrs]
+    k = max(orders)
+    stack = np.zeros((len(arrs), k, k), dtype=np.int64)
+    for member, a in zip(stack, arrs):
+        # a matrix of a type wider than int64 is reduced on its own first
+        wide = not np.can_cast(a.dtype, np.int64)
+        member[: len(a), : len(a)] = _residues(a, q) if wide else a
+    r = _residues(stack, q)
+    polys = _char_poly_mod(r, q, orders)
     # twice e2 is tr(R)^2 - tr(R^2) for the residues r modulo q, an even
     # number, so it is reduced modulo 2q and only then halved, since modulo
     # 2 there is no inverse of 2; each r_ij r_ji is reduced before it is
@@ -530,7 +556,7 @@ def _char_poly_residues(
         if coeffs[:3] != (1, -t % q, twice_e2 // 2)[: len(c)]:
             raise ArithmeticError("characteristic polynomial disagrees with the traces")
         out.append(IntPolynomial(coeffs, q))
-    return out if stack else out[0]
+    return out
 
 
 def integer_roots_complete(

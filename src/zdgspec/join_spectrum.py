@@ -49,12 +49,10 @@ from .divisor_graph import (
     symmetric_form,
     upper_edges,
     weighted_laplacian,
-    weighted_laplacians,
 )
 from .eigen import (
     EPS,
     EXCLUSION_PRIME,
-    STEP_SPAN,
     IntPolynomial,
     SpectrumMultiset,
     char_poly_integer,
@@ -158,28 +156,11 @@ def reduced_spectrum(n: int | Factorization) -> SpectrumAssembly:
 def residue_polynomials(graphs: Sequence[WeightedDivisorGraph]) -> list[IntPolynomial]:
     """The characteristic polynomial modulo EXCLUSION_PRIME of each graph's
     weighted Laplacian, the residue polynomial ``exact_total_spectrum``
-    deflates, from one ``char_poly_integer`` call per group.
-
-    The graphs are grouped by isqrt(k), which fixes the kernel's baby-step
-    count, and each group is zero-padded to its largest order K only, since
-    padding across groups would give small orders the giant steps of large
-    ones. A group holds at most max(1, STEP_SPAN // K^2) graphs, so that one
-    call holds no more numbers than one graph of order near sqrt(STEP_SPAN)
-    alone, and every order above 181 is a group of one.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(math.isqrt(len(g.vertices)), []).append(i)
-    out: dict[int, IntPolynomial] = {}
-    for members in groups.values():
-        top = max(len(graphs[i].vertices) for i in members)
-        size = max(1, STEP_SPAN // (top * top))
-        for lo in range(0, len(members), size):
-            part = members[lo : lo + size]
-            stack = weighted_laplacians([graphs[i] for i in part])
-            orders = [len(graphs[i].vertices) for i in part]
-            out.update(zip(part, char_poly_integer(stack, EXCLUSION_PRIME, orders)))
-    return [out[i] for i in range(len(graphs))]
+    deflates, from one ``char_poly_integer`` call, which batches the
+    matrices itself; none for no graphs, as for a chunk of closed forms."""
+    if not graphs:
+        return []
+    return char_poly_integer([weighted_laplacian(g) for g in graphs], EXCLUSION_PRIME)
 
 
 def assemble_range(
@@ -194,7 +175,7 @@ def assemble_range(
     graph is built from it, by the one gate ``require_reducible``, which
     every int entry point to the reduced route shares. The reduced spectra
     of the chunk's other n carry their residue polynomials, from one
-    ``char_poly_integer`` call per group of orders (``residue_polynomials``).
+    ``char_poly_integer`` call for the whole chunk (``residue_polynomials``).
     A refused n ends the chunk: the n before it are yielded, then its refusal
     is raised, so its divisor graph is never built.
     """

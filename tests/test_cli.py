@@ -397,21 +397,20 @@ def test_single_n_is_a_range_of_one(capsys, monkeypatch, entry):
 
 
 def test_no_lone_matrix_with_a_modulus(capsys, monkeypatch):
-    # residues modulo a prime come only from stacks: char_poly_integer's
-    # lone-matrix form is the integer lift's, without a modulus
-    calls = []
-
-    def record(m, modulus=None, orders=None):
-        calls.append((m.ndim, modulus is None))
-
-    _spy(monkeypatch, "char_poly_integer", record)
+    # residues modulo a prime come only from lists of matrices, since
+    # char_poly_integer refuses one matrix with a modulus: its lone-matrix
+    # form is the integer lift's, which none of these n reaches
+    moduli = []
+    _spy(monkeypatch, "char_poly_integer", lambda m, modulus=None: moduli.append(modulus))
     for argv in (["survey", "4", "300"], ["spectrum", "72"], ["analyze", "720"]):
         assert run(capsys, *argv)[0] == 0
     exact_total_spectrum(72)
+    assert set(moduli) == {eigen.EXCLUSION_PRIME}
     # the reduced route on pq splits modulo the prime and reaches the lift
     reduced = zdgspec.join_spectrum.reduced_spectrum(15)
+    moduli.clear()
     assert exact_total_spectrum(reduced) is not None
-    assert set(calls) == {(3, False), (2, True)}
+    assert moduli == [eigen.EXCLUSION_PRIME, None]
 
 
 def test_survey_out_file(tmp_path, capsys):

@@ -385,7 +385,7 @@ class _Eliminated(Exception):
 
 
 def _forbid_elimination(monkeypatch) -> None:
-    def no_elimination(a, p):
+    def no_elimination(*args):
         raise _Eliminated
 
     monkeypatch.setattr(eigen, "_char_poly_mod", no_elimination)
@@ -424,10 +424,10 @@ def test_char_poly_modulo_prime_skips_bound(monkeypatch):
     _forbid_elimination(monkeypatch)
     m = np.diag([2**62 - 2] * 717 + [2**42 - 2]).astype(np.int64)
     with pytest.raises(_Eliminated):
-        char_poly_integer(m, eigen.EXCLUSION_PRIME)
+        char_poly_integer([m], eigen.EXCLUSION_PRIME)
     with pytest.raises(OverflowError):
         char_poly_integer(
-            np.broadcast_to(np.int64(0), (2048, 2048)), eigen.EXCLUSION_PRIME
+            [np.broadcast_to(np.int64(0), (2048, 2048))], eigen.EXCLUSION_PRIME
         )
 
 
@@ -456,7 +456,7 @@ def test_char_poly_modulo_prime_is_exact_reduced(mq):
     # which a trace check that reduces tr^2 - tr(M^2) = -2 modulo q before
     # halving reads as (q - 2) // 2, at any order
     m, q = mq
-    residues = char_poly_integer(m, q)
+    residues = char_poly_integer([m], q)[0]
     assert residues.modulus == q
     assert residues.coefficients == tuple(
         c % q for c in char_poly_integer(m).coefficients
@@ -475,48 +475,105 @@ def test_char_poly_modulo_prime_is_exact_reduced(mq):
 )
 @settings(max_examples=100, deadline=None)
 def test_char_poly_stack_equals_each_lone_matrix(mats, q):
-    # matrices of mixed orders up to 12, zero-padded into one stack, give
-    # each member the polynomial it has alone, of its own order; the stack
-    # mixes kernel step counts, which only makes each member's padding wider
-    orders = [len(m) for m in mats]
-    top = max(orders)
-    stack = np.stack([np.pad(m, (0, top - len(m))) for m in mats])
-    polys = char_poly_integer(stack, q, orders)
-    assert polys == [char_poly_integer(m, q) for m in mats]
-
-
-def test_char_poly_stack_argument_checks():
-    stack = np.zeros((2, 3, 3), dtype=np.int64)
-    q = eigen.EXCLUSION_PRIME
-    assert [p.coefficients for p in char_poly_integer(stack, q)] == [(1, 0, 0, 0)] * 2
-    assert [p.coefficients for p in char_poly_integer(stack, q, [1, 3])] == [
-        (1, 0),
-        (1, 0, 0, 0),
+    # matrices of mixed orders up to 12, which the kernel groups and
+    # zero-pads, give each member the reduction of its own integer lift, a
+    # path with no padding; up to 12 the orders span 3 kernel step counts
+    polys = char_poly_integer(mats, q)
+    assert [p.modulus for p in polys] == [q] * len(mats)
+    assert [p.coefficients for p in polys] == [
+        tuple(c % q for c in char_poly_integer(m).coefficients) for m in mats
     ]
-    with pytest.raises(ValueError):
-        char_poly_integer(stack)  # a stack needs a modulus
-    for orders in ([3], [1, 4], [-1, 2]):
+
+
+def test_char_poly_sequence_argument_checks(monkeypatch):
+    q = eigen.EXCLUSION_PRIME
+    assert char_poly_integer([], q) == []
+    # a member wider than int64 is reduced as it is, not wrapped
+    big = np.array([[2**64 - 1, 2], [3, 2**63]], dtype=np.uint64)
+    small = np.array([[1, -2], [-3, 4]])
+    assert [p.coefficients for p in char_poly_integer([big, small], q)] == [
+        tuple(c % q for c in char_poly_integer(m).coefficients) for m in (big, small)
+    ]
+    _forbid_elimination(monkeypatch)
+    eye = np.eye(3, dtype=np.int64)
+    for bad in (
+        eye,  # one matrix, or one stack of them, is not a sequence
+        np.stack([eye, eye]),
+        [eye, np.zeros((2, 3), dtype=np.int64)],
+        [eye, np.zeros((0, 0), dtype=np.int64)],
+        [eye, eye.astype(float)],
+    ):
         with pytest.raises(ValueError):
-            char_poly_integer(stack, q, orders)
+            char_poly_integer(bad, q)
+    # an order past the envelope is refused before any stack is padded
+    huge = np.broadcast_to(np.int64(0), (2048, 2048))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            char_poly_integer([eye, huge], q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the modulus must be a prime above the largest order and below 2^21
+    for modulus in (3, 4, 6, 9, 2**21 + 1, 2**21 - 1):
+        with pytest.raises(ValueError):
+            char_poly_integer([np.eye(1, dtype=np.int64), eye], modulus)
+    with pytest.raises(ValueError):
+        char_poly_integer([], 4)
+    with pytest.raises(_Eliminated):
+        char_poly_integer([np.eye(1, dtype=np.int64), eye], 5)
+
+
+def test_char_poly_groups_by_step_count(monkeypatch):
+    # orders 4, 6 and 7 share isqrt(k) = 2, orders 10, 14 and 10 share 3,
+    # and 16 is alone; with STEP_SPAN at 2 * 14^2 a stack padded to order
+    # 14 holds two matrices, and one of order 16 a single one
+    graphs = [build_divisor_graph(n) for n in (12, 72, 30, 120, 60, 180, 36)]
+    mats = [weighted_laplacian(g) for g in graphs]
+    calls = []
+    real = eigen._char_poly_mod
+
+    def spy(r, p, orders=None):
+        calls.append((r.shape, orders))
+        return real(r, p, orders)
+
+    monkeypatch.setattr(eigen, "_char_poly_mod", spy)
+    monkeypatch.setattr(eigen, "STEP_SPAN", 2 * 14**2)
+    q = eigen.EXCLUSION_PRIME
+    polys = char_poly_integer(mats, q)
+    assert calls == [
+        ((3, 7, 7), [4, 6, 7]),
+        ((2, 14, 14), [10, 14]),
+        ((1, 10, 10), [10]),
+        ((1, 16, 16), [16]),
+    ]
+    assert polys == [char_poly_integer([m], q)[0] for m in mats]
 
 
 @pytest.mark.parametrize("modulus", [None, eigen.EXCLUSION_PRIME])
 def test_char_poly_trace_check(monkeypatch, modulus):
     real = eigen._char_poly_mod
 
-    def wrong_trace(a, p):
-        out = real(a, p)
-        out[-2] = (out[-2] + 1) % p
+    def wrong_trace(a, p, orders=None):
+        out = real(a, p, orders)
+        for c in out if orders else [out]:
+            c[-2] = (c[-2] + 1) % p
         return out
+
+    def char_poly(m):
+        if modulus is None:
+            return char_poly_integer(m)
+        return char_poly_integer([m], modulus)[0]
 
     monkeypatch.setattr(eigen, "_char_poly_mod", wrong_trace)
     with pytest.raises(ArithmeticError):
-        char_poly_integer(np.array([[3, 5], [-2, 7]]), modulus)
+        char_poly(np.array([[3, 5], [-2, 7]]))
     # an order whose trace product takes two chunks
     k = 91
     m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 11 - 5
     with pytest.raises(ArithmeticError):
-        char_poly_integer(m, modulus)
+        char_poly(m)
 
 
 def hessenberg(a: np.ndarray, p: int) -> np.ndarray:
@@ -723,13 +780,13 @@ def test_kernel_needs_order_below_prime(monkeypatch, k, q, accepted):
     _forbid_elimination(monkeypatch)
     m = np.arange(k * k, dtype=np.int64).reshape(k, k) % 5 - 2
     with pytest.raises(_Eliminated if accepted else ValueError):
-        char_poly_integer(m, q)
+        char_poly_integer([m], q)
 
 
 def test_char_poly_rejects_modulus_out_of_range():
     for q in (1, 2**21, 2**26):
         with pytest.raises(ValueError):
-            char_poly_integer(np.array([[1]]), q)
+            char_poly_integer([np.array([[1]])], q)
 
 
 def test_char_poly_refuses_composite_modulus(monkeypatch):
@@ -740,9 +797,9 @@ def test_char_poly_refuses_composite_modulus(monkeypatch):
     m = np.array([[1, 2, 3], [2, 5, 7], [4, 1, 6]])
     for q in (4, 6, 9, 15, 2047, 1373653, 2**25):
         with pytest.raises(ValueError):
-            char_poly_integer(m, q)
+            char_poly_integer([m], q)
     with pytest.raises(_Eliminated):
-        char_poly_integer(m, 7)
+        char_poly_integer([m], 7)
 
 
 def test_word_primality_is_exact():
@@ -834,7 +891,7 @@ def test_split_modulo_prime_but_not_over_integers():
     q = eigen.EXCLUSION_PRIME
     m = np.array([[0, q], [1, 0]])
     exact = char_poly_integer(m)
-    residues = char_poly_integer(m, q)
+    residues = char_poly_integer([m], q)[0]
     assert exact.coefficients == (1, 0, -q)
     assert residues.coefficients == (1, 0, 0)
     assert evaluate(residues, q + 3) == 9

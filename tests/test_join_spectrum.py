@@ -258,7 +258,7 @@ def _assert_class_values_stand_apart(n):
     multiplicity is its classes' w - 1, and each quotient entry must reach
     the total unmerged."""
     assembly = reduced_spectrum(n)
-    residues = char_poly_integer(weighted_laplacian(assembly.graph), EXCLUSION_PRIME)
+    (residues,) = char_poly_integer([weighted_laplacian(assembly.graph)], EXCLUSION_PRIME)
     classes = Counter()
     for c, m in class_pairs(assembly.graph):
         assert evaluate(residues, c) != 0
@@ -394,33 +394,14 @@ def test_brute_fixtures():
     assert coalesce(brute_spectrum(9)).pairs() == [(0.0, 1), (2.0, 1)]
 
 
-def _split_blocks(lap):
-    # the two half-order blocks of a centrosymmetric matrix, from the
-    # textbook formulas: C = B J for the upper right block B
-    z = len(lap)
-    h = z // 2
-    a = lap[:h, :h]
-    c = lap[:h, z - h :] @ np.eye(h)[::-1]
-    plus = a + c
-    if z % 2:
-        border = np.sqrt(2.0) * lap[:h, h]
-        plus = np.block([[plus, border[:, None]], [border[None, :], lap[h : h + 1, h : h + 1]]])
-    return a - c, plus
-
-
 @pytest.mark.parametrize("n", [4, 8, 9, 36, 100, 210, 225])
 def test_brute_is_the_raw_laplacian_spectrum(n):
-    # the oracle's values are those of the textbook D - A split in two
-    # blocks, bit for bit, and that of D - A to rounding; 4, 9 and 8
-    # have 1, 2 and 3 vertices, 225 an even count and the rest odd
+    # the oracle's values are those of the textbook D - A to rounding; 4, 9
+    # and 8 have 1, 2 and 3 vertices, 225 an even count and the rest odd
     adj = build_zero_divisor_graph(n).adjacency.astype(np.float64)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    minus, plus = _split_blocks(lap)
-    split = np.sort(np.concatenate([np.linalg.eigvalsh(minus), np.linalg.eigvalsh(plus)]))
-    whole = np.linalg.eigvalsh(lap)
+    whole = np.linalg.eigvalsh(np.diag(adj.sum(axis=1)) - adj)
     raw = brute_spectrum(n)
     assert len(raw) == n - euler_phi(n) - 1
-    assert np.array_equal(raw, split)
     assert np.abs(raw - whole).max() <= 1e-12 * max(1.0, whole[-1])
 
 
@@ -532,34 +513,16 @@ def test_non_integral_settled_by_one_prime(monkeypatch, n):
     assert seen == [eigen.EXCLUSION_PRIME]
 
 
-def test_residue_polynomials_group_by_step_count(monkeypatch):
-    # orders 4, 6 and 7 share isqrt(k) = 2, orders 10, 14 and 10 share 3,
-    # and 16 is alone; with STEP_SPAN at 2 * 14^2 a group padded to order 14
-    # holds two graphs, and one of order 16 a single one
-    graphs = [build_divisor_graph(n) for n in (12, 72, 30, 120, 60, 180, 36)]
-    calls = []
-    real = zdgspec.join_spectrum.char_poly_integer
-
-    def spy(stack, modulus, orders):
-        calls.append((stack.shape, orders))
-        return real(stack, modulus, orders)
-
-    monkeypatch.setattr(zdgspec.join_spectrum, "char_poly_integer", spy)
-    monkeypatch.setattr(zdgspec.join_spectrum, "STEP_SPAN", 2 * 14**2)
-    polys = residue_polynomials(graphs)
-    assert calls == [
-        ((3, 7, 7), [4, 6, 7]),
-        ((2, 14, 14), [10, 14]),
-        ((1, 10, 10), [10]),
-        ((1, 16, 16), [16]),
-    ]
-    q = EXCLUSION_PRIME
-    assert polys == [char_poly_integer(weighted_laplacian(g), q) for g in graphs]
+def test_exact_total_spectrum_checks_its_residues():
     # the residues of one graph are checked against its order and modulus
+    polys = residue_polynomials([build_divisor_graph(n) for n in (12, 72)])
     assembly = reduced_spectrum(72)
     assert exact_total_spectrum(assembly._replace(residues=polys[1])) is None
     with pytest.raises(ValueError):
         exact_total_spectrum(assembly._replace(residues=polys[0]))
+    wrong_modulus = polys[1]._replace(modulus=EXCLUSION_PRIME - 2)
+    with pytest.raises(ValueError):
+        exact_total_spectrum(assembly._replace(residues=wrong_modulus))
 
 
 INTEGRAL_FAMILIES = [

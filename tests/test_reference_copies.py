@@ -117,19 +117,19 @@ def test_kernel_matches_reference():
 
 
 def test_chunk_groups_match_reference(monkeypatch):
-    # every group of residue polynomials that ``assemble_range`` forms over
-    # [4, 2000] and the dense pool is one zero-padded stack of a single
+    # every stack of residues that the kernel takes for ``assemble_range``
+    # over [4, 2000] and the dense pool is zero-padded and of a single
     # isqrt(k); each reduced assembly carries its member's polynomial, the
     # reference kernel's on its lone residues, of order k modulo q
     q = eigen.EXCLUSION_PRIME
     stacks = []
-    real = join_spectrum.char_poly_integer
+    real = eigen._char_poly_mod
 
     def spy(stack, modulus, orders):
         stacks.append((stack, orders))
         return real(stack, modulus, orders)
 
-    monkeypatch.setattr(join_spectrum, "char_poly_integer", spy)
+    monkeypatch.setattr(eigen, "_char_poly_mod", spy)
     checked = 0
     for fact, assembly in join_spectrum.assemble_range(NS):
         if assembly is None:
